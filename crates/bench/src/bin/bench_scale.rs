@@ -10,9 +10,11 @@
 //!   object count grows 100×;
 //! * service-latency percentiles (`ct_start`→`ct_end` cycles) from the
 //!   runtime's streaming sketch — constant space, no per-op samples;
-//! * the footprint audit: accounted bytes of object-indexed state per
+//! * the footprint audit: objects touched (the only ones any table
+//!   holds — the build declares one region per chip and registers
+//!   nothing) and accounted bytes of object-indexed state per touched
 //!   object (interner + registry + assignment table + sketches, from
-//!   `Engine::footprint_bytes`) next to the process-level resident-set
+//!   `Engine::footprint_bytes`), next to the process-level resident-set
 //!   delta across build+run from `/proc/self/statm` (0 when the proc
 //!   file is unavailable).
 //!
@@ -52,16 +54,13 @@ fn rss_bytes() -> Option<u64> {
 
 struct Outcome {
     m: ScaleMeasurement,
+    warmup_ops: u64,
     build_seconds: f64,
     run_seconds: f64,
     resident_delta_bytes: u64,
 }
 
 impl Outcome {
-    fn resident_bytes_per_object(&self) -> f64 {
-        self.resident_delta_bytes as f64 / self.m.n_objects.max(1) as f64
-    }
-
     fn json(&self) -> String {
         format!(
             concat!(
@@ -76,14 +75,16 @@ impl Outcome {
                 "      \"service_p999_cycles\": {},\n",
                 "      \"service_max_cycles\": {},\n",
                 "      \"latency_samples\": {},\n",
-                "      \"accounted_bytes_per_object\": {:.1},\n",
-                "      \"resident_bytes_per_object\": {:.1},\n",
+                "      \"warmup_ops\": {},\n",
+                "      \"resident_delta_bytes\": {},\n",
                 "      \"migrations\": {},\n",
                 "      \"replica_promotions\": {},\n",
                 "      \"replica_demotions\": {},\n",
                 "      \"replica_invalidations\": {},\n",
                 "      \"replica_served\": {},\n",
-                "      \"build_wall_seconds\": {:.3},\n",
+                "      \"touched_objects\": {},\n",
+                "      \"accounted_bytes_per_touched_object\": {:.1},\n",
+                "      \"build_wall_seconds\": {:.6},\n",
                 "      \"run_wall_seconds\": {:.3}\n",
                 "    }}"
             ),
@@ -97,13 +98,15 @@ impl Outcome {
             self.m.service_latency.p999,
             self.m.service_latency.max,
             self.m.service_latency.count,
-            self.m.bytes_per_object(),
-            self.resident_bytes_per_object(),
+            self.warmup_ops,
+            self.resident_delta_bytes,
             self.m.migrations,
             self.m.replication.promotions,
             self.m.replication.demotions,
             self.m.replication.invalidations,
             self.m.replication.replica_served,
+            self.m.touched_objects,
+            self.m.bytes_per_touched_object(),
             self.build_seconds,
             self.run_seconds,
         )
@@ -116,6 +119,7 @@ fn run_point(n: u64) -> Outcome {
         &spec.machine,
         serving_coretime_config(PolicyKind::CoreTime, n),
     );
+    let warmup_ops = spec.warmup_ops;
     let rss_before = rss_bytes().unwrap_or(0);
 
     let build_start = Instant::now();
@@ -129,17 +133,19 @@ fn run_point(n: u64) -> Outcome {
 
     let o = Outcome {
         m,
+        warmup_ops,
         build_seconds,
         run_seconds,
         resident_delta_bytes: rss_after.saturating_sub(rss_before),
     };
     println!(
-        "scale_{n:<9} {:>8} ops, {:>8.1} kops/s, p99 {:>6} cy, {:>6.1} B/obj accounted, {:>7.1} B/obj resident, replicas +{} -{} inv {} served {}, build {:.2}s run {:.2}s",
+        "scale_{n:<9} {:>8} ops, {:>8.1} kops/s, p99 {:>6} cy, {:>6} touched, {:>6.1} B/touched accounted, {:>5.1} MB resident, replicas +{} -{} inv {} served {}, build {:.6}s run {:.2}s",
         o.m.window.ops,
         o.m.kops_per_sec(),
         o.m.service_latency.p99,
-        o.m.bytes_per_object(),
-        o.resident_bytes_per_object(),
+        o.m.touched_objects,
+        o.m.bytes_per_touched_object(),
+        o.resident_delta_bytes as f64 / (1024.0 * 1024.0),
         o.m.replication.promotions,
         o.m.replication.demotions,
         o.m.replication.invalidations,
@@ -221,11 +227,12 @@ fn main() {
             "  \"benchmark\": \"scale_tier\",\n",
             "  \"machine\": \"amd16\",\n",
             "  \"model\": \"open-loop-capable scale tier: computed object layout, ",
-            "O(1) Zipf sampling, pre-sized tables, streaming latency sketch, ",
+            "O(1) Zipf sampling, one object region per chip with first-touch ",
+            "registration, streaming latency sketch, ",
             "95% reads served from measured-read-fraction replicas\",\n",
             "  \"methodology\": \"one process, ascending object counts, fixed seeds; ",
-            "accounted = Engine::footprint_bytes / n; resident = /proc/self/statm ",
-            "RSS delta across build+run (floor, allocator reuse)\",\n",
+            "accounted = Engine::footprint_bytes / objects touched; resident = ",
+            "/proc/self/statm RSS delta across build+run (floor, allocator reuse)\",\n",
             "  \"scenarios\": [\n{}\n  ],\n",
             "  \"open_loop_duel\": {{\n",
             "    \"n_objects\": {},\n",

@@ -394,6 +394,11 @@ impl Interner {
         }
     }
 
+    /// The id limit: ids `0..limit` are assignable.
+    pub fn id_limit(&self) -> u32 {
+        self.id_limit
+    }
+
     /// Number of distinct keys interned so far.
     pub fn len(&self) -> usize {
         self.table.len()

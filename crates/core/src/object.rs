@@ -128,6 +128,11 @@ pub struct ObjectRegistry {
     /// (least recently active first).
     head: u32,
     tail: u32,
+    /// First object on the list stamped `rolls + 1`, i.e. operated on
+    /// this epoch (`NONE` if there is none yet). Stamps are only ever
+    /// `rolls` (registration) or `rolls + 1` (operation), so these
+    /// objects form the list's suffix and every other object precedes it.
+    first_active: u32,
 }
 
 impl Default for ObjectRegistry {
@@ -153,6 +158,7 @@ impl ObjectRegistry {
             dirty_last: Vec::new(),
             head: NONE,
             tail: NONE,
+            first_active: NONE,
         }
     }
 
@@ -180,8 +186,7 @@ impl ObjectRegistry {
     }
 
     /// Heap bytes held by the registry: the info slab plus both dirty
-    /// lists (capacities, not lengths — exact for the pre-sized scale
-    /// tier and an upper bound otherwise).
+    /// lists (capacities, not lengths — an upper bound on live data).
     pub fn footprint_bytes(&self) -> u64 {
         (self.slots.capacity() * std::mem::size_of::<ObjectInfo>()) as u64
             + ((self.dirty_this.capacity() + self.dirty_last.capacity())
@@ -217,38 +222,44 @@ impl ObjectRegistry {
         info.next = NONE;
     }
 
-    /// Inserts `id` (already stamped with its `last_active_roll`) into the
-    /// list, keeping it ordered by stamp. Appending at the tail is the hot
-    /// case (operations always carry the newest stamp); the backwards walk
-    /// only runs for mid-run registrations, which stamp one epoch behind.
-    fn insert_by_stamp(&mut self, id: DenseObjectId) {
-        let stamp = self.slots[id as usize].last_active_roll;
-        let mut after = self.tail;
-        while after != NONE && self.slots[after as usize].last_active_roll > stamp {
-            after = self.slots[after as usize].prev;
-        }
-        if after == NONE {
-            // New head.
-            let old_head = self.head;
-            self.slots[id as usize].next = old_head;
-            self.slots[id as usize].prev = NONE;
-            if old_head == NONE {
-                self.tail = id;
-            } else {
-                self.slots[old_head as usize].prev = id;
-            }
+    /// Links `id` into the list between `prev` and `next`, which must be
+    /// neighbours (`NONE` standing for the respective end of the list).
+    fn link_between(&mut self, id: DenseObjectId, prev: u32, next: u32) {
+        self.slots[id as usize].prev = prev;
+        self.slots[id as usize].next = next;
+        if prev == NONE {
             self.head = id;
         } else {
-            let next = self.slots[after as usize].next;
-            self.slots[id as usize].prev = after;
-            self.slots[id as usize].next = next;
-            self.slots[after as usize].next = id;
-            if next == NONE {
-                self.tail = id;
-            } else {
-                self.slots[next as usize].prev = id;
-            }
+            self.slots[prev as usize].next = id;
         }
+        if next == NONE {
+            self.tail = id;
+        } else {
+            self.slots[next as usize].prev = id;
+        }
+    }
+
+    /// Inserts an object stamped `rolls + 1` (operated on this epoch): the
+    /// newest stamp there is, so it goes to the tail.
+    fn push_active(&mut self, id: DenseObjectId) {
+        if self.first_active == NONE {
+            self.first_active = id;
+        }
+        self.link_between(id, self.tail, NONE);
+    }
+
+    /// Inserts an object stamped `rolls` (registered this epoch): behind
+    /// everything stamped earlier or alike, ahead of the objects operated
+    /// on this epoch. `first_active` marks that boundary, so a mid-run
+    /// registration does not walk past every object active this epoch.
+    fn insert_registered(&mut self, id: DenseObjectId) {
+        let next = self.first_active;
+        let prev = if next == NONE {
+            self.tail
+        } else {
+            self.slots[next as usize].prev
+        };
+        self.link_between(id, prev, next);
     }
 
     // ---- registration and monitoring --------------------------------------
@@ -265,7 +276,7 @@ impl ObjectRegistry {
         } else {
             *info = ObjectInfo::new(desc, false, rolls);
             self.known += 1;
-            self.insert_by_stamp(id);
+            self.insert_registered(id);
         }
     }
 
@@ -318,11 +329,13 @@ impl ObjectRegistry {
             desc.read_mostly = false;
             self.slots[id as usize] = ObjectInfo::new(desc, true, active_stamp);
             self.known += 1;
-            self.insert_by_stamp(id);
+            self.push_active(id);
         } else if self.slots[id as usize].last_active_roll != active_stamp {
+            // Not yet stamped for this epoch, so not in the active suffix
+            // `first_active` points into.
             self.slots[id as usize].last_active_roll = active_stamp;
             self.unlink(id);
-            self.insert_by_stamp(id);
+            self.push_active(id);
         }
         let info = &mut self.slots[id as usize];
         if info.size_estimated {
@@ -355,6 +368,8 @@ impl ObjectRegistry {
     /// objects *touched*, not to the registry size.
     pub fn roll_epoch(&mut self) {
         self.rolls += 1;
+        // What was stamped `rolls + 1` is now stamped `rolls`.
+        self.first_active = NONE;
         // Objects active last epoch but not this one lose their
         // `ops_last_epoch` credit.
         for i in 0..self.dirty_last.len() {
@@ -597,5 +612,50 @@ mod tests {
         // Idle: object 0 for 3 epochs, object 1 for 1, object 2 for 0.
         assert_eq!(reg.idle_objects(1), vec![0, 1]);
         assert_eq!(reg.idle_objects(3), vec![0]);
+    }
+
+    #[test]
+    fn registrations_land_just_ahead_of_this_epochs_active_objects() {
+        // The exact list order (not just the idle sets) across
+        // registrations interleaved with operations and a roll: where the
+        // walk back from the tail used to put each object.
+        fn order(reg: &ObjectRegistry) -> Vec<DenseObjectId> {
+            let mut out = Vec::new();
+            let mut cursor = reg.head;
+            while cursor != NONE {
+                out.push(cursor);
+                cursor = reg.slots[cursor as usize].next;
+            }
+            let mut back = Vec::new();
+            let mut cursor = reg.tail;
+            while cursor != NONE {
+                back.push(cursor);
+                cursor = reg.slots[cursor as usize].prev;
+            }
+            back.reverse();
+            assert_eq!(out, back, "forward and backward links disagree");
+            out
+        }
+        let desc = |id: u32| ObjectDescriptor::new(u64::from(id), 0, 64);
+        let mut reg = ObjectRegistry::new(64);
+        reg.register(0, desc(0));
+        reg.record_op(1, 1, 1, 0.3, AccessKind::Write);
+        reg.record_op(2, 2, 1, 0.3, AccessKind::Write);
+        reg.register(3, desc(3));
+        assert_eq!(order(&reg), vec![0, 3, 1, 2]);
+        reg.roll_epoch();
+        // Nothing is active yet this epoch: a registration goes last.
+        reg.register(4, desc(4));
+        assert_eq!(order(&reg), vec![0, 3, 1, 2, 4]);
+        reg.record_op(0, 0, 1, 0.3, AccessKind::Write);
+        reg.register(5, desc(5));
+        reg.record_op(3, 3, 1, 0.3, AccessKind::Write);
+        reg.register(6, desc(6));
+        assert_eq!(order(&reg), vec![1, 2, 4, 5, 6, 0, 3]);
+        // Operating on the object just ahead of the boundary moves it
+        // behind it; the boundary itself stays.
+        reg.record_op(6, 6, 1, 0.3, AccessKind::Write);
+        reg.register(7, desc(7));
+        assert_eq!(order(&reg), vec![1, 2, 4, 5, 7, 0, 3, 6]);
     }
 }

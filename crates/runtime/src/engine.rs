@@ -34,7 +34,7 @@ use crate::action::{Action, ObjectDescriptor};
 use crate::behaviour::{BehaviourCtx, ThreadBehaviour};
 use crate::config::{EventCoreKind, RuntimeConfig};
 use crate::error::EngineError;
-use crate::object_index::ObjectIndex;
+use crate::object_index::{ObjectIndex, ObjectRegion, RegionError};
 use crate::policy::{EpochView, OpContext, Placement, PolicyCommand, SchedPolicy};
 use crate::stats::{RunWindow, SchedStats};
 use crate::sync::LockRegistry;
@@ -346,17 +346,22 @@ impl Engine {
         dense
     }
 
-    /// Pre-sizes the object index and the policy's per-object tables for
-    /// `n` more objects, so registering and operating on them allocates
-    /// nothing on the hot path (the scale tier's steady state).
-    pub fn reserve_objects(&mut self, n: usize) {
-        self.objects.reserve(n);
-        self.policy.reserve_objects(n);
+    /// Declares a uniform range of schedulable objects in O(1), however
+    /// many objects it spans. No state is spent on an object of the
+    /// region until the first `ct_start` names it; that `ct_start` interns
+    /// the key, fills in the descriptor and informs the policy through
+    /// [`SchedPolicy::register_object`] before asking it for a placement.
+    /// Objects that carry attributes of their own (a lock, the
+    /// `read_mostly` hint) still go through [`Engine::register_object`],
+    /// which wins over a region holding the same key.
+    pub fn register_region(&mut self, region: ObjectRegion) -> Result<(), RegionError> {
+        self.objects.register_region(region)
     }
 
     /// Heap bytes of per-object scheduler state: the object index, the
-    /// policy's tables, and the latency sketch. Divide by the object
-    /// count for the scale tier's bytes-per-object audit.
+    /// policy's tables, and the latency sketch. Divide by
+    /// `object_index().len()` for the scale tier's audit of bytes per
+    /// touched object.
     pub fn footprint_bytes(&self) -> u64 {
         self.objects.footprint_bytes()
             + self.policy.footprint_bytes()
@@ -1171,13 +1176,19 @@ impl Engine {
         // probe of the flat index, after which the policy works purely
         // with dense ids. Id-space exhaustion surfaces as a typed error
         // rather than a wrapped or aliased dense id.
-        let object =
+        let (object, first_touch) =
             self.objects
-                .try_intern(object_key)
+                .try_touch(object_key)
                 .map_err(|e| EngineError::ObjectIdsExhausted {
                     thread: tid,
                     limit: e.limit,
                 })?;
+        if let Some(desc) = first_touch {
+            // First touch of an object in a declared region: this is its
+            // registration, so the policy hears of it before it places
+            // the operation.
+            self.policy.register_object(object, desc);
+        }
         let now = self.cores[core_idx].clock;
         self.threads[tid].current_op = Some(OpRecord {
             object,
@@ -2008,6 +2019,67 @@ mod tests {
         e.run_until_cycles(200_000);
         assert!(e.machine().counters(2).busy_cycles > 0);
         assert!(e.machine().counters(2).migrations_in >= 1);
+    }
+
+    #[test]
+    fn region_objects_are_registered_by_their_first_ct_start() {
+        /// Logs `register_object` and `on_ct_start` calls in order.
+        struct Recorder {
+            log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+        }
+        impl SchedPolicy for Recorder {
+            fn name(&self) -> &'static str {
+                "recorder"
+            }
+            fn register_object(&mut self, id: DenseObjectId, object: &ObjectDescriptor) {
+                self.log.borrow_mut().push(format!(
+                    "register {id} key {:#x} size {}",
+                    object.id, object.size
+                ));
+            }
+            fn on_ct_start(&mut self, ctx: &OpContext<'_>) -> Placement {
+                self.log.borrow_mut().push(format!("start {}", ctx.object));
+                Placement::Local
+            }
+        }
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut e = engine(Box::new(Recorder { log: log.clone() }));
+        let region = ObjectRegion {
+            base: 0x4000,
+            stride: 0x100,
+            size: 0x80,
+            count: 1 << 20,
+        };
+        assert_eq!(e.register_region(region), Ok(()));
+        assert_eq!(
+            e.register_region(region),
+            Err(RegionError::Overlap { existing: region })
+        );
+        assert!(
+            log.borrow().is_empty(),
+            "declaring a region registers nothing"
+        );
+        assert!(e.object_index().is_empty());
+
+        // Object 5 twice, then an off-stride key inside the span, then
+        // object 0.
+        let op = |key| OpBuilder::annotated(key).compute(10).finish();
+        let ops = [op(0x4500), op(0x4500), op(0x4501), op(0x4000)].concat();
+        e.spawn(0, Box::new(FixedBehaviour::new(ops)));
+        e.run_until_cycles(100_000);
+        assert_eq!(e.total_ops(), 4);
+        assert_eq!(
+            *log.borrow(),
+            [
+                "register 0 key 0x4500 size 128",
+                "start 0",
+                "start 0",
+                "start 1",
+                "register 2 key 0x4000 size 128",
+                "start 2",
+            ]
+        );
+        assert_eq!(e.object_index().len(), 3);
     }
 
     #[test]

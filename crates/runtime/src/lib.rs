@@ -57,7 +57,7 @@ pub use behaviour::{
 pub use config::{EventCoreKind, RuntimeConfig};
 pub use engine::Engine;
 pub use error::EngineError;
-pub use object_index::ObjectIndex;
+pub use object_index::{ObjectIndex, ObjectRegion, RegionError};
 // Surfaced by `ObjectIndex::try_intern`, so callers can match it without
 // depending on o2-collections directly.
 pub use o2_collections::IdSpaceExhausted;

@@ -128,10 +128,12 @@ pub trait SchedPolicy {
     /// Human-readable policy name, used in reports.
     fn name(&self) -> &'static str;
 
-    /// Called when an object is registered with the runtime. `id` is the
-    /// dense id the engine's object index assigned to `object.id`; it is
-    /// the same id later operations on the object carry in
-    /// [`OpContext::object`].
+    /// Called when an object is registered with the runtime: explicitly
+    /// before or during a run, or — for an object of a declared region —
+    /// at the first `ct_start` that names it, just before that
+    /// operation's [`SchedPolicy::on_ct_start`]. `id` is the dense id the
+    /// engine's object index assigned to `object.id`; it is the same id
+    /// later operations on the object carry in [`OpContext::object`].
     fn register_object(&mut self, _id: DenseObjectId, _object: &ObjectDescriptor) {}
 
     /// Hint that roughly `n` more objects are about to be registered, so
@@ -140,8 +142,8 @@ pub trait SchedPolicy {
     fn reserve_objects(&mut self, _n: usize) {}
 
     /// Heap bytes held by the policy's per-object state, for the scale
-    /// tier's bytes-per-object audit. Policies without such state (the
-    /// default) report zero.
+    /// tier's audit of bytes per touched object. Policies without such
+    /// state (the default) report zero.
     fn footprint_bytes(&self) -> u64 {
         0
     }

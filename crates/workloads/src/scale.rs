@@ -14,9 +14,12 @@
 //!   Derflinger rejection-inversion ([`ZipfSampler`]), instead of the
 //!   O(n) CDF scan the directory chooser uses — at 1e7 objects a CDF scan
 //!   would dominate the run;
-//! * the engine and policy are pre-sized via `reserve_objects`, so the
-//!   steady-state hot path never grows a table, and the experiment
-//!   reports the accounted bytes-per-object from `footprint_bytes`;
+//! * objects are declared, not registered: one `Engine::register_region`
+//!   per chip, whatever the object count, and an object costs state in
+//!   the runtime and the policy only from the first `ct_start` that names
+//!   it — so set-up is O(chips), tables grow by amortised doubling inside
+//!   the run as objects are touched, and the experiment reports the
+//!   accounted bytes per *touched* object from `footprint_bytes`;
 //! * latency comes from the constant-memory sketches — the runtime's
 //!   service-latency recorder, plus (in open-loop mode) the shared
 //!   arrival→completion recorder of [`crate::open_loop::OpenLoopGen`].
@@ -29,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 use o2_metrics::{LatencyRecorder, LatencySummary};
 use o2_runtime::{
-    AccessKind, BehaviourCtx, Engine, ObjectDescriptor, OpBehaviour, OpBuilder, OpGenerator,
+    AccessKind, BehaviourCtx, Engine, ObjectRegion, OpBehaviour, OpBuilder, OpGenerator,
     PolicyReplicationStats, RunWindow, RuntimeConfig, SchedPolicy,
 };
 use o2_sim::{Machine, MachineConfig};
@@ -282,7 +285,7 @@ impl OpGenerator for ScaleGen {
 }
 
 /// The measurement produced by [`ScaleExperiment::run`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaleMeasurement {
     /// Name of the scheduling policy.
     pub policy: String,
@@ -298,6 +301,9 @@ pub struct ScaleMeasurement {
     /// Accounted heap bytes of the object-indexed state (runtime index +
     /// policy tables + sketches).
     pub footprint_bytes: u64,
+    /// Distinct objects operated on since the engine was built — the
+    /// only ones any table holds state for.
+    pub touched_objects: u64,
     /// `IdleUntil` sleeps taken (nonzero only in open-loop runs that
     /// keep up with the offered load).
     pub sleeps: u64,
@@ -314,9 +320,9 @@ impl ScaleMeasurement {
         self.window.kops_per_second()
     }
 
-    /// Accounted bytes of object-indexed state per object.
-    pub fn bytes_per_object(&self) -> f64 {
-        self.footprint_bytes as f64 / self.n_objects.max(1) as f64
+    /// Accounted bytes of object-indexed state per touched object.
+    pub fn bytes_per_touched_object(&self) -> f64 {
+        self.footprint_bytes as f64 / self.touched_objects.max(1) as f64
     }
 }
 
@@ -341,8 +347,8 @@ impl ScaleExperiment {
         spec.validate().expect("invalid scale specification");
         let mut machine = Machine::new(spec.machine.clone());
 
-        // A handful of large regions — one per chip — instead of one
-        // region (or worse, one allocation) per object. Regions are
+        // A handful of large memory regions — one per chip — instead of
+        // one region (or worse, one allocation) per object. Regions are
         // metadata, but 1e7 of them would still cost a BTree node per
         // object on every address lookup.
         let chips = spec.machine.chips.max(1) as u64;
@@ -363,12 +369,22 @@ impl ScaleExperiment {
 
         let mut engine = Engine::new(machine, policy, spec.runtime);
 
-        // Pre-size everything object-indexed, then register eagerly: the
-        // measured window must never grow an interner or a table.
-        engine.reserve_objects(spec.n_objects as usize);
-        for i in 0..spec.n_objects {
-            let addr = map.addr_of(i);
-            engine.register_object(ObjectDescriptor::new(addr, addr, spec.object_size));
+        // Likewise one object region per chip that holds objects (with
+        // few objects the last chips hold none): an object is registered
+        // by the first `ct_start` that names it.
+        for (chip, &base) in map.bases.iter().enumerate() {
+            let count = per_chip.min(spec.n_objects.saturating_sub(chip as u64 * per_chip));
+            if count == 0 {
+                break;
+            }
+            engine
+                .register_region(ObjectRegion {
+                    base,
+                    stride: spec.object_size,
+                    size: spec.object_size,
+                    count,
+                })
+                .unwrap_or_else(|e| panic!("scale object region rejected: {e}"));
         }
 
         let arrival_latency = spec
@@ -436,6 +452,7 @@ impl ScaleExperiment {
             service_latency: stats.op_latency,
             arrival_latency: self.arrival_latency.as_ref().map(|r| r.borrow().summary()),
             footprint_bytes: self.engine.footprint_bytes(),
+            touched_objects: self.engine.object_index().len() as u64,
             sleeps: stats.sleeps,
             migrations,
             replication: self.engine.policy().replication_stats(),
@@ -453,7 +470,7 @@ mod tests {
     use super::*;
     use crate::distribution::DirChooser;
     use crate::spec::Popularity;
-    use o2_runtime::NullPolicy;
+    use o2_runtime::{NullPolicy, ObjectDescriptor};
     use o2_sim::ContentionModel;
 
     fn small_spec(n: u64) -> ScaleSpec {
@@ -537,7 +554,8 @@ mod tests {
         assert!(m.kops_per_sec() > 0.0);
         assert_eq!(m.n_objects, 2_000);
         assert!(m.footprint_bytes > 0);
-        assert!(m.bytes_per_object() > 0.0);
+        assert!(m.touched_objects > 0 && m.touched_objects <= 2_000);
+        assert!(m.bytes_per_touched_object() > 0.0);
         assert_eq!(m.service_latency.count, m.window.ops + 200);
         assert!(m.service_latency.p50 > 0);
         assert!(m.arrival_latency.is_none());
@@ -588,21 +606,113 @@ mod tests {
     }
 
     #[test]
-    fn footprint_does_not_grow_during_the_measured_window() {
-        // The pre-sized hot path: once objects are registered, running
-        // the workload must not grow any object-indexed structure. The
-        // latency sketch is excluded: it allocates its fixed buffers
-        // lazily and adds compaction levels logarithmically — bounded,
-        // but not constant across a window.
-        let indexed = |e: &Engine| e.footprint_bytes() - e.op_latency().footprint_bytes();
-        let mut exp = ScaleExperiment::build(small_spec(2_000), Box::new(NullPolicy));
-        exp.engine.run_until_ops(200);
-        let before = indexed(&exp.engine);
-        exp.engine.run_window(400_000);
-        assert_eq!(
-            indexed(&exp.engine),
-            before,
-            "object-indexed state grew during the measured window"
+    fn state_is_paid_per_object_touched_not_per_object_that_exists() {
+        // Same seed, same operation budget, a hundred times the objects.
+        // An operation touches at most one object, so the index can never
+        // hold more objects than operations were started; and because no
+        // table is sized by the population, the accounted footprint of
+        // the two runs must be of the same order, not 100x apart.
+        let footprint_at = |n: u64| {
+            let mut exp = ScaleExperiment::build(small_spec(n), Box::new(NullPolicy));
+            exp.engine.run_until_ops(3_000);
+            let started = exp.engine.total_ops() + u64::from(exp.spec.total_threads());
+            let touched = exp.engine.object_index().len() as u64;
+            assert!(touched > 0, "{n} objects: nothing touched");
+            assert!(
+                touched <= started,
+                "{n} objects: {touched} interned by {started} operations"
+            );
+            exp.engine.footprint_bytes()
+        };
+        let (small, large) = (footprint_at(10_000), footprint_at(1_000_000));
+        assert!(
+            small <= 2 * large && large <= 2 * small,
+            "footprint follows the population: {small} B at 1e4 vs {large} B at 1e6 objects"
         );
+    }
+
+    /// The build this tier used to have: every object registered before
+    /// the run, in index order. Explicit registration wins over a region,
+    /// so this is `build` plus the eager loop.
+    fn build_eager(spec: ScaleSpec, policy: Box<dyn SchedPolicy>) -> ScaleExperiment {
+        let mut exp = ScaleExperiment::build(spec, policy);
+        let regions = exp.engine.object_index().regions().to_vec();
+        for r in regions {
+            for i in 0..r.count {
+                let addr = r.base + i * r.stride;
+                exp.engine
+                    .register_object(ObjectDescriptor::new(addr, addr, r.size));
+            }
+        }
+        assert_eq!(
+            exp.engine.object_index().len() as u64,
+            exp.spec.n_objects,
+            "the regions must cover every object exactly once"
+        );
+        exp
+    }
+
+    #[test]
+    fn region_build_is_in_lockstep_with_eager_registration() {
+        // Registering an object at its first `ct_start` instead of before
+        // the run changes dense ids and registration epochs, and nothing
+        // a policy decides may depend on either. Static partitioning is
+        // absent by design: it deals objects to cores in registration
+        // order, so it *is* a function of that order.
+        use o2_baseline::{ThreadClustering, ThreadScheduler};
+        use o2_core::{CoreTime, CoreTimeConfig};
+
+        // `o2_experiments::serving_coretime_config` for this object count
+        // (that crate depends on this one, so it cannot be called here).
+        fn serving(mut cfg: CoreTimeConfig) -> CoreTimeConfig {
+            cfg.enable_replication = true;
+            cfg.serve_from_replicas = true;
+            cfg.max_replicas = 16;
+            cfg.replication_hot_ops = 2;
+            cfg.replica_promote_read_fraction = 0.60;
+            cfg.replica_demote_read_fraction = 0.40;
+            cfg
+        }
+        type Build = fn(&MachineConfig) -> Box<dyn SchedPolicy>;
+        let policies: [(&str, Build); 4] = [
+            ("coretime", |m| {
+                CoreTime::policy_with(m, serving(CoreTimeConfig::default()))
+            }),
+            ("coretime +extensions", |m| {
+                CoreTime::policy_with(m, serving(CoreTimeConfig::with_all_extensions()))
+            }),
+            ("thread scheduler", |_| Box::new(ThreadScheduler::new())),
+            ("thread clustering", |m| {
+                Box::new(ThreadClustering::new(m.chips, m.cores_per_chip))
+            }),
+        ];
+        for (name, build) in policies {
+            for open_gap in [None, Some(8_000.0)] {
+                for seed in [7, 42] {
+                    let mut spec = ScaleSpec::new(20_000);
+                    spec.machine = MachineConfig::amd16();
+                    spec.object_size = 4096;
+                    spec.read_fraction = 0.95;
+                    spec.warmup_ops = 2_000;
+                    spec.measure_cycles = 2_000_000;
+                    spec.open_loop_mean_gap = open_gap;
+                    spec.seed = seed;
+                    let region = ScaleExperiment::build(spec.clone(), build(&spec.machine)).run();
+                    let eager = build_eager(spec.clone(), build(&spec.machine)).run();
+                    assert!(region.window.ops > 0);
+                    assert!(region.touched_objects < eager.touched_objects);
+                    // Everything but the state that is now pay-per-touch.
+                    let expected = ScaleMeasurement {
+                        footprint_bytes: region.footprint_bytes,
+                        touched_objects: region.touched_objects,
+                        ..eager
+                    };
+                    assert_eq!(
+                        region, expected,
+                        "{name}, open loop {open_gap:?}, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 }
