@@ -6,17 +6,16 @@
 //! fixed-pattern scenarios on the paper's 16-core AMD machine:
 //!
 //! * `read_heavy` — every core re-reads a private L1-resident working set:
-//!   the L1-hit regime the short-circuit exists for, and the memory-bound
-//!   scenario the ISSUE's ≥2× target is measured on.
+//!   the L1-hit regime the short-circuit exists for.
 //! * `write_shared` — cores read and write a handful of shared lines:
 //!   directory lookups, invalidation broadcasts, ping-ponging ownership.
 //! * `capacity_thrash` — sequential sweeps over a working set far larger
 //!   than the private caches: fills, evictions, L3 victim traffic.
 //!
-//! The `baseline_*` fields are the same scenarios measured on the
-//! pre-refactor model (`HashMap` directory, `Vec<Vec<Way>>` caches,
-//! modulo indexing) on the same host, captured immediately before the
-//! fast-path refactor landed.
+//! Each scenario also reports directory probes (slot inspections) per
+//! line access — a count, identical on every host. The wall-clock figures
+//! are this host's, this run's: compare them only against another build
+//! run alternately on the same machine (`benchmark/run.sh` does that).
 
 use std::time::Instant;
 
@@ -25,19 +24,11 @@ use rand::{Rng, SeedableRng};
 
 use o2_sim::{AccessKind, ContentionModel, Machine, MachineConfig};
 
-/// Pre-refactor throughput on the same host, one value per scenario.
-/// Captured from the `HashMap`-directory / nested-`Vec` cache model right
-/// before the flat fast path replaced it (see DESIGN.md).
-const BASELINE_OPS_PER_SEC: [(&str, f64); 3] = [
-    ("read_heavy", 113_332_738.0),
-    ("write_shared", 4_632_080.0),
-    ("capacity_thrash", 1_042_262.0),
-];
-
 struct Outcome {
     name: &'static str,
     line_accesses: u64,
     simulated_cycles: u64,
+    directory_probes: u64,
     wall_seconds: f64,
 }
 
@@ -46,40 +37,28 @@ impl Outcome {
         self.line_accesses as f64 / self.wall_seconds
     }
 
-    fn baseline(&self) -> f64 {
-        BASELINE_OPS_PER_SEC
-            .iter()
-            .find(|(n, _)| *n == self.name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0)
+    fn probes_per_line_access(&self) -> f64 {
+        self.directory_probes as f64 / self.line_accesses as f64
     }
 
     fn json(&self) -> String {
-        let base = self.baseline();
-        let speedup = if base > 0.0 {
-            self.ops_per_sec() / base
-        } else {
-            0.0
-        };
         format!(
             concat!(
                 "    {{\n",
                 "      \"scenario\": \"{}\",\n",
                 "      \"line_accesses\": {},\n",
                 "      \"simulated_cycles\": {},\n",
+                "      \"dir_probes_per_line_access\": {:.3},\n",
                 "      \"wall_seconds\": {:.6},\n",
-                "      \"sim_ops_per_wall_second\": {:.0},\n",
-                "      \"baseline_sim_ops_per_wall_second\": {:.0},\n",
-                "      \"speedup_vs_baseline\": {:.2}\n",
+                "      \"sim_ops_per_wall_second\": {:.0}\n",
                 "    }}"
             ),
             self.name,
             self.line_accesses,
             self.simulated_cycles,
+            self.probes_per_line_access(),
             self.wall_seconds,
             self.ops_per_sec(),
-            base,
-            speedup,
         )
     }
 }
@@ -92,18 +71,19 @@ fn machine() -> Machine {
 
 fn finish(name: &'static str, m: &Machine, line_accesses: u64, start: Instant) -> Outcome {
     let wall_seconds = start.elapsed().as_secs_f64().max(1e-9);
-    let simulated_cycles = m.snapshot_counters().aggregate().busy_cycles;
+    let ms = m.mem_stats();
     let o = Outcome {
         name,
         line_accesses,
-        simulated_cycles,
+        simulated_cycles: m.snapshot_counters().aggregate().busy_cycles,
+        directory_probes: ms.directory_probes,
         wall_seconds,
     };
     println!(
-        "{name:<16} {line_accesses:>10} line accesses in {wall_seconds:.3}s ({:.0} sim-ops/s)",
-        o.ops_per_sec()
+        "{name:<16} {line_accesses:>10} line accesses in {wall_seconds:.3}s ({:.0} sim-ops/s, {:.3} dir probes/line access)",
+        o.ops_per_sec(),
+        o.probes_per_line_access()
     );
-    let ms = m.mem_stats();
     println!(
         "{:<16} dir_probes={} dir_entries={} l1_short_circuits={} evictions={}",
         "", ms.directory_probes, ms.directory_entries, ms.l1_short_circuits, ms.evictions
@@ -187,7 +167,7 @@ fn main() {
             "{{\n",
             "  \"benchmark\": \"memory_system\",\n",
             "  \"machine\": \"amd16\",\n",
-            "  \"model\": \"flat directory + flat set-associative caches + L1 short-circuit\",\n",
+            "  \"model\": \"exact-index flat directory (keys grouped by 8) + flat set-associative caches + L1 short-circuit\",\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),

@@ -43,7 +43,12 @@ pub const FIB_MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 ///
 /// Implementations provide the sentinel marking an empty slot (a value
 /// that can never be inserted) and a 64-bit hash whose *high* 32 bits are
-/// well mixed — the table derives the home slot from them.
+/// well mixed — the table derives the home slot from them. The table is
+/// correct for any hash; mixing only keeps chains short. A key may
+/// therefore keep some low home bits on purpose: the coherence
+/// directory's key keeps three, so that eight consecutive lines home to
+/// eight adjacent slots (`tests/flat_table_invariants.rs` drives the table
+/// with a key of that shape).
 pub trait FlatKey: Copy + Eq {
     /// The vacant-slot sentinel. Inserting it is a logic error (checked
     /// in debug builds).

@@ -380,8 +380,8 @@ impl Engine {
         &self.machine
     }
 
-    /// Mutable access to the simulated machine (e.g. to allocate memory or
-    /// prefill caches before running).
+    /// Mutable access to the simulated machine (e.g. to allocate memory
+    /// before running, or to flush the caches between phases).
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
     }

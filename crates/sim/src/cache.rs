@@ -12,10 +12,18 @@
 //! slots of set `s` are `slab[s * ways .. (s + 1) * ways]`. Within a set
 //! the valid ways form a prefix kept in recency order — a way's index *is*
 //! its per-set LRU age: index 0 is the most recently used, the last valid
-//! index the least, and empty slots (line == `EMPTY`) trail the prefix.
-//! A touch rotates the way to the front (a no-op when it already is the
-//! MRU, the overwhelmingly common case), an eviction always takes the last
-//! valid way, and a miss probe stops at the first empty slot.
+//! index the least, and vacant slots trail the prefix. A touch rotates the
+//! way to the front (a no-op when it already is the MRU, the overwhelmingly
+//! common case) and an eviction always takes the last way. A probe tests
+//! each way once: a vacant slot matches no line, so it needs no test of its
+//! own.
+//!
+//! A fill whose caller has just seen the probe miss — every fill on
+//! [`crate::machine::Machine`]'s miss path — goes through
+//! [`Cache::insert_absent`], which does not scan at all: the set is full
+//! exactly when its last way is valid, and rotating the whole set one slot
+//! towards the LRU end drops either that victim or a trailing vacant slot.
+//! [`Cache::insert`] is the same rotation behind a presence scan.
 //!
 //! Compared to the previous `Vec<Vec<Way>>` + global-tick + reverse-index
 //! `HashMap` representation this makes a probe one bounded scan of
@@ -151,18 +159,11 @@ impl Cache {
         &self.slab[base..base + self.ways]
     }
 
-    /// Position of `line` in its set's valid prefix, or `None`.
+    /// Position of `line` in its set, or `None`. One test per way: a vacant
+    /// way matches no line.
     #[inline]
     fn position(set: &[Way], line: LineAddr) -> Option<usize> {
-        for (i, &w) in set.iter().enumerate() {
-            if w.is(line) {
-                return Some(i);
-            }
-            if w.is_vacant() {
-                return None;
-            }
-        }
-        None
+        set.iter().position(|w| w.is(line))
     }
 
     /// Moves the way at `idx` to the front of its set (the MRU slot).
@@ -254,44 +255,39 @@ impl Cache {
     /// position and dirty bit; no eviction occurs. Newly inserted lines
     /// carry no exclusivity hint.
     pub fn insert(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
+        let set = self.set_slice_mut(line);
+        if let Some(idx) = Self::position(set, line) {
+            set[idx].0 |= dirty as u64 * Way::DIRTY;
+            Self::move_to_front(set, idx);
+            return None;
+        }
+        self.insert_absent(line, dirty)
+    }
+
+    /// [`Cache::insert`] for a line the caller knows is not resident (its
+    /// probe has just missed, or an exact index says so): no presence scan.
+    /// The set is full exactly when its last way is valid; rotating the
+    /// whole set one slot drops that LRU victim, or a trailing vacant slot
+    /// when there is room. Same victim and same slab as `insert`.
+    pub fn insert_absent(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
+        debug_assert!(
+            !self.contains(line),
+            "insert_absent: line {line:#x} is resident"
+        );
         let ways = self.ways;
         let set = self.set_slice_mut(line);
-
-        // One scan finds the line or the end of the valid prefix.
-        let mut end = ways;
-        for (i, &w) in set.iter().enumerate() {
-            if w.is(line) {
-                let w = Way(w.0 | if dirty { Way::DIRTY } else { 0 });
-                set.copy_within(0..i, 1);
-                set[0] = w;
-                return None;
-            }
-            if w.is_vacant() {
-                end = i;
-                break;
-            }
-        }
-
-        let (evicted, shift) = if end == ways {
-            // Set full: the last way is the LRU victim; it falls off the
-            // end of the rotation.
-            let v = set[ways - 1];
-            (
-                Some(Evicted {
-                    line: v.line(),
-                    dirty: v.dirty(),
-                }),
-                ways - 1,
-            )
-        } else {
-            (None, end)
-        };
-        set.copy_within(0..shift, 1);
+        let last = set[ways - 1];
+        set.copy_within(0..ways - 1, 1);
         set[0] = Way::new(line, dirty);
-        if evicted.is_none() {
+        if last.is_vacant() {
             self.resident += 1;
+            None
+        } else {
+            Some(Evicted {
+                line: last.line(),
+                dirty: last.dirty(),
+            })
         }
-        evicted
     }
 
     /// Removes a line if present, returning whether it was dirty.
@@ -318,6 +314,15 @@ impl Cache {
         self.slab
             .iter()
             .filter(|w| !w.is_vacant())
+            .map(|w| w.line())
+    }
+
+    /// Iterates over the resident lines that carry the exclusivity hint
+    /// (for [`crate::machine::Machine::audit_coherence`]).
+    pub fn excl_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.slab
+            .iter()
+            .filter(|w| !w.is_vacant() && w.excl())
             .map(|w| w.line())
     }
 
@@ -497,6 +502,87 @@ mod tests {
         assert_eq!(c.insert(11, false).unwrap().line, 3);
         assert_eq!(c.insert(12, false).unwrap().line, 2);
         assert_eq!(c.insert(13, false).unwrap().line, 0);
+    }
+
+    #[test]
+    fn a_vacant_way_matches_no_line() {
+        // `position` tests each way once, with no vacancy check: nothing is
+        // found in a flushed set or behind the valid prefix of a partly
+        // filled one, whatever line is asked for.
+        let mut c = Cache::new(CacheGeometry::new(4 * 64, 4), 64);
+        let top = u64::MAX >> 2; // the vacant pattern's line bits
+        for l in 0..4 {
+            c.insert(l, true);
+        }
+        c.flush();
+        for line in [0, 1, 3, top - 1, top >> 1] {
+            assert!(!c.contains(line), "flushed set matched {line:#x}");
+            assert_eq!(c.probe_and_touch(line), Probe::Miss);
+        }
+        c.insert(1, false);
+        c.insert(2, false);
+        assert!(c.contains(1) && c.contains(2));
+        for line in [0, 3, 5, top - 1] {
+            assert!(!c.contains(line), "partly filled set matched {line:#x}");
+            assert_eq!(c.invalidate(line), None);
+        }
+        assert_eq!(c.resident_lines(), 2);
+    }
+
+    #[test]
+    fn insert_absent_fills_vacant_ways_then_evicts_the_lru() {
+        let mut c = Cache::new(CacheGeometry::new(4 * 64, 4), 64);
+        for l in 0..4 {
+            assert!(c.insert_absent(l, l == 0).is_none(), "way {l} was free");
+        }
+        assert_eq!(c.resident_lines(), 4);
+        c.probe_and_touch(0);
+        // Recency (MRU first): 0, 3, 2, 1.
+        assert_eq!(
+            c.insert_absent(10, false),
+            Some(Evicted {
+                line: 1,
+                dirty: false
+            })
+        );
+        assert_eq!(c.insert_absent(11, false).unwrap().line, 2);
+        assert_eq!(c.resident_lines(), 4);
+        // A hole left by an invalidation is filled before anything is evicted.
+        c.invalidate(10);
+        assert!(c.insert_absent(12, false).is_none());
+        assert_eq!(
+            c.insert_absent(13, false),
+            Some(Evicted {
+                line: 3,
+                dirty: false
+            })
+        );
+        assert_eq!(
+            c.insert_absent(14, false).unwrap(),
+            Evicted {
+                line: 0,
+                dirty: true
+            }
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is resident")]
+    fn insert_absent_rejects_a_resident_line() {
+        let mut c = small();
+        c.insert(5, false);
+        c.insert_absent(5, false);
+    }
+
+    #[test]
+    fn excl_lines_skips_vacant_ways() {
+        let mut c = small();
+        assert_eq!(c.excl_lines().count(), 0, "vacant ways carry no hint");
+        c.insert(1, false);
+        c.insert(2, false);
+        c.set_excl(2);
+        assert_eq!(c.excl_lines().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

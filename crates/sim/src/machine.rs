@@ -22,6 +22,34 @@
 //! only sends the access down the slow path, and
 //! `tests/memory_model.rs` pins the whole model bit-for-bit against the
 //! pre-refactor implementation.
+//!
+//! ## The miss path
+//!
+//! Capacity workloads miss the L1 on most lines, so the miss path is where
+//! the host time goes. It rests on one invariant, kept by this module and
+//! checked by [`Machine::audit_coherence`]: **the directory is an exact
+//! index of cache contents.**
+//!
+//! * A core's bit is set ⇔ the line is in that core's L2. `locate_and_fill`
+//!   sets it with the fill; `fill_private` clears it when the L2 evicts the
+//!   line; a write clears every bit but the writer's as it invalidates.
+//! * A chip's bit is set ⇔ the line is in that chip's L3. `fill_private`
+//!   sets it when an L2 victim spills there and clears it for the L3's own
+//!   victim; `locate_and_fill` clears it when an L3 hit pulls the line back
+//!   into a private cache; a write clears every other chip's.
+//! * The L1 is a subset of the L2, an exclusivity hint implies a sole
+//!   holder, and an entry is removed with the last copy of its line.
+//!
+//! So a miss scans only what it must. After the L2 probe misses, one
+//! directory look-up returns the line's holders and is left describing
+//! where the line is about to be: the chip bit decides the L3 hit (no scan
+//! of the 32-way set), the same holders pick the nearest remote copy, and
+//! no second look-up records the fill. Every fill goes into a cache that
+//! has just been seen not to hold the line, so it uses
+//! [`Cache::insert_absent`] — no presence scan — except the spill of a
+//! victim that a same-chip peer spilled first, which the victim's entry
+//! says is already in the L3. Each place that trusts the directory
+//! `debug_assert`s what it trusted.
 
 use crate::cache::{Cache, LineAddr, Probe};
 use crate::config::MachineConfig;
@@ -430,17 +458,6 @@ impl Machine {
         cost
     }
 
-    /// Warms caches by performing reads on behalf of `core` without
-    /// counting them (useful for tests and for constructing Figure-2 style
-    /// snapshots from a known state).
-    pub fn prefill(&mut self, core: u32, addr: Addr, len: u64) {
-        let before = self.counters[core as usize];
-        let stream = self.streams[core as usize];
-        self.access(core, addr, len, AccessKind::Read);
-        self.counters[core as usize] = before;
-        self.streams[core as usize] = stream;
-    }
-
     /// Whether a line is resident in a core's private caches.
     pub fn in_private_cache(&self, core: u32, line: LineAddr) -> bool {
         self.l1[core as usize].contains(line) || self.l2[core as usize].contains(line)
@@ -491,6 +508,66 @@ impl Machine {
         for s in &mut self.streams {
             *s = StreamState::default();
         }
+    }
+
+    /// Checks the invariant the miss path relies on — the directory is an
+    /// exact index of cache contents — by walking every cache slab against
+    /// it, and returns the first violation found:
+    ///
+    /// * a core's bit is set ⇔ the line is in that core's L2;
+    /// * a chip's bit is set ⇔ the line is in that chip's L3;
+    /// * every L1 line is in the same core's L2;
+    /// * an L1 exclusivity hint ⇒ that core is the line's sole holder;
+    /// * no directory entry is empty (the miss path removes an entry with
+    ///   the last copy of its line).
+    ///
+    /// O(cache capacity); for tests, not for the run loop. Counts nothing.
+    pub fn audit_coherence(&self) -> Result<(), String> {
+        // Directory → caches: each entry's masks are exactly the caches
+        // that hold its line.
+        for (line, h) in self.directory.iter() {
+            let holders = |caches: &[Cache]| {
+                (0..caches.len())
+                    .filter(|&i| caches[i].contains(line))
+                    .fold(0u64, |mask, i| mask | 1 << i)
+            };
+            let (in_l2, in_l3) = (holders(&self.l2), holders(&self.l3));
+            if h.is_empty() || h.cores != in_l2 || h.chips != in_l3 {
+                return Err(format!(
+                    "line {line:#x}: directory entry {h:?}, but it is in the L2s of \
+                     cores {in_l2:#b} and the L3s of chips {in_l3:#b}"
+                ));
+            }
+        }
+        // Caches → directory: no cached line goes untracked.
+        let untracked = |cache: &Cache| cache.lines().find(|&l| self.directory.peek(l).is_none());
+        for (what, caches) in [("L2", &self.l2), ("L3", &self.l3)] {
+            for (i, cache) in caches.iter().enumerate() {
+                if let Some(line) = untracked(cache) {
+                    return Err(format!(
+                        "line {line:#x} is in {what} {i} but has no directory entry"
+                    ));
+                }
+            }
+        }
+        for core in 0..self.cfg.total_cores() {
+            let (l1, l2) = (&self.l1[core as usize], &self.l2[core as usize]);
+            if let Some(line) = l1.lines().find(|&line| !l2.contains(line)) {
+                return Err(format!(
+                    "line {line:#x} is in core {core}'s L1 but not in its L2"
+                ));
+            }
+            let chip = self.cfg.chip_of(core);
+            for line in l1.excl_lines() {
+                let h = self.directory.peek(line).unwrap_or_default();
+                if !h.sole_holder(core, chip) {
+                    return Err(format!(
+                        "core {core}'s L1 holds line {line:#x} exclusive but its directory entry is {h:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Hop distance between the chips of two cores.
@@ -583,56 +660,65 @@ impl Machine {
     /// the search starts at the L2.
     fn locate_and_fill(&mut self, core: u32, chip: u32, line: LineAddr) -> AccessOutcome {
         let c = core as usize;
+        let core_bit = 1u64 << core;
+        let chip_bit = 1u64 << chip;
 
         if self.l2[c].probe_and_touch(line) == Probe::Hit {
             // Refill L1 (inclusive in L2): L1 victims are simply dropped.
-            if self.l1[c].insert(line, false).is_some() {
+            if self.l1[c].insert_absent(line, false).is_some() {
                 self.evictions += 1;
             }
             return AccessOutcome::L2Hit;
         }
 
-        // The chip-local L3 is a victim cache: on a hit the line moves into
-        // the requester's private caches and leaves the L3.
-        if self.l3[chip as usize].probe_and_touch(line) == Probe::Hit {
-            let dirty = self.l3[chip as usize].invalidate(line).unwrap_or(false);
-            let holders = self.directory.entry(line);
-            holders.chips &= !(1u64 << chip);
-            let h = *holders;
-            // Same-chip peers lose exclusivity; if nobody else holds the
-            // line the requester gains it.
-            self.clear_excl_holders(h.cores, line);
-            self.fill_private(core, chip, line, dirty);
-            if h.cores == 0 && h.chips & !(1u64 << chip) == 0 {
-                self.l1[c].set_excl(line);
-            }
-            return AccessOutcome::L3Hit;
-        }
+        // The directory is an exact index of every L2 and L3 (see the
+        // module docs), so one look-up serves the whole miss: it says where
+        // the line is, and it is left saying where the line is about to be
+        // — in this core's private caches and out of this chip's L3.
+        let entry = self.directory.entry(line);
+        let holders = *entry;
+        entry.cores |= core_bit;
+        entry.chips &= !chip_bit;
+        debug_assert!(
+            holders.cores & core_bit == 0,
+            "line {line:#x} missed core {core}'s L2 but holds its directory bit"
+        );
+        debug_assert_eq!(
+            holders.chips & chip_bit != 0,
+            self.l3[chip as usize].contains(line),
+            "directory and chip {chip}'s L3 disagree on line {line:#x}"
+        );
 
-        // Not on this chip: consult the directory for remote copies.
-        let holders = self.directory.get(line).unwrap_or_default();
-        let remote = self.nearest_remote_holder(core, chip, holders);
-        let streamed = self.is_streamed(core, line);
-        let outcome = match remote {
-            Some(holder_chip) => AccessOutcome::RemoteCache {
-                hops: self.interconnect.hops(chip, holder_chip),
-                streamed,
-            },
-            None => AccessOutcome::Dram {
-                hops: self
-                    .interconnect
-                    .hops(chip, self.memory.home_chip_of_line(line)),
-                streamed,
-            },
+        let (outcome, dirty) = if holders.chips & chip_bit != 0 {
+            // The chip-local L3 is a victim cache: on a hit the line moves
+            // into the requester's private caches and leaves the L3.
+            let dirty = self.l3[chip as usize].invalidate(line).unwrap_or(false);
+            (AccessOutcome::L3Hit, dirty)
+        } else {
+            // Not on this chip: the nearest remote copy, else DRAM. A read
+            // leaves remote copies where they are.
+            let streamed = self.is_streamed(core, line);
+            let outcome = match self.nearest_remote_holder(core, chip, holders) {
+                Some(holder_chip) => AccessOutcome::RemoteCache {
+                    hops: self.interconnect.hops(chip, holder_chip),
+                    streamed,
+                },
+                None => AccessOutcome::Dram {
+                    hops: self
+                        .interconnect
+                        .hops(chip, self.memory.home_chip_of_line(line)),
+                    streamed,
+                },
+            };
+            (outcome, false)
         };
-        // The data (a read copy) is installed in the requester's caches; any
-        // remote copies stay where they are for reads — but their holders
-        // are no longer exclusive.
+        // Every other private holder now shares the line; if there is no
+        // other holder at all (a fresh DRAM fill, or the chip's own victim
+        // coming back) the requester starts exclusive, so a following
+        // write skips the directory.
         self.clear_excl_holders(holders.cores, line);
-        self.fill_private(core, chip, line, false);
-        if holders.is_empty() {
-            // Fresh DRAM fill nobody else holds: the requester starts
-            // exclusive, so a following write skips the directory.
+        self.fill_private(core, chip, line, dirty);
+        if holders.cores == 0 && holders.chips & !chip_bit == 0 {
             self.l1[c].set_excl(line);
         }
         outcome
@@ -672,32 +758,47 @@ impl Machine {
 
     /// Installs a line into a core's L1 and L2, spilling L2 victims into the
     /// chip's L3 (victim cache) and keeping the directory in sync.
+    /// Precondition: the line is in neither cache, and `locate_and_fill` has
+    /// already set the core's bit in the line's directory entry.
     fn fill_private(&mut self, core: u32, chip: u32, line: LineAddr, dirty: bool) {
         let c = core as usize;
-        if let Some(victim) = self.l2[c].insert(line, dirty) {
+        let core_bit = 1u64 << core;
+        let chip_bit = 1u64 << chip;
+        if let Some(victim) = self.l2[c].insert_absent(line, dirty) {
             self.evictions += 1;
             // Maintain L1 inclusivity in L2.
             self.l1[c].invalidate(victim.line);
-            if let Some(h) = self.directory.get_mut(victim.line) {
-                h.cores &= !(1u64 << core);
-            }
-            // Spill the victim into the chip's L3 unless some cache already
-            // holds it there.
-            if let Some(l3_victim) = self.l3[chip as usize].insert(victim.line, victim.dirty) {
+            // The victim leaves this core and enters the chip's L3; its
+            // entry says whether a same-chip peer spilled it there first.
+            let h = self.directory.entry(victim.line);
+            debug_assert!(
+                h.cores & core_bit != 0,
+                "L2 victim {:#x} of core {core} lacks its directory bit",
+                victim.line
+            );
+            let in_l3 = h.chips & chip_bit != 0;
+            h.cores &= !core_bit;
+            h.chips |= chip_bit;
+            let l3 = &mut self.l3[chip as usize];
+            debug_assert_eq!(in_l3, l3.contains(victim.line));
+            let l3_victim = if in_l3 {
+                l3.insert(victim.line, victim.dirty)
+            } else {
+                l3.insert_absent(victim.line, victim.dirty)
+            };
+            if let Some(l3_victim) = l3_victim {
                 self.evictions += 1;
                 if let Some(h) = self.directory.get_mut(l3_victim.line) {
-                    h.chips &= !(1u64 << chip);
+                    h.chips &= !chip_bit;
                     if h.is_empty() {
                         self.directory.remove(l3_victim.line);
                     }
                 }
             }
-            self.directory.entry(victim.line).chips |= 1u64 << chip;
         }
-        if self.l1[c].insert(line, dirty).is_some() {
+        if self.l1[c].insert_absent(line, dirty).is_some() {
             self.evictions += 1;
         }
-        self.directory.entry(line).cores |= 1u64 << core;
     }
 
     /// Invalidates every copy of `line` outside `core`'s private caches and
@@ -886,17 +987,6 @@ mod tests {
         let r = m.memory_mut().alloc(64, 0);
         let cost = m.access(3, r.addr, 64, AccessKind::Read);
         assert_eq!(m.counters(3).busy_cycles, cost);
-    }
-
-    #[test]
-    fn prefill_does_not_change_counters() {
-        let mut m = machine();
-        let r = m.memory_mut().alloc(4096, 0);
-        m.prefill(2, r.addr, 4096);
-        assert_eq!(m.counters(2), &CoreCounters::default());
-        // But the data is now cached.
-        let (_, out) = m.access_line(2, m.line_of(r.addr), AccessKind::Read);
-        assert!(!out.is_private_miss());
     }
 
     #[test]

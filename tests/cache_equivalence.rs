@@ -7,7 +7,9 @@
 //! ages, mask indexing) is driven through the same ~10⁵ random
 //! probe/insert/invalidate/mark-dirty/flush operations and must return the
 //! identical `Probe`/`Evicted` sequence and the identical resident set at
-//! every step.
+//! every step. Each trace is replayed a second time with every insertion
+//! of a non-resident line going through `Cache::insert_absent` — the
+//! scan-free fill of the machine's miss path — against the same reference.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,8 +161,14 @@ fn lines_sorted(c: &Cache) -> Vec<LineAddr> {
 }
 
 /// Drives both implementations through `ops` random operations and asserts
-/// identical observable behaviour at every step.
+/// identical observable behaviour at every step, once with `Cache::insert`
+/// throughout and once with `Cache::insert_absent` wherever it applies.
 fn drive(geometry: CacheGeometry, line_space: u64, ops: usize, seed: u64) {
+    drive_with(geometry, line_space, ops, seed, false);
+    drive_with(geometry, line_space, ops, seed, true);
+}
+
+fn drive_with(geometry: CacheGeometry, line_space: u64, ops: usize, seed: u64, absent: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut new = Cache::new(geometry, 64);
     let mut old = reference::RefCache::new(geometry, 64);
@@ -176,7 +184,11 @@ fn drive(geometry: CacheGeometry, line_space: u64, ops: usize, seed: u64) {
             }
             35..=74 => {
                 let dirty = rng.gen_range(0u8..2) == 0;
-                let a = new.insert(line, dirty);
+                let a = if absent && !new.contains(line) {
+                    new.insert_absent(line, dirty)
+                } else {
+                    new.insert(line, dirty)
+                };
                 let b = old.insert(line, dirty);
                 assert_eq!(a, b, "eviction diverged at step {step} line {line}");
             }
@@ -259,4 +271,38 @@ fn every_set_holds_full_associativity() {
     }
     assert_eq!(c.resident_lines(), 32);
     assert_eq!(c.probe_and_touch(0), Probe::Hit);
+}
+
+/// `insert_absent` leaves the same slab as `insert`, not just the same
+/// resident set: two caches fed the same trace, one through each, agree on
+/// every later victim — on full sets and on sets with vacant ways.
+#[test]
+fn insert_absent_leaves_the_same_recency_order_as_insert() {
+    let geometry = CacheGeometry::new(4 * 8 * 64, 8);
+    let mut rng = StdRng::seed_from_u64(0xcafe_0006);
+    let mut a = Cache::new(geometry, 64);
+    let mut b = Cache::new(geometry, 64);
+    for step in 0..50_000 {
+        let line = rng.gen_range(0..96u64);
+        match rng.gen_range(0u8..10) {
+            0..=5 => {
+                let dirty = rng.gen_range(0u8..2) == 0;
+                let ea = a.insert(line, dirty);
+                let eb = if b.contains(line) {
+                    b.insert(line, dirty)
+                } else {
+                    b.insert_absent(line, dirty)
+                };
+                assert_eq!(ea, eb, "victim diverged at step {step} line {line}");
+            }
+            6..=7 => assert_eq!(a.probe_and_touch(line), b.probe_and_touch(line)),
+            // Invalidations keep some sets partly filled.
+            _ => assert_eq!(a.invalidate(line), b.invalidate(line)),
+        }
+        assert_eq!(
+            a.lines().collect::<Vec<_>>(),
+            b.lines().collect::<Vec<_>>(),
+            "slab order diverged at step {step}"
+        );
+    }
 }

@@ -159,6 +159,9 @@ fn run_storm(cfg: MachineConfig, seed: u64, accesses: usize) -> (u64, Machine) {
         }
     }
     fp.mix_machine(&m);
+    // The miss path trusts the directory to index the caches exactly.
+    m.audit_coherence()
+        .expect("coherence audit after the storm");
     (fp.0, m)
 }
 
@@ -217,4 +220,63 @@ fn storm_is_deterministic() {
     let (a, _) = run_storm(cfg.clone(), 7, 10_000);
     let (b, _) = run_storm(cfg, 7, 10_000);
     assert_eq!(a, b);
+}
+
+/// The directory is an exact index of cache contents — the miss path reads
+/// a chip bit instead of scanning the L3 — and that is a tested invariant.
+/// A geometry small enough that every eviction path (L1 drop, L2 spill,
+/// L3 victim, L3 refresh of a line a same-chip peer spilled first) fires
+/// within hundreds of steps, mixed reads, writes, multi-line accesses and
+/// flushes, the audit every 64 steps.
+#[test]
+fn directory_stays_an_exact_index_under_random_traffic() {
+    use o2_suite::sim::CacheGeometry;
+    let mut cfg = MachineConfig::amd16();
+    cfg.chips = 2;
+    cfg.cores_per_chip = 2;
+    cfg.l1 = CacheGeometry::new(4 * 64, 2);
+    cfg.l2 = CacheGeometry::new(16 * 64, 4);
+    cfg.l3 = CacheGeometry::new(32 * 64, 8);
+    cfg.contention = ContentionModel::None;
+    for seed in [0xa0d1_0001u64, 0xa0d1_0002, 0xa0d1_0003] {
+        let mut m = Machine::new(cfg.clone());
+        // Four times the machine's 128 cache lines: constant eviction.
+        let arena = m.memory_mut().alloc(512 * 64, 0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut flushes = 0;
+        for step in 0..20_000u32 {
+            let core = rng.gen_range(0..4u32);
+            let kind = if rng.gen_range(0u8..3) == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            // Half the traffic goes to a 64-line hot set so lines are
+            // shared, written while shared, and spilled by two peers.
+            let span = if rng.gen_range(0u8..2) == 0 { 64 } else { 512 };
+            let addr = arena.addr + 64 * rng.gen_range(0..span - 8u64);
+            match rng.gen_range(0u32..800) {
+                0 => {
+                    m.flush_all_caches();
+                    flushes += 1;
+                }
+                1..=240 => {
+                    m.access(core, addr + 17, rng.gen_range(1..8u64) * 64, kind);
+                }
+                _ => {
+                    m.access_line(core, m.line_of(addr), kind);
+                }
+            }
+            if step % 64 == 0 {
+                m.audit_coherence()
+                    .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: {e}"));
+            }
+        }
+        m.audit_coherence()
+            .unwrap_or_else(|e| panic!("seed {seed:#x} at the end: {e}"));
+        let agg = m.snapshot_counters().aggregate();
+        assert!(agg.l2_hits > 0 && agg.l3_hits > 0 && agg.dram_loads > 0);
+        assert!(agg.remote_cache_loads > 0 && agg.invalidations_sent > 0);
+        assert!(flushes > 0 && m.mem_stats().evictions > 0);
+    }
 }
