@@ -13,7 +13,10 @@
 //!   than the private caches: fills, evictions, L3 victim traffic.
 //!
 //! Each scenario also reports directory probes (slot inspections) per
-//! line access — a count, identical on every host. The wall-clock figures
+//! line access and, at the end of the run, the directory's entries, slots
+//! and their ratio (at most 0.5: which side of a doubling the scenario
+//! sits on is read here, not inferred from probe counts) — counts,
+//! identical on every host. The wall-clock figures
 //! are this host's, this run's: compare them only against another build
 //! run alternately on the same machine (`benchmark/run.sh` does that).
 
@@ -29,6 +32,8 @@ struct Outcome {
     line_accesses: u64,
     simulated_cycles: u64,
     directory_probes: u64,
+    directory_entries: u64,
+    directory_capacity: u64,
     wall_seconds: f64,
 }
 
@@ -49,6 +54,9 @@ impl Outcome {
                 "      \"line_accesses\": {},\n",
                 "      \"simulated_cycles\": {},\n",
                 "      \"dir_probes_per_line_access\": {:.3},\n",
+                "      \"directory_entries\": {},\n",
+                "      \"directory_capacity\": {},\n",
+                "      \"directory_load\": {:.3},\n",
                 "      \"wall_seconds\": {:.6},\n",
                 "      \"sim_ops_per_wall_second\": {:.0}\n",
                 "    }}"
@@ -57,6 +65,9 @@ impl Outcome {
             self.line_accesses,
             self.simulated_cycles,
             self.probes_per_line_access(),
+            self.directory_entries,
+            self.directory_capacity,
+            self.directory_entries as f64 / self.directory_capacity as f64,
             self.wall_seconds,
             self.ops_per_sec(),
         )
@@ -77,6 +88,8 @@ fn finish(name: &'static str, m: &Machine, line_accesses: u64, start: Instant) -
         line_accesses,
         simulated_cycles: m.snapshot_counters().aggregate().busy_cycles,
         directory_probes: ms.directory_probes,
+        directory_entries: ms.directory_entries,
+        directory_capacity: ms.directory_capacity,
         wall_seconds,
     };
     println!(
@@ -85,8 +98,13 @@ fn finish(name: &'static str, m: &Machine, line_accesses: u64, start: Instant) -
         o.probes_per_line_access()
     );
     println!(
-        "{:<16} dir_probes={} dir_entries={} l1_short_circuits={} evictions={}",
-        "", ms.directory_probes, ms.directory_entries, ms.l1_short_circuits, ms.evictions
+        "{:<16} dir_probes={} dir_entries={} dir_slots={} l1_short_circuits={} evictions={}",
+        "",
+        ms.directory_probes,
+        ms.directory_entries,
+        ms.directory_capacity,
+        ms.l1_short_circuits,
+        ms.evictions
     );
     o
 }
@@ -167,7 +185,7 @@ fn main() {
             "{{\n",
             "  \"benchmark\": \"memory_system\",\n",
             "  \"machine\": \"amd16\",\n",
-            "  \"model\": \"exact-index flat directory (keys grouped by 8) + flat set-associative caches + L1 short-circuit\",\n",
+            "  \"model\": \"exact-index flat directory (16-byte slots, keys grouped by 8, at most half full) + flat set-associative caches + L1 short-circuit\",\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),

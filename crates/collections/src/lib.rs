@@ -3,7 +3,10 @@
 //! Three crates of this workspace independently hand-rolled the same
 //! open-addressed hash-table recipe before it was extracted here: the
 //! simulator's coherence directory, the runtime's object interner, and
-//! CoreTime's co-access pair table. The recipe:
+//! CoreTime's co-access pair table. (The directory has since gone back to
+//! a table of its own — 16-byte slots that double in place, see
+//! `o2-sim::directory` — because nothing else wants its layout.) The
+//! recipe:
 //!
 //! * **Power-of-two capacity, mask indexing.** The home slot of a key is
 //!   `(hash(key) >> 32) & (capacity - 1)` where `hash` is Fibonacci
@@ -18,13 +21,13 @@
 //!   never grow from churn. Users that never remove (the interner) are
 //!   tombstone-free by construction and simply never call it.
 //! * **Probe counting.** Every slot inspection on the counting paths is
-//!   tallied so hot-path users (the coherence directory) can report
-//!   pressure; [`FlatTable::peek`] is the non-counting lookup for
+//!   tallied so hot-path users can report pressure;
+//!   [`FlatTable::peek`] is the non-counting lookup for
 //!   diagnostics that must not skew the statistics.
 //!
 //! Empty slots are marked with a sentinel key ([`FlatKey::EMPTY`]) rather
 //! than a side bitmap — every user has a key value that cannot occur
-//! (`u64::MAX` for line addresses, object addresses and packed id pairs).
+//! (`u64::MAX` for object addresses and packed id pairs).
 //!
 //! [`Interner`] and [`Slab`] build the dense-id idiom on top: sparse
 //! `u64` keys are interned to contiguous `u32` ids in first-touch order,
@@ -43,12 +46,7 @@ pub const FIB_MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 ///
 /// Implementations provide the sentinel marking an empty slot (a value
 /// that can never be inserted) and a 64-bit hash whose *high* 32 bits are
-/// well mixed — the table derives the home slot from them. The table is
-/// correct for any hash; mixing only keeps chains short. A key may
-/// therefore keep some low home bits on purpose: the coherence
-/// directory's key keeps three, so that eight consecutive lines home to
-/// eight adjacent slots (`tests/flat_table_invariants.rs` drives the table
-/// with a key of that shape).
+/// well mixed — the table derives the home slot from them.
 pub trait FlatKey: Copy + Eq {
     /// The vacant-slot sentinel. Inserting it is a logic error (checked
     /// in debug builds).
@@ -59,7 +57,7 @@ pub trait FlatKey: Copy + Eq {
 }
 
 /// `u64` keys hash with a single Fibonacci multiply — exactly the recipe
-/// the coherence directory, object interner and pair table always used.
+/// the object interner and pair table always used.
 impl FlatKey for u64 {
     const EMPTY: Self = u64::MAX;
 

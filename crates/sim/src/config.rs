@@ -149,6 +149,13 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// Most chips a machine may have (the width of the chip mask in a
+    /// coherence-directory slot).
+    pub const MAX_CHIPS: u32 = 16;
+    /// Most cores a machine may have (the width of the directory's core
+    /// mask).
+    pub const MAX_CORES: u32 = 64;
+
     /// The 16-core AMD system of Section 5: four quad-core 2 GHz Opteron
     /// chips, 64 KB L1, 512 KB L2 per core, 2 MB shared L3 per chip.
     pub fn amd16() -> Self {
@@ -229,6 +236,23 @@ impl MachineConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.chips == 0 || self.cores_per_chip == 0 {
             return Err("machine must have at least one chip and one core per chip".into());
+        }
+        // The coherence directory keeps a line's holders in a 64-bit core
+        // mask and a 16-bit chip mask.
+        if self.chips > Self::MAX_CHIPS {
+            return Err(format!(
+                "{} chips; at most {} are supported",
+                self.chips,
+                Self::MAX_CHIPS
+            ));
+        }
+        if u64::from(self.chips) * u64::from(self.cores_per_chip) > u64::from(Self::MAX_CORES) {
+            return Err(format!(
+                "{} x {} cores; at most {} are supported",
+                self.chips,
+                self.cores_per_chip,
+                Self::MAX_CORES
+            ));
         }
         if !self.line_size.is_power_of_two() {
             return Err(format!(
@@ -317,6 +341,21 @@ mod tests {
         let mut cfg = MachineConfig::amd16();
         cfg.l1 = CacheGeometry::new(32, 0);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_machine_shape() {
+        // The largest shapes the directory's masks can describe pass...
+        MachineConfig::future(16, 4).validate().unwrap();
+        MachineConfig::future(1, 64).validate().unwrap();
+        MachineConfig::future(8, 8).validate().unwrap();
+        // ...a 17th chip or a 65th core is an error, not a panic.
+        let err = MachineConfig::future(17, 1).validate().unwrap_err();
+        assert!(err.contains("17 chips") && err.contains("16"), "{err}");
+        let err = MachineConfig::future(5, 13).validate().unwrap_err();
+        assert!(err.contains("5 x 13 cores") && err.contains("64"), "{err}");
+        // A core count that overflows `u32` is still just too many cores.
+        assert!(MachineConfig::future(16, u32::MAX).validate().is_err());
     }
 
     #[test]

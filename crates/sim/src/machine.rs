@@ -103,12 +103,11 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`MachineConfig::validate`] or has
-    /// more than 64 cores or chips (the coherence directory uses bitmasks).
+    /// Panics if the configuration fails [`MachineConfig::validate`], which
+    /// also bounds the machine's shape (the coherence directory keeps
+    /// holders in bitmasks).
     pub fn new(cfg: MachineConfig) -> Self {
         cfg.validate().expect("invalid machine configuration");
-        assert!(cfg.total_cores() <= 64, "at most 64 cores are supported");
-        assert!(cfg.chips <= 64, "at most 64 chips are supported");
         let cores = cfg.total_cores() as usize;
         let chips = cfg.chips as usize;
         let l1 = (0..cores)
@@ -215,7 +214,9 @@ impl Machine {
 
     /// Performs a memory access of `len` bytes starting at `addr` on behalf
     /// of `core`, returning the total cost in cycles. The cost is also added
-    /// to the core's `busy_cycles` counter.
+    /// to the core's `busy_cycles` counter. Addresses come from
+    /// [`SimMemory`]'s allocator, which keeps line addresses within
+    /// [`SimMemory::LINE_ADDR_BITS`]; nothing here checks again.
     pub fn access(&mut self, core: u32, addr: Addr, len: u64, kind: AccessKind) -> u64 {
         let len = len.max(1);
         let first = self.line_of(addr);
@@ -519,10 +520,24 @@ impl Machine {
     /// * every L1 line is in the same core's L2;
     /// * an L1 exclusivity hint ⇒ that core is the line's sole holder;
     /// * no directory entry is empty (the miss path removes an entry with
-    ///   the last copy of its line).
+    ///   the last copy of its line), so the directory tracks no more lines
+    ///   than there are L2 and L3 ways, and its table is at most half full.
     ///
     /// O(cache capacity); for tests, not for the run loop. Counts nothing.
     pub fn audit_coherence(&self) -> Result<(), String> {
+        let (entries, capacity) = (self.directory.len(), self.directory.capacity());
+        let ways: usize = self
+            .l2
+            .iter()
+            .chain(&self.l3)
+            .map(Cache::capacity_lines)
+            .sum();
+        if entries > ways || 2 * entries > capacity {
+            return Err(format!(
+                "the directory tracks {entries} lines in {capacity} slots, \
+                 over {ways} L2 and L3 ways"
+            ));
+        }
         // Directory → caches: each entry's masks are exactly the caches
         // that hold its line.
         for (line, h) in self.directory.iter() {
@@ -532,7 +547,7 @@ impl Machine {
                     .fold(0u64, |mask, i| mask | 1 << i)
             };
             let (in_l2, in_l3) = (holders(&self.l2), holders(&self.l3));
-            if h.is_empty() || h.cores != in_l2 || h.chips != in_l3 {
+            if h.is_empty() || h.cores != in_l2 || u64::from(h.chips) != in_l3 {
                 return Err(format!(
                     "line {line:#x}: directory entry {h:?}, but it is in the L2s of \
                      cores {in_l2:#b} and the L3s of chips {in_l3:#b}"
@@ -661,7 +676,7 @@ impl Machine {
     fn locate_and_fill(&mut self, core: u32, chip: u32, line: LineAddr) -> AccessOutcome {
         let c = core as usize;
         let core_bit = 1u64 << core;
-        let chip_bit = 1u64 << chip;
+        let chip_bit = 1u16 << chip;
 
         if self.l2[c].probe_and_touch(line) == Probe::Hit {
             // Refill L1 (inclusive in L2): L1 victims are simply dropped.
@@ -675,10 +690,10 @@ impl Machine {
         // module docs), so one look-up serves the whole miss: it says where
         // the line is, and it is left saying where the line is about to be
         // — in this core's private caches and out of this chip's L3.
-        let entry = self.directory.entry(line);
-        let holders = *entry;
-        entry.cores |= core_bit;
-        entry.chips &= !chip_bit;
+        let holders = self.directory.update(line, |h| LineHolders {
+            cores: h.cores | core_bit,
+            chips: h.chips & !chip_bit,
+        });
         debug_assert!(
             holders.cores & core_bit == 0,
             "line {line:#x} missed core {core}'s L2 but holds its directory bit"
@@ -744,7 +759,7 @@ impl Machine {
                 best = Some((hops, oc));
             }
         }
-        let mut chips = holders.chips & !(1u64 << chip);
+        let mut chips = holders.chips & !(1u16 << chip);
         while chips != 0 {
             let other_chip = chips.trailing_zeros();
             chips &= chips - 1;
@@ -763,22 +778,23 @@ impl Machine {
     fn fill_private(&mut self, core: u32, chip: u32, line: LineAddr, dirty: bool) {
         let c = core as usize;
         let core_bit = 1u64 << core;
-        let chip_bit = 1u64 << chip;
+        let chip_bit = 1u16 << chip;
         if let Some(victim) = self.l2[c].insert_absent(line, dirty) {
             self.evictions += 1;
             // Maintain L1 inclusivity in L2.
             self.l1[c].invalidate(victim.line);
             // The victim leaves this core and enters the chip's L3; its
             // entry says whether a same-chip peer spilled it there first.
-            let h = self.directory.entry(victim.line);
+            let h = self.directory.update(victim.line, |h| LineHolders {
+                cores: h.cores & !core_bit,
+                chips: h.chips | chip_bit,
+            });
             debug_assert!(
                 h.cores & core_bit != 0,
                 "L2 victim {:#x} of core {core} lacks its directory bit",
                 victim.line
             );
             let in_l3 = h.chips & chip_bit != 0;
-            h.cores &= !core_bit;
-            h.chips |= chip_bit;
             let l3 = &mut self.l3[chip as usize];
             debug_assert_eq!(in_l3, l3.contains(victim.line));
             let l3_victim = if in_l3 {
@@ -788,12 +804,16 @@ impl Machine {
             };
             if let Some(l3_victim) = l3_victim {
                 self.evictions += 1;
-                if let Some(h) = self.directory.get_mut(l3_victim.line) {
-                    h.chips &= !chip_bit;
-                    if h.is_empty() {
-                        self.directory.remove(l3_victim.line);
-                    }
-                }
+                // The entry goes with the line's last copy.
+                let h = self.directory.update(l3_victim.line, |h| LineHolders {
+                    chips: h.chips & !chip_bit,
+                    ..h
+                });
+                debug_assert!(
+                    h.chips & chip_bit != 0,
+                    "L3 victim {:#x} of chip {chip} lacks its directory bit",
+                    l3_victim.line
+                );
             }
         }
         if self.l1[c].insert_absent(line, dirty).is_some() {
@@ -804,10 +824,20 @@ impl Machine {
     /// Invalidates every copy of `line` outside `core`'s private caches and
     /// returns the extra cycles charged to the writer.
     fn invalidate_other_copies(&mut self, core: u32, chip: u32, line: LineAddr) -> u64 {
-        let holders = match self.directory.get(line) {
-            Some(h) => h,
-            None => return 0,
-        };
+        let core_bit = 1u64 << core;
+        let chip_bit = 1u16 << chip;
+        // The writer holds the line (every caller has just hit or filled its
+        // private caches), so it ends up the only private holder, beside at
+        // most a victim copy in its own chip's L3 — which for a sole holder
+        // is what the entry says already.
+        let holders = self.directory.update(line, |h| LineHolders {
+            cores: core_bit,
+            chips: h.chips & chip_bit,
+        });
+        debug_assert!(
+            holders.cores & core_bit != 0,
+            "writer {core} of line {line:#x} lacks its directory bit"
+        );
         // Sole holder (modulo a victim copy in the writer's own L3): the
         // loops below would find nothing — skip them without touching the
         // other cores' caches at all.
@@ -815,7 +845,7 @@ impl Machine {
             return 0;
         }
         let mut invalidated = 0u64;
-        let mut cores = holders.cores & !(1u64 << core);
+        let mut cores = holders.cores & !core_bit;
         while cores != 0 {
             let o = cores.trailing_zeros() as usize;
             cores &= cores - 1;
@@ -824,7 +854,7 @@ impl Machine {
             self.counters[o].invalidations_received += 1;
             invalidated += 1;
         }
-        let mut chips = holders.chips & !(1u64 << chip);
+        let mut chips = holders.chips & !chip_bit;
         while chips != 0 {
             let oc = chips.trailing_zeros() as usize;
             chips &= chips - 1;
@@ -832,9 +862,6 @@ impl Machine {
             invalidated += 1;
         }
         if invalidated > 0 {
-            let h = self.directory.entry(line);
-            h.cores = 1u64 << core;
-            h.chips &= 1u64 << chip;
             self.counters[core as usize].invalidations_sent += invalidated;
             // One broadcast locates and invalidates all copies.
             let penalty = self.interconnect.send(

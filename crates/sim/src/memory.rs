@@ -62,6 +62,11 @@ impl SimMemory {
     /// serve as a sentinel.
     pub const BASE: Addr = 0x1000;
 
+    /// Line addresses (byte address divided by line size) fit this many
+    /// bits: a cache way packs two flag bits beside one, a coherence
+    /// directory slot a 16-bit chip mask.
+    pub const LINE_ADDR_BITS: u32 = 48;
+
     /// Creates an empty memory for a machine with `chips` chips.
     pub fn new(chips: u32, line_size: u64) -> Self {
         Self {
@@ -93,11 +98,24 @@ impl SimMemory {
     }
 
     /// Allocates `size` bytes whose DRAM home is the given chip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would reach line address
+    /// 2^[`SimMemory::LINE_ADDR_BITS`]: every address the machine is handed
+    /// is born here, so the caches and the coherence directory rely on the
+    /// bits above without checking per access.
     pub fn alloc_on(&mut self, size: u64, home_chip: u32, label: u64) -> Region {
         let size = size.max(1);
         // Align the start to a line boundary so distinct regions never share
         // a cache line (false sharing is modelled explicitly when wanted).
         let addr = round_up(self.next, self.line_size);
+        let last_line = addr.checked_add(size - 1).map(|last| last / self.line_size);
+        assert!(
+            last_line.is_some_and(|line| line >> Self::LINE_ADDR_BITS == 0),
+            "allocating {size} bytes at {addr:#x} leaves the {}-bit line address space",
+            Self::LINE_ADDR_BITS
+        );
         let region = Region {
             addr,
             size,
@@ -232,6 +250,28 @@ mod tests {
         assert!(r.contains(191));
         assert!(!r.contains(192));
         assert_eq!(r.end(), 192);
+    }
+
+    #[test]
+    fn alloc_fills_the_line_address_space_to_the_last_line() {
+        let mut m = SimMemory::new(1, 64);
+        let space = 64u64 << SimMemory::LINE_ADDR_BITS;
+        let r = m.alloc(space - SimMemory::BASE, 0);
+        assert_eq!((r.end() - 1) / 64, (1 << SimMemory::LINE_ADDR_BITS) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit line address space")]
+    fn alloc_past_the_line_address_space_panics() {
+        let mut m = SimMemory::new(1, 64);
+        m.alloc((64u64 << SimMemory::LINE_ADDR_BITS) - SimMemory::BASE, 0);
+        m.alloc(1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit line address space")]
+    fn alloc_that_overflows_the_byte_address_panics() {
+        SimMemory::new(1, 64).alloc(u64::MAX, 0);
     }
 
     #[test]

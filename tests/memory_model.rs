@@ -224,59 +224,117 @@ fn storm_is_deterministic() {
 
 /// The directory is an exact index of cache contents — the miss path reads
 /// a chip bit instead of scanning the L3 — and that is a tested invariant.
-/// A geometry small enough that every eviction path (L1 drop, L2 spill,
-/// L3 victim, L3 refresh of a line a same-chip peer spilled first) fires
-/// within hundreds of steps, mixed reads, writes, multi-line accesses and
-/// flushes, the audit every 64 steps.
+/// Mixed reads, writes, multi-line accesses and flushes on 2 chips x 2
+/// cores, the audit every 64 steps, on two geometries: one small enough
+/// that every eviction path (L1 drop, L2 spill, L3 victim, L3 refresh of a
+/// line a same-chip peer spilled first) fires within hundreds of steps, and
+/// one with enough ways (1280) that the directory's table must double in
+/// place under the traffic, audited at the step it does.
 #[test]
 fn directory_stays_an_exact_index_under_random_traffic() {
     use o2_suite::sim::CacheGeometry;
-    let mut cfg = MachineConfig::amd16();
-    cfg.chips = 2;
-    cfg.cores_per_chip = 2;
-    cfg.l1 = CacheGeometry::new(4 * 64, 2);
-    cfg.l2 = CacheGeometry::new(16 * 64, 4);
-    cfg.l3 = CacheGeometry::new(32 * 64, 8);
-    cfg.contention = ContentionModel::None;
-    for seed in [0xa0d1_0001u64, 0xa0d1_0002, 0xa0d1_0003] {
-        let mut m = Machine::new(cfg.clone());
-        // Four times the machine's 128 cache lines: constant eviction.
-        let arena = m.memory_mut().alloc(512 * 64, 0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut flushes = 0;
-        for step in 0..20_000u32 {
-            let core = rng.gen_range(0..4u32);
-            let kind = if rng.gen_range(0u8..3) == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            // Half the traffic goes to a 64-line hot set so lines are
-            // shared, written while shared, and spilled by two peers.
-            let span = if rng.gen_range(0u8..2) == 0 { 64 } else { 512 };
-            let addr = arena.addr + 64 * rng.gen_range(0..span - 8u64);
-            match rng.gen_range(0u32..800) {
-                0 => {
-                    m.flush_all_caches();
-                    flushes += 1;
+    let tiny = (
+        CacheGeometry::new(16 * 64, 4),
+        CacheGeometry::new(32 * 64, 8),
+    );
+    let wide = (
+        CacheGeometry::new(64 * 64, 4),
+        CacheGeometry::new(512 * 64, 8),
+    );
+    for (l2, l3) in [tiny, wide] {
+        let mut cfg = MachineConfig::amd16();
+        cfg.chips = 2;
+        cfg.cores_per_chip = 2;
+        cfg.l1 = CacheGeometry::new(4 * 64, 2);
+        cfg.l2 = l2;
+        cfg.l3 = l3;
+        cfg.contention = ContentionModel::None;
+        // Four times the machine's L2 and L3 lines: constant eviction.
+        let span = 4 * (4 * l2.lines(64) + 2 * l3.lines(64));
+        for seed in [0xa0d1_0001u64, 0xa0d1_0002, 0xa0d1_0003] {
+            let mut m = Machine::new(cfg.clone());
+            let arena = m.memory_mut().alloc(span * 64, 0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut flushes = 0;
+            let initial_capacity = m.mem_stats().directory_capacity;
+            let mut capacity = initial_capacity;
+            for step in 0..20_000u32 {
+                let core = rng.gen_range(0..4u32);
+                let kind = if rng.gen_range(0u8..3) == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                // Half the traffic goes to a 64-line hot set so lines are
+                // shared, written while shared, and spilled by two peers.
+                let span = if rng.gen_range(0u8..2) == 0 { 64 } else { span };
+                let addr = arena.addr + 64 * rng.gen_range(0..span - 8u64);
+                match rng.gen_range(0u32..800) {
+                    0 => {
+                        m.flush_all_caches();
+                        flushes += 1;
+                    }
+                    1..=240 => {
+                        m.access(core, addr + 17, rng.gen_range(1..8u64) * 64, kind);
+                    }
+                    _ => {
+                        m.access_line(core, m.line_of(addr), kind);
+                    }
                 }
-                1..=240 => {
-                    m.access(core, addr + 17, rng.gen_range(1..8u64) * 64, kind);
-                }
-                _ => {
-                    m.access_line(core, m.line_of(addr), kind);
+                let slots = m.mem_stats().directory_capacity;
+                let grew = std::mem::replace(&mut capacity, slots) != slots;
+                if step % 64 == 0 || grew {
+                    m.audit_coherence()
+                        .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: {e}"));
                 }
             }
-            if step % 64 == 0 {
-                m.audit_coherence()
-                    .unwrap_or_else(|e| panic!("seed {seed:#x} step {step}: {e}"));
-            }
+            m.audit_coherence()
+                .unwrap_or_else(|e| panic!("seed {seed:#x} at the end: {e}"));
+            let agg = m.snapshot_counters().aggregate();
+            assert!(agg.l2_hits > 0 && agg.l3_hits > 0 && agg.dram_loads > 0);
+            assert!(agg.remote_cache_loads > 0 && agg.invalidations_sent > 0);
+            assert!(flushes > 0 && m.mem_stats().evictions > 0);
+            assert_eq!(
+                capacity > initial_capacity,
+                (l2, l3) == wide,
+                "seed {seed:#x}: {capacity} directory slots at the end"
+            );
         }
-        m.audit_coherence()
-            .unwrap_or_else(|e| panic!("seed {seed:#x} at the end: {e}"));
-        let agg = m.snapshot_counters().aggregate();
-        assert!(agg.l2_hits > 0 && agg.l3_hits > 0 && agg.dram_loads > 0);
-        assert!(agg.remote_cache_loads > 0 && agg.invalidations_sent > 0);
-        assert!(flushes > 0 && m.mem_stats().evictions > 0);
     }
+}
+
+/// Every core of the 16-core machine streams its own region until every L2
+/// and every L3 way is valid. The regions are disjoint, so the directory
+/// then tracks exactly as many lines as the machine has L2 and L3 ways —
+/// the most it can between two accesses — in a table still at most half
+/// full (the audit checks both bounds).
+#[test]
+fn directory_tracks_a_full_machine_in_a_half_full_table() {
+    let mut cfg = MachineConfig::amd16();
+    cfg.contention = ContentionModel::None;
+    let ways = cfg.aggregate_on_chip_bytes() / cfg.line_size;
+    let mut m = Machine::new(cfg);
+    // One L2 plus a core's share of the chip's L3, and half as much again.
+    let regions: Vec<_> = (0..16)
+        .map(|core| m.memory_mut().alloc(1536 * 1024, core))
+        .collect();
+    let full = |m: &Machine| {
+        (0..16).all(|core| m.l2_occupancy(core) == 1.0)
+            && (0..4).all(|chip| m.l3_occupancy(chip) == 1.0)
+    };
+    let mut passes = 0;
+    while !full(&m) {
+        assert!(passes < 4, "caches not full after {passes} passes");
+        for (core, region) in regions.iter().enumerate() {
+            m.access(core as u32, region.addr, region.size, AccessKind::Read);
+        }
+        passes += 1;
+        m.audit_coherence()
+            .unwrap_or_else(|e| panic!("after pass {passes}: {e}"));
+    }
+    let stats = m.mem_stats();
+    assert_eq!(stats.directory_entries, ways, "one entry per way");
+    // A fill tracks its line before its L3 victim's entry goes, so a full
+    // machine peaks one entry above its ways: past half of 2 x ways slots.
+    assert!(stats.directory_capacity <= 4 * ways, "{stats:?}");
 }
