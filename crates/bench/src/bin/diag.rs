@@ -79,19 +79,12 @@ fn main() {
     println!("total ops (all)   : {}", engine.total_ops());
 
     let s = engine.sched_stats();
-    println!("-- event core --");
+    println!("-- event queue --");
     println!("events processed  : {}", s.events_processed);
     println!("stale events      : {}", s.stale_events);
     println!("park wakeups      : {}", s.park_wakeups);
     println!("parks             : {}", s.parks);
     println!("lock wakeups      : {}", s.lock_wakeups);
-    println!(
-        "wheel occupancy   : {} (high-water mark)",
-        s.wheel_occupancy_hwm
-    );
-    println!("wheel cascades    : {}", s.wheel_cascades);
-    println!("wheel overflows   : {}", s.wheel_overflows);
-    println!("wheel max batch   : {}", s.wheel_max_batch);
 
     let f = engine.policy().fault_stats();
     println!("-- fault plane --");

@@ -3,28 +3,6 @@
 
 use crate::types::Cycles;
 
-/// Which event core drives the engine's run loop.
-///
-/// All three produce bit-identical simulation results; they differ only
-/// in speed and debuggability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventCoreKind {
-    /// The hierarchical timing wheel with batched same-cycle dispatch —
-    /// the fast default.
-    #[default]
-    Wheel,
-    /// The previous `BinaryHeap` event queue. Kept so benchmarks can
-    /// measure the wheel against the recorded baseline on the same host,
-    /// and as a second implementation for equivalence tests.
-    Heap,
-    /// The synchronous *cycle box*: no queue at all — every step re-scans
-    /// all cores' pending wakes and dispatches the earliest, advancing
-    /// the machine in lockstep. O(cores) per event, but the scheduling
-    /// order is directly readable from `sched_wake`, which makes it the
-    /// reference implementation for deterministic debugging.
-    CycleBox,
-}
-
 /// Tunable parameters of the cooperative runtime.
 ///
 /// The defaults are calibrated so that a migrate-out/migrate-back round
@@ -63,19 +41,11 @@ pub struct RuntimeConfig {
     pub epoch_cycles: Cycles,
     /// Round-robin quantum for threads sharing a core.
     pub quantum_cycles: Cycles,
-    /// How far an idle core's clock advances per simulation step. Retained
-    /// for configuration compatibility: the event-driven engine parks idle
-    /// cores outright instead of stepping them, so this no longer affects
-    /// results.
-    pub idle_step_cycles: Cycles,
     /// When `true`, a thread that finds a lock held *blocks* (its core can
     /// park) and the holder's release wakes it, instead of the default
     /// paper-faithful spinning. Spinning burns cycles and coherence
     /// traffic; blocking models a runtime with sleeping mutexes.
     pub blocking_locks: bool,
-    /// Which event core drives the run loop. All kinds are bit-identical
-    /// in results; see [`EventCoreKind`].
-    pub event_core: EventCoreKind,
     /// How many times a migration send is retried when the context message
     /// is lost on a degraded interconnect (fault injection). The first
     /// attempt is not a retry; zero means a single lossy send fails the
@@ -103,9 +73,7 @@ impl Default for RuntimeConfig {
             return_home_after_op: false,
             epoch_cycles: 200_000,
             quantum_cycles: 50_000,
-            idle_step_cycles: 400,
             blocking_locks: false,
-            event_core: EventCoreKind::default(),
             migration_max_retries: 4,
             migration_retry_backoff_cycles: 200,
             migration_timeout_cycles: 8_000,
@@ -148,20 +116,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the event core driving the run loop.
-    pub fn with_event_core(mut self, kind: EventCoreKind) -> Self {
-        self.event_core = kind;
-        self
-    }
-
-    /// Selects the synchronous cycle-box event core: lockstep dispatch by
-    /// an O(cores) scan, for deterministic debugging. Results are
-    /// bit-identical to the default wheel; only speed differs.
-    pub fn with_cycle_box(mut self) -> Self {
-        self.event_core = EventCoreKind::CycleBox;
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.epoch_cycles == 0 {
@@ -169,9 +123,6 @@ impl RuntimeConfig {
         }
         if self.quantum_cycles == 0 {
             return Err("quantum_cycles must be positive".into());
-        }
-        if self.idle_step_cycles == 0 {
-            return Err("idle_step_cycles must be positive".into());
         }
         if self.poll_interval_cycles == 0 {
             return Err("poll_interval_cycles must be positive".into());
@@ -227,9 +178,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = RuntimeConfig::default();
         cfg.quantum_cycles = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = RuntimeConfig::default();
-        cfg.idle_step_cycles = 0;
         assert!(cfg.validate().is_err());
         let mut cfg = RuntimeConfig::default();
         cfg.poll_interval_cycles = 0;

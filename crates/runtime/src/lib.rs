@@ -47,14 +47,13 @@ pub mod stats;
 pub mod sync;
 pub mod thread;
 pub mod types;
-pub mod wheel;
 
 pub use action::{Action, ObjectDescriptor};
 pub use behaviour::{
     BehaviourCtx, FixedBehaviour, OpBehaviour, OpBuilder, OpGenerator, RepeatBehaviour,
     ThreadBehaviour,
 };
-pub use config::{EventCoreKind, RuntimeConfig};
+pub use config::RuntimeConfig;
 pub use engine::Engine;
 pub use error::EngineError;
 pub use object_index::{ObjectIndex, ObjectRegion, RegionError};
@@ -69,7 +68,6 @@ pub use stats::{RunWindow, SchedStats};
 pub use sync::{LockError, LockInfo, LockRegistry};
 pub use thread::{OpRecord, Thread, ThreadState, ThreadStats};
 pub use types::{CoreId, Cycles, DenseObjectId, LockId, ObjectId, ThreadId};
-pub use wheel::{TimingWheel, WheelStats, WHEEL_HORIZON};
 
 // Re-exported for convenience: policies receive these simulator types in
 // their callbacks, fault plans are installed through the engine, and

@@ -22,16 +22,6 @@ pub struct SchedStats {
     pub parks: u64,
     /// Blocked threads handed a lock and woken by a release.
     pub lock_wakeups: u64,
-    /// High-water mark of events resident in the timing wheel at once.
-    /// Zero unless the wheel event core is active (the default).
-    pub wheel_occupancy_hwm: u64,
-    /// Wheel entries re-filed to a finer level (or staged directly) when
-    /// the cursor crossed a coarse slot or reached the overflow set.
-    pub wheel_cascades: u64,
-    /// Wheel insertions beyond the horizon, into the ordered overflow set.
-    pub wheel_overflows: u64,
-    /// Largest same-cycle dispatch batch the wheel staged at once.
-    pub wheel_max_batch: u64,
     /// Fault-plan edges applied (window starts and ends each count once).
     pub faults_applied: u64,
     /// Cores taken permanently offline by the fault plan.

@@ -4,7 +4,7 @@
 //! — core slowdown over a cycle window, permanent core offlining, and
 //! interconnect degradation (extra per-hop latency plus probabilistic
 //! loss of migration messages). The plan is pure data: the runtime engine
-//! consumes it from its event core, so the same plan and seed always
+//! consumes it from its run loop, so the same plan and seed always
 //! replay the same faults at the same virtual cycles, on any host and at
 //! any `--jobs` count.
 //!

@@ -44,7 +44,7 @@ use crate::open_loop::OpenLoopGen;
 pub struct ScaleSpec {
     /// The simulated machine.
     pub machine: MachineConfig,
-    /// Runtime configuration (event core, epoch length, ...).
+    /// Runtime configuration (migration costs, epoch length, ...).
     pub runtime: RuntimeConfig,
     /// Number of objects (the sweep axis; up to 1e7).
     pub n_objects: u64,

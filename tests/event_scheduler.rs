@@ -108,6 +108,104 @@ fn saturated_run_matches_pre_refactor_order_bit_for_bit() {
     assert_eq!(fingerprint(&engine), PRE_REFACTOR_SATURATED_FINGERPRINT);
 }
 
+/// `(fingerprint, total_ops)` of the three scenarios below, captured at
+/// the last commit that had three interchangeable event cores (timing
+/// wheel, binary heap, cycle box), where all three produced exactly these
+/// values. They carry what the cross-core equivalence tests checked:
+/// parks and lock hand-off wake-ups, migration arrivals, and — new — the
+/// queue at its largest.
+const CONVOY_GOLDEN: (u64, u64) = (0xba2c_3274_633c_f5d5, 2_335);
+const MIGRATION_STORM_GOLDEN: (u64, u64) = (0x2608_bd0a_b60d_7b9a, 85_892);
+const MANY_CORE_GOLDEN: (u64, u64) = (0x1d79_c505_329e_c9eb, 225_551);
+
+/// An idle-heavy blocking-lock convoy: 16 threads queue on one lock, so
+/// the run is mostly parks, lock hand-off wake-ups and long idle gaps.
+#[test]
+fn blocking_lock_convoy_matches_golden() {
+    let mut cfg = MachineConfig::amd16();
+    cfg.contention = ContentionModel::None;
+    let mut engine = Engine::new(
+        Machine::new(cfg),
+        Box::new(NullPolicy),
+        RuntimeConfig::default().with_blocking_locks(),
+    );
+    let word = engine.machine_mut().memory_mut().alloc(64, 9);
+    let lock = engine.register_lock(word.addr);
+    for core in 0..16u32 {
+        let op = OpBuilder::annotated(0x2000 + u64::from(core))
+            .lock(lock)
+            .compute(100 + u64::from(core) * 7)
+            .unlock(lock)
+            .compute(20_000)
+            .finish();
+        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+    }
+    engine.run_until_cycles(3_000_000);
+    assert_eq!((fingerprint(&engine), engine.total_ops()), CONVOY_GOLDEN);
+}
+
+/// A migration storm: every object is pinned off its thread's home core.
+#[test]
+fn migration_storm_matches_golden() {
+    let mut policy = StaticPolicy::new();
+    for i in 0..16u64 {
+        policy.assign(0x3000 + i, ((i * 7 + 3) % 16) as u32);
+    }
+    let mut engine = Engine::new(
+        Machine::new(MachineConfig::amd16()),
+        Box::new(policy),
+        RuntimeConfig::default(),
+    );
+    let data = engine.machine_mut().memory_mut().alloc(1 << 20, 0);
+    for core in 0..16u32 {
+        let op = OpBuilder::annotated(0x3000 + u64::from(core))
+            .compute(200 + u64::from(core) * 11)
+            .read(data.addr + u64::from(core) * 8192, 2048)
+            .finish();
+        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+    }
+    engine.run_until_cycles(2_000_000);
+    assert_eq!(
+        (fingerprint(&engine), engine.total_ops()),
+        MIGRATION_STORM_GOLDEN
+    );
+}
+
+/// The event queue at its largest: 64 cores (`MachineConfig::MAX_CORES`),
+/// every one migrating out and accepting arrivals, every fourth also
+/// rotating a second thread.
+#[test]
+fn sixty_four_core_run_matches_golden() {
+    let mut policy = StaticPolicy::new();
+    for i in 0..64u64 {
+        policy.assign(0x4000 + i, ((i * 13 + 5) % 64) as u32);
+    }
+    let mut engine = Engine::new(
+        Machine::new(MachineConfig::future(8, 8)),
+        Box::new(policy),
+        RuntimeConfig::default(),
+    );
+    let data = engine.machine_mut().memory_mut().alloc(1 << 20, 0);
+    for core in 0..64u32 {
+        let op = OpBuilder::annotated(0x4000 + u64::from(core))
+            .compute(150 + u64::from(core) * 3)
+            .read(data.addr + u64::from(core) * 4096, 1024)
+            .finish();
+        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+        if core % 4 == 0 {
+            engine.spawn(
+                core,
+                Box::new(RepeatBehaviour::new(
+                    vec![Action::Compute(500), Action::Yield],
+                    None,
+                )),
+            );
+        }
+    }
+    engine.run_until_cycles(1_000_000);
+    assert_eq!((fingerprint(&engine), engine.total_ops()), MANY_CORE_GOLDEN);
+}
+
 #[test]
 fn identical_configs_produce_identical_results() {
     let run = || {

@@ -5,8 +5,8 @@
 //! * an **empty plan is free**: a run with `FaultPlan::empty()` installed
 //!   is bit-identical to one where the fault plane was never touched;
 //! * a **faulted run is deterministic**: the same seed and plan produce
-//!   the same fingerprint under all three event cores and across matrix
-//!   worker counts (`--jobs 1` vs `--jobs 4`);
+//!   a pinned fingerprint, and the same matrix across worker counts
+//!   (`--jobs 1` vs `--jobs 4`);
 //! * **offlining drains and re-homes**: after a core goes down, CoreTime
 //!   re-homes every object it held (none stranded) and the engine
 //!   re-pins the core's threads;
@@ -20,7 +20,7 @@ use o2_suite::experiments::{
     render_json, run_matrix, CellResult, PolicyKind, Scenario, SeriesDef, SweepPoint,
 };
 use o2_suite::prelude::*;
-use o2_suite::runtime::{EventCoreKind, NullPolicy, RepeatBehaviour};
+use o2_suite::runtime::{NullPolicy, RepeatBehaviour};
 use o2_suite::sim::FaultPlan;
 
 /// Folds every per-core counter of the machine plus the engine totals into
@@ -78,10 +78,9 @@ fn fingerprint(engine: &Engine) -> u64 {
 
 /// A small faulted lookup experiment on the quad-core machine: warm up,
 /// then measure with the given plan active.
-fn faulted_experiment(policy: PolicyKind, plan: FaultPlan, kind: EventCoreKind) -> Experiment {
+fn faulted_experiment(policy: PolicyKind, plan: FaultPlan) -> Experiment {
     let mut spec = WorkloadSpec::paper_default(16);
     spec.machine = MachineConfig::quad4();
-    spec.runtime = spec.runtime.with_event_core(kind);
     spec.warmup_ops = 600;
     spec.measure_cycles = 1_500_000;
     spec.seed = 0xFA_17;
@@ -125,19 +124,22 @@ fn empty_fault_plan_is_bit_identical_to_no_plan() {
     assert_eq!(with_empty_plan.sched_stats().faults_applied, 0);
 }
 
+/// Fingerprint and measured-window ops of the CoreTime run under
+/// [`storm`], captured at the commit that still had three event cores
+/// (timing wheel, binary heap, cycle box), where all three produced
+/// exactly these values.
+const GOLDEN_FAULTED_FINGERPRINT: u64 = 0x967c_a491_e9c1_62b2;
+const GOLDEN_FAULTED_WINDOW_OPS: u64 = 440;
+
 #[test]
-fn faulted_run_is_identical_across_event_cores() {
-    let fp = |kind| {
-        let mut exp = faulted_experiment(PolicyKind::CoreTime, storm(), kind);
-        let m = exp.run();
-        (fingerprint(exp.engine()), m.window.ops)
-    };
-    let wheel = fp(EventCoreKind::Wheel);
-    let heap = fp(EventCoreKind::Heap);
-    let cycle_box = fp(EventCoreKind::CycleBox);
-    assert_eq!(wheel, heap, "wheel vs heap diverged under faults");
-    assert_eq!(wheel, cycle_box, "wheel vs cycle box diverged under faults");
-    assert!(wheel.1 > 0, "the faulted run completed no operations");
+fn faulted_run_matches_golden() {
+    let mut exp = faulted_experiment(PolicyKind::CoreTime, storm());
+    let m = exp.run();
+    assert_eq!(
+        (fingerprint(exp.engine()), m.window.ops),
+        (GOLDEN_FAULTED_FINGERPRINT, GOLDEN_FAULTED_WINDOW_OPS),
+        "faulted run diverged from the golden run"
+    );
 }
 
 /// An inline fig_fault-style scenario small enough for a test: two
@@ -191,7 +193,7 @@ fn fault_matrix_is_identical_across_worker_counts() {
 #[test]
 fn offlining_rehomes_every_object_and_repins_threads() {
     let plan = FaultPlan::empty().offline_core(700_000, 2);
-    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan, EventCoreKind::Wheel);
+    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan);
     let m = exp.run();
     assert!(m.window.ops > 0);
     let engine = exp.engine();
@@ -219,7 +221,7 @@ fn lossy_interconnect_retries_migration_sends() {
     let plan = FaultPlan::empty()
         .degrade_interconnect(0, 300, 40, 0)
         .with_seed(7);
-    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan, EventCoreKind::Wheel);
+    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan);
     let m = exp.run();
     assert!(m.window.ops > 0);
     let stats = exp.engine().sched_stats();
@@ -232,18 +234,13 @@ fn lossy_interconnect_retries_migration_sends() {
 
 #[test]
 fn slowdown_window_reduces_throughput() {
-    let healthy = faulted_experiment(
-        PolicyKind::ThreadScheduler,
-        FaultPlan::empty(),
-        EventCoreKind::Wheel,
-    )
-    .run()
-    .window
-    .ops;
+    let healthy = faulted_experiment(PolicyKind::ThreadScheduler, FaultPlan::empty())
+        .run()
+        .window
+        .ops;
     let slowed = faulted_experiment(
         PolicyKind::ThreadScheduler,
         FaultPlan::empty().slow_core(0, 1, 800, 0),
-        EventCoreKind::Wheel,
     )
     .run()
     .window
@@ -264,7 +261,7 @@ const GOLDEN_STORM_OPS: u64 = 1042;
 #[test]
 fn golden_seeded_storm_is_pinned() {
     let plan = FaultPlan::seeded_storm(0xC0FF_EE00, 4, 400_000, 300_000);
-    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan, EventCoreKind::Wheel);
+    let mut exp = faulted_experiment(PolicyKind::CoreTime, plan);
     exp.run();
     let engine = exp.engine();
     assert!(engine.sched_stats().faults_applied > 0);
