@@ -9,7 +9,7 @@
 
 use o2_bench::PolicyKind;
 use o2_sim::FaultPlan;
-use o2_workloads::{Experiment, WorkloadSpec};
+use o2_workloads::{Experiment, WindowCounters, WorkloadSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,7 +28,6 @@ fn main() {
 
     let m = exp.run();
     let engine = exp.engine();
-    let machine = engine.machine();
     println!("policy            : {}", m.policy);
     println!("dirs              : {}", spec.n_dirs);
     println!("total KB          : {:.0}", m.total_kb());
@@ -40,29 +39,24 @@ fn main() {
     println!("lock contention   : {}", m.lock_contention);
     println!("migrations (in)   : {}", m.migrations);
     println!("interconnect      : {:?}", m.interconnect);
-    let mut total_idle = 0.0;
-    for core in 0..spec.machine.total_cores() {
-        let c = machine.counters(core);
-        let idle_frac = c.idle_fraction();
-        total_idle += idle_frac;
-        if core < 4 || core == spec.machine.total_cores() - 1 {
-            println!(
-                "core {core:>2}: busy={:>12} idle={:>12} ({:>5.1}%) l1h={} l2h={} l3h={} rem={} dram={} ops={}",
-                c.busy_cycles,
-                c.idle_cycles,
-                idle_frac * 100.0,
-                c.l1_hits,
-                c.l2_hits,
-                c.l3_hits,
-                c.remote_cache_loads,
-                c.dram_loads,
-                c.operations_completed
-            );
-        }
+    // The measurement window alone: whole-run counters would fold the
+    // cold start into every line.
+    let w = m.window_counters;
+    for ((level, lines), share) in WindowCounters::LEVELS
+        .iter()
+        .zip(w.lines)
+        .zip(w.line_shares())
+    {
+        println!(
+            "window {level:<6} lines: {lines:>12} ({:>5.1}%)",
+            share * 100.0
+        );
     }
+    println!("window busy cycles: {:>12}", w.busy_cycles);
     println!(
-        "mean idle fraction: {:.1}%",
-        total_idle * 100.0 / spec.machine.total_cores() as f64
+        "window idle cycles: {:>12} ({:>5.1}%)",
+        w.idle_cycles,
+        w.idle_share() * 100.0
     );
     let thread_migrations: u64 = (0..spec.total_threads() as usize)
         .map(|t| engine.thread_stats(t).migrations)

@@ -8,9 +8,6 @@ pub struct CoreTimeConfig {
     /// Minimum smoothed private-cache misses per operation for an object to
     /// be considered "expensive to fetch" (Section 4, runtime monitoring).
     pub miss_threshold_per_op: f64,
-    /// Operations that must be observed on an object before it can be
-    /// assigned (avoids reacting to a single cold-start miss burst).
-    pub min_ops_before_assign: u64,
     /// Estimated cost of one private-cache miss, in cycles, used in the
     /// "is migration worth it" comparison. The paper's criterion: migrating
     /// an operation is only beneficial when the migration cost is less than
@@ -93,7 +90,6 @@ impl Default for CoreTimeConfig {
         Self {
             ewma_alpha: 0.3,
             miss_threshold_per_op: 8.0,
-            min_ops_before_assign: 3,
             miss_cost_estimate: 120,
             migration_cost_estimate: 2000,
             capacity_fraction: 0.90,

@@ -66,6 +66,6 @@ pub use builder::CoreTime;
 pub use config::CoreTimeConfig;
 pub use monitor::MonitorVerdict;
 pub use object::{ObjectInfo, ObjectRegistry};
-pub use packing::{pack, place_balanced, place_most_free, place_one, PackItem, Packing};
+pub use packing::{pack, place_balanced, place_over_budget, PackItem, Packing};
 pub use policy::{O2Policy, O2Stats};
 pub use table::AssignmentTable;

@@ -27,16 +27,16 @@ pub enum MonitorVerdict {
 
 /// Decides whether an object should be assigned to a cache.
 ///
-/// The criteria follow Section 4: the object must have been observed for a
-/// minimum number of operations, its smoothed miss rate must exceed the
-/// threshold, and the expected per-operation fetch cost must exceed the
-/// migration cost (otherwise migrating the operation cannot pay off).
+/// The criteria follow Section 4: the object's smoothed miss rate must
+/// exceed the threshold, and the expected per-operation fetch cost must
+/// exceed the migration cost (otherwise migrating the operation cannot pay
+/// off). The first operation that passes assigns the object. Waiting for
+/// more history does not filter cold-start bursts on a many-core machine —
+/// each further unassigned operation runs on another core whose caches
+/// are just as cold — it only spreads the object over more caches first.
 pub fn verdict(cfg: &CoreTimeConfig, info: &ObjectInfo, already_assigned: bool) -> MonitorVerdict {
     if already_assigned {
         return MonitorVerdict::KeepAssigned;
-    }
-    if info.ops_total < cfg.min_ops_before_assign {
-        return MonitorVerdict::LeaveToHardware;
     }
     if cfg.migration_is_beneficial(info.ewma_misses_per_op) {
         MonitorVerdict::Assign
@@ -66,16 +66,20 @@ mod tests {
     }
 
     #[test]
-    fn expensive_objects_get_assigned_after_enough_ops() {
+    fn assigned_on_the_first_expensive_operation_never_on_a_cheap_one() {
         let cfg = CoreTimeConfig::default();
-        let warm = info_with(300, 1);
-        assert_eq!(
-            verdict(&cfg, &warm, false),
-            MonitorVerdict::LeaveToHardware,
-            "one operation is not enough history"
-        );
-        let seasoned = info_with(300, 5);
-        assert_eq!(verdict(&cfg, &seasoned, false), MonitorVerdict::Assign);
+        let first = info_with(300, 1);
+        assert_eq!(verdict(&cfg, &first, false), MonitorVerdict::Assign);
+        // No amount of history promotes an object whose operations are
+        // cheaper than a migration.
+        for ops in [1, 5, 1000] {
+            let cheap = info_with(2, ops);
+            assert_eq!(
+                verdict(&cfg, &cheap, false),
+                MonitorVerdict::LeaveToHardware,
+                "assigned after {ops} cheap operations"
+            );
+        }
     }
 
     #[test]

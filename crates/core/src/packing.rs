@@ -6,13 +6,16 @@
 //! with free space. The algorithm executes in Θ(n·log n) time, where n is
 //! the number of objects."
 //!
-//! Two forms are provided:
+//! Three forms are provided:
 //!
 //! * [`pack`] — the batch algorithm from the paper: sort objects by
 //!   decreasing expense and first-fit each into the per-core budgets
 //!   (dominated by the sort, hence Θ(n·log n));
-//! * [`place_one`] — the incremental form used online by the policy when
-//!   monitoring promotes a single object.
+//! * [`place_balanced`] — the incremental form used online by the policy
+//!   when monitoring promotes a single object;
+//! * [`place_over_budget`] — what the policy falls back to when no core
+//!   has room: an expensive object is never left to the hardware while a
+//!   live core could hold it.
 
 use o2_runtime::{CoreId, DenseObjectId};
 
@@ -78,43 +81,11 @@ pub fn pack(items: &[PackItem], capacities: &[u64]) -> Packing {
     out
 }
 
-/// Incremental first-fit placement of a single object into an existing
-/// [`AssignmentTable`]. Scans cores in index order and assigns the object
-/// to the first core whose remaining budget fits it; falls back to the
-/// core with the most free space if `best_effort` is set and no core has
-/// room (without overflowing — it simply fails otherwise).
-pub fn place_one(table: &mut AssignmentTable, object: DenseObjectId, size: u64) -> Option<CoreId> {
-    for core in 0..table.num_cores() as CoreId {
-        if table.free_bytes(core) >= size {
-            let ok = table.assign(object, size, core);
-            debug_assert!(ok);
-            return Some(core);
-        }
-    }
-    None
-}
-
-/// Places an object on the core that currently has the most free budget,
-/// if it fits there.
-pub fn place_most_free(
-    table: &mut AssignmentTable,
-    object: DenseObjectId,
-    size: u64,
-) -> Option<CoreId> {
-    let core = table.most_free_core();
-    if table.free_bytes(core) >= size {
-        table.assign(object, size, core);
-        Some(core)
-    } else {
-        None
-    }
-}
-
 /// Balanced incremental placement: first fit over cores ordered by
 /// ascending assigned bytes (ties broken by core id).
 ///
 /// Plain first fit in core-index order (the literal reading of the paper's
-/// algorithm, [`place_one`]) concentrates the first objects on the first
+/// algorithm) concentrates the first objects on the first
 /// cores and relies entirely on the runtime rebalancer to spread them —
 /// which shows up as a migration hot-spot exactly as Section 4 predicts.
 /// Visiting the least-loaded core first keeps the same greedy structure
@@ -122,34 +93,43 @@ pub fn place_most_free(
 /// "balance both objects and operations across caches and cores"; it is
 /// the default used by [`crate::O2Policy`].
 ///
-/// Cores are visited in ascending `(used_bytes, core)` order by repeated
-/// selection rather than by materialising a sorted `Vec` — this runs on
-/// the placement path, which is allocation-free end to end.
+/// "First fit over cores in ascending `(used_bytes, core)` order" is the
+/// least-loaded core among those with room, so one pass finds it — this
+/// runs on the placement path, which is allocation-free end to end.
 pub fn place_balanced(
     table: &mut AssignmentTable,
     object: DenseObjectId,
     size: u64,
 ) -> Option<CoreId> {
-    let n = table.num_cores() as CoreId;
-    let mut prev: Option<(u64, CoreId)> = None;
-    for _ in 0..n {
-        let mut best: Option<(u64, CoreId)> = None;
-        for c in 0..n {
-            let key = (table.used_bytes(c), c);
-            let after_prev = prev.map_or(true, |p| key > p);
-            if after_prev && best.map_or(true, |b| key < b) {
-                best = Some(key);
-            }
-        }
-        let (_, core) = best?;
-        if table.free_bytes(core) >= size {
-            let ok = table.assign(object, size, core);
-            debug_assert!(ok);
-            return Some(core);
-        }
-        prev = best;
-    }
-    None
+    let core = (0..table.num_cores() as CoreId)
+        .filter(|&c| table.free_bytes(c) >= size)
+        .min_by_key(|&c| (table.used_bytes(c), c))?;
+    let ok = table.assign(object, size, core);
+    debug_assert!(ok);
+    Some(core)
+}
+
+/// Placement past the budget: assigns the object to the least-loaded core
+/// (fewest assigned bytes, ties broken by core id) whose *whole* budget
+/// could hold it, even though its remaining budget cannot.
+///
+/// The budget is an estimate of what a core's caches keep; being somewhat
+/// over it costs that core some L3 or DRAM refills. Leaving the object
+/// unassigned costs far more: its operations run on whichever core the
+/// thread happens to be on, so all of them fetch it and the copies evict
+/// what the packer placed. A core with a zero budget (taken offline by the
+/// fault plane) never qualifies, and neither does any core for an object
+/// larger than a core's budget — that object stays with the hardware.
+pub fn place_over_budget(
+    table: &mut AssignmentTable,
+    object: DenseObjectId,
+    size: u64,
+) -> Option<CoreId> {
+    let core = (0..table.num_cores() as CoreId)
+        .filter(|&c| table.capacity(c) >= size.max(1))
+        .min_by_key(|&c| (table.used_bytes(c), c))?;
+    table.assign_unchecked(object, size, core);
+    Some(core)
 }
 
 #[cfg(test)]
@@ -221,17 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn place_one_uses_first_fitting_core() {
-        let mut t = AssignmentTable::new(vec![100, 100, 100]);
-        t.assign(99, 80, 0);
-        assert_eq!(place_one(&mut t, 1, 50), Some(1));
-        assert_eq!(place_one(&mut t, 2, 80), Some(2));
-        assert_eq!(place_one(&mut t, 3, 90), None);
-        assert_eq!(t.primary(1), Some(1));
-        assert!(!t.is_assigned(3));
-    }
-
-    #[test]
     fn place_balanced_spreads_equal_objects_across_cores() {
         let mut t = AssignmentTable::new(vec![100, 100, 100, 100]);
         for obj in 1..=4u32 {
@@ -248,11 +217,31 @@ mod tests {
     }
 
     #[test]
-    fn place_most_free_balances() {
-        let mut t = AssignmentTable::new(vec![100, 100]);
-        t.assign(1, 70, 0);
-        assert_eq!(place_most_free(&mut t, 2, 50), Some(1));
-        assert_eq!(place_most_free(&mut t, 3, 80), None);
+    fn over_budget_placement_picks_the_least_loaded_live_core() {
+        let mut t = AssignmentTable::new(vec![100, 100, 100]);
+        t.assign(1, 90, 0);
+        t.assign(2, 80, 1);
+        t.assign(3, 95, 2);
+        // 60 bytes fit no core's remaining budget, but fit a whole budget.
+        assert_eq!(place_balanced(&mut t, 4, 60), None);
+        assert_eq!(place_over_budget(&mut t, 4, 60), Some(1));
+        assert_eq!(t.used_bytes(1), 140);
+        assert_eq!(t.free_bytes(1), 0);
+        // Releasing it returns the core to exactly its old charge.
+        assert!(t.unassign(4));
+        assert_eq!(t.used_bytes(1), 80);
+        // Larger than any core's whole budget: stays with the hardware.
+        assert_eq!(place_over_budget(&mut t, 5, 101), None);
+        assert!(!t.is_assigned(5));
+        // An offlined core (budget zeroed) never receives overflow, even
+        // when it is the emptiest.
+        t.unassign(2);
+        t.set_capacity(1, 0);
+        assert_eq!(place_over_budget(&mut t, 6, 60), Some(0));
+        for core in 0..3 {
+            t.set_capacity(core, 0);
+        }
+        assert_eq!(place_over_budget(&mut t, 7, 1), None);
     }
 
     #[test]

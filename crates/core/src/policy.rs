@@ -57,8 +57,8 @@ pub struct O2Stats {
     pub core_down_events: u64,
     /// Objects re-placed onto live cores after an offlining.
     pub objects_rehomed: u64,
-    /// Objects that found no room on the surviving cores and fell back to
-    /// hardware-managed caching.
+    /// Objects larger than any surviving core's whole budget, which fell
+    /// back to hardware-managed caching.
     pub objects_stranded: u64,
     /// Migrations skipped because the target core was degraded — the
     /// "flip from migration to data movement" path.
@@ -103,9 +103,10 @@ pub struct O2Policy {
     table: AssignmentTable,
     clustering: CoAccessTracker,
     stats: O2Stats,
-    /// Objects that could not be placed since the last epoch; used to gate
-    /// decay (releasing idle assignments only helps when something is
-    /// actually waiting for the space).
+    /// Objects that found no room inside any budget since the last epoch
+    /// (most of them were then assigned past one); used to gate decay
+    /// (releasing idle assignments only helps when something is actually
+    /// waiting for the space).
     placement_failures_this_epoch: u64,
     /// Scratch for the epoch decay pass, reused across epochs so the
     /// decision path stays allocation-free in steady state.
@@ -193,9 +194,11 @@ impl O2Policy {
         &self.cfg
     }
 
-    /// Attempts to place a newly expensive object, in priority order:
-    /// next to a cluster partner, then greedy first fit, then (if enabled)
-    /// frequency-based replacement.
+    /// Places a newly expensive object, in priority order: next to a
+    /// cluster partner, then greedy first fit, then (if enabled)
+    /// frequency-based replacement, and finally past the budget of the
+    /// least-loaded live core — only an object larger than a whole core's
+    /// budget is left to the hardware.
     fn place_object(&mut self, object: DenseObjectId) {
         let Some(info) = self.registry.get(object) else {
             return;
@@ -244,7 +247,14 @@ impl O2Policy {
                 return;
             }
         }
+        // 4. No room anywhere. That is a placement failure for the decay
+        //    gate (something is waiting for space), but the object is still
+        //    assigned: unassigned, every core would scan it and the copies
+        //    would evict what steps 1-3 packed.
         self.placement_failures_this_epoch += 1;
+        if packing::place_over_budget(&mut self.table, object, size).is_some() {
+            self.stats.assignments += 1;
+        }
     }
 }
 
@@ -540,12 +550,13 @@ impl SchedPolicy for O2Policy {
         if core < 64 {
             self.offline_mask |= 1u64 << core;
         }
-        // Zero the dead core's packing budget so no packer (first-fit,
-        // balanced, replacement) ever places there again, then re-home
-        // everything it held onto the surviving cores through the normal
-        // balanced packer. Objects that no longer fit anywhere are left
-        // unassigned — operations on them run wherever the thread is and
-        // the hardware manages their lines.
+        // Zero the dead core's packing budget so no packer (balanced,
+        // replacement, over-budget) ever places there again, then re-home
+        // everything it held onto the surviving cores by the placement
+        // rule: first fit, else past the budget of the least-loaded live
+        // core. Only an object larger than a surviving core's whole budget
+        // is stranded — operations on it run wherever the thread is and
+        // the hardware manages its lines.
         self.table.set_capacity(core, 0);
         let objects: Vec<DenseObjectId> = self.table.objects_on(core).to_vec();
         for object in objects {
@@ -553,7 +564,10 @@ impl SchedPolicy for O2Policy {
                 continue;
             };
             self.table.unassign(object);
-            if packing::place_balanced(&mut self.table, object, size).is_some() {
+            if packing::place_balanced(&mut self.table, object, size)
+                .or_else(|| packing::place_over_budget(&mut self.table, object, size))
+                .is_some()
+            {
                 self.stats.objects_rehomed += 1;
             } else {
                 self.stats.objects_stranded += 1;
@@ -712,28 +726,11 @@ mod tests {
     }
 
     #[test]
-    fn expensive_object_is_assigned_after_min_ops() {
+    fn expensive_object_is_assigned_by_its_first_operation() {
         let machine = quad_machine();
         let mut policy = O2Policy::with_defaults(machine.config());
         policy.register_object(0, &ObjectDescriptor::new(0x1000, 0x1000, 32 * 1024));
-        for i in 0..5 {
-            let ctx = OpContext {
-                thread: 0,
-                core: 0,
-                home_core: 0,
-                object: 0,
-                object_key: 0x1000,
-                kind: AccessKind::Write,
-                now: i,
-                machine: &machine,
-            };
-            let delta = CounterDelta {
-                l2_misses: 400,
-                busy_cycles: 50_000,
-                ..Default::default()
-            };
-            policy.on_ct_end(&ctx, &delta);
-        }
+        expensive_op(&mut policy, &machine, 0, 0x1000);
         assert!(policy.table().is_assigned(0));
         assert_eq!(policy.stats().assignments, 1);
 
@@ -782,8 +779,10 @@ mod tests {
             policy.on_ct_end(&ctx, &delta);
         }
         assert!(policy.table().is_assigned(0));
-        // A second object, too large to place anywhere, keeps failing
-        // placement: that demand is what allows idle assignments to decay.
+        // A second object, larger than a whole core's budget, is the one
+        // kind the placement rule leaves to the hardware; every expensive
+        // operation on it fails placement again, and that standing demand
+        // is what allows idle assignments to decay.
         policy.register_object(1, &ObjectDescriptor::new(0x2000, 0x2000, 64 * 1024 * 1024));
         let idle_delta = vec![CounterDelta::default(); 4];
         for epoch in 0..3u64 {
@@ -873,9 +872,11 @@ mod tests {
 
     #[test]
     fn decayed_bytes_return_to_the_packing_budget() {
-        // Fill every core, then keep failing to place one more object:
-        // decay must release an idle assignment and the freed bytes must
-        // be usable by the very object whose failures opened the gate.
+        // Fill every core, then assign one more object past a budget: the
+        // overflow counts as a placement failure, which opens the decay
+        // gate; the idle assignment it releases returns exactly its bytes
+        // to the budget, and the next object packs into them by plain
+        // first fit.
         let machine = quad_machine();
         let mut cfg = CoreTimeConfig::default();
         cfg.enable_decay = true;
@@ -886,45 +887,120 @@ mod tests {
         for dense in 0..4u32 {
             let key = 0x1000 * (u64::from(dense) + 1);
             policy.register_object(dense, &ObjectDescriptor::new(key, key, big));
-            for _ in 0..5 {
-                expensive_op(&mut policy, &machine, dense, key);
-            }
+            expensive_op(&mut policy, &machine, dense, key);
         }
         assert_eq!(policy.table().len(), 4, "one filler per core");
-        assert!(policy.table().free_bytes(0) < 64 * 1024);
-        // Object 4 needs more than any core's leftover, less than a core.
-        policy.register_object(4, &ObjectDescriptor::new(0x9000, 0x9000, 600 * 1024));
-        let mut epoch = 0u64;
-        // Two epochs of failing demand: fillers idle up but are not yet
-        // idle for `decay_epochs`, so nothing decays.
-        for _ in 0..2 {
-            expensive_op(&mut policy, &machine, 4, 0x9000);
+        assert_eq!(policy.placement_failures_this_epoch, 0);
+        // The fillers idle for two epochs. Nothing failed placement, so
+        // nothing decays however full the budget is.
+        for epoch in 0..2 {
             fire_idle_epoch(&mut policy, &machine, epoch);
-            epoch += 1;
         }
         assert_eq!(policy.stats().decays, 0);
-        assert!(!policy.table().is_assigned(4));
-        // Third epoch: the fillers are now idle long enough and the gate
-        // is open (pressure high, failures pending) — exactly one decays
-        // (one release per failing placement, not a mass flush).
+        // Object 4 needs more than any core's leftover, less than a core:
+        // its first expensive operation assigns it past the budget of the
+        // least-loaded core (all equal, so core 0) and counts one failure.
+        let over = 600 * 1024;
+        policy.register_object(4, &ObjectDescriptor::new(0x9000, 0x9000, over));
         expensive_op(&mut policy, &machine, 4, 0x9000);
-        fire_idle_epoch(&mut policy, &machine, epoch);
-        epoch += 1;
+        assert_eq!(policy.table().primary(4), Some(0));
+        assert_eq!(policy.table().used_bytes(0), big + over);
+        assert_eq!(policy.table().free_bytes(0), 0);
+        assert_eq!(policy.placement_failures_this_epoch, 1);
+        assert_eq!(policy.stats().assignments, 5);
+        // Further operations on it keep the assignment and fail nothing.
+        expensive_op(&mut policy, &machine, 4, 0x9000);
+        assert_eq!(policy.placement_failures_this_epoch, 1);
+        // The epoch boundary: pressure is high and one failure is pending,
+        // so exactly one idle assignment decays (one release per failure,
+        // not a mass flush). The longest-idle tie breaks by key: object 0
+        // (key 0x1000), which shares core 0 with the overflowed object.
+        fire_idle_epoch(&mut policy, &machine, 2);
         assert_eq!(policy.stats().decays, 1);
-        // The longest-idle tie broke by key: object 0 (key 0x1000) went.
         assert!(!policy.table().is_assigned(0));
-        let freed_core = 0u32;
+        assert!(policy.table().is_assigned(4), "the active object decayed");
         assert_eq!(
-            policy.table().free_bytes(freed_core),
-            policy.table().capacity(freed_core),
+            policy.table().used_bytes(0),
+            over,
             "decayed bytes did not return to the packing budget"
         );
-        // The returned budget is immediately usable: the next operation on
-        // the starved object places it into the freed space.
-        expensive_op(&mut policy, &machine, 4, 0x9000);
-        assert!(policy.table().is_assigned(4));
-        assert_eq!(policy.table().primary(4), Some(freed_core));
-        let _ = epoch;
+        // The returned budget is immediately usable, inside the budget.
+        let fits = per_core - over;
+        policy.register_object(5, &ObjectDescriptor::new(0xa000, 0xa000, fits));
+        expensive_op(&mut policy, &machine, 5, 0xa000);
+        assert_eq!(policy.table().primary(5), Some(0));
+        assert_eq!(policy.table().free_bytes(0), 0);
+        assert_eq!(policy.placement_failures_this_epoch, 0);
+    }
+
+    #[test]
+    fn an_expensive_object_is_left_to_the_hardware_only_when_no_core_could_hold_it() {
+        let machine = quad_machine();
+        let mut policy = O2Policy::with_defaults(machine.config());
+        let per_core = policy.table().capacity(0);
+        // Every core over budget already: four fillers, then four more.
+        for dense in 0..8u32 {
+            let key = 0x1000 * (u64::from(dense) + 1);
+            let size = per_core - 8 * 1024 * u64::from(dense % 4);
+            policy.register_object(dense, &ObjectDescriptor::new(key, key, size));
+            expensive_op(&mut policy, &machine, dense, key);
+        }
+        assert_eq!(policy.table().len(), 8);
+        let used: Vec<u64> = (0..4).map(|c| policy.table().used_bytes(c)).collect();
+        assert!(
+            used.iter().all(|&u| u > per_core),
+            "not over budget: {used:?}"
+        );
+        // One more that fits a whole budget goes to the least-loaded core
+        // and is released at exactly what it was charged.
+        let least = (0..4u32).min_by_key(|&c| (used[c as usize], c)).unwrap();
+        policy.register_object(8, &ObjectDescriptor::new(0x9000, 0x9000, 64 * 1024));
+        expensive_op(&mut policy, &machine, 8, 0x9000);
+        assert_eq!(policy.table().primary(8), Some(least));
+        assert_eq!(
+            policy.table().used_bytes(least),
+            used[least as usize] + 64 * 1024
+        );
+        // An object larger than a core's whole budget is never assigned,
+        // however many expensive operations it sees; each one is a failure.
+        let before = policy.placement_failures_this_epoch;
+        policy.register_object(9, &ObjectDescriptor::new(0xa000, 0xa000, per_core + 1));
+        for _ in 0..3 {
+            expensive_op(&mut policy, &machine, 9, 0xa000);
+        }
+        assert!(!policy.table().is_assigned(9));
+        assert_eq!(policy.placement_failures_this_epoch, before + 3);
+        assert_eq!(policy.stats().assignments, 9);
+    }
+
+    #[test]
+    fn core_down_strands_nothing_while_a_live_core_remains() {
+        let machine = quad_machine();
+        let mut policy = O2Policy::with_defaults(machine.config());
+        let per_core = policy.table().capacity(0);
+        // Four objects that each nearly fill a core: once one core dies
+        // its object fits no survivor's remaining budget.
+        for dense in 0..4u32 {
+            let key = 0x1000 * (u64::from(dense) + 1);
+            let size = per_core - 16 * 1024;
+            policy.register_object(dense, &ObjectDescriptor::new(key, key, size));
+            expensive_op(&mut policy, &machine, dense, key);
+        }
+        for dead in 0..3u32 {
+            policy.core_down(dead);
+            assert_eq!(policy.table().used_bytes(dead), 0);
+            assert!(policy.table().objects_on(dead).is_empty());
+            assert_eq!(policy.table().len(), 4, "an object lost its home");
+        }
+        assert_eq!(policy.stats().objects_stranded, 0);
+        // Everything ended up on the one survivor, past its budget.
+        for dense in 0..4u32 {
+            assert_eq!(policy.table().primary(dense), Some(3));
+        }
+        // The last core going down leaves nowhere to go.
+        policy.core_down(3);
+        assert_eq!(policy.stats().objects_stranded, 4);
+        assert!(policy.table().is_empty());
     }
 
     #[test]

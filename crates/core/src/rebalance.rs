@@ -98,9 +98,32 @@ pub fn plan(
         if budget == 0 {
             continue;
         }
+        // Only an object some receiver still has room for can move, and
+        // room only shrinks as the plan grows. Once the working set
+        // outgrows the machine every budget is spent (placement then goes
+        // past it), so this is usually nothing — rather than a sort of the
+        // thousands of objects a core holds at scale.
+        let room = underloaded
+            .iter()
+            .filter(|&&c| c != from)
+            .map(|&c| free[c as usize])
+            .max()
+            .unwrap_or(0);
+        if room == 0 {
+            continue;
+        }
         // Move the coldest objects first; ties broken by external key so
         // the victim order does not depend on the table's internal layout.
-        let mut objs: Vec<DenseObjectId> = table.objects_on(from).to_vec();
+        let mut objs: Vec<DenseObjectId> = table
+            .objects_on(from)
+            .iter()
+            .copied()
+            .filter(|&o| {
+                registry
+                    .get(o)
+                    .is_some_and(|i| (1..=room).contains(&i.size()))
+            })
+            .collect();
         objs.sort_by_key(|&o| {
             (
                 registry.get(o).map(|i| i.ops_last_epoch).unwrap_or(0),
@@ -113,9 +136,6 @@ pub fn plan(
                 break;
             }
             let size = registry.get(obj).map(|i| i.size()).unwrap_or(0);
-            if size == 0 {
-                continue;
-            }
             // Find an underloaded core with room.
             if let Some(&to) = underloaded
                 .iter()

@@ -208,7 +208,7 @@ impl AssignmentTable {
     }
 
     /// Changes a core's capacity budget. The fault plane zeroes a dead
-    /// core's budget so every packer (first-fit, balanced, replacement)
+    /// core's budget so every packer (balanced, replacement, over-budget)
     /// naturally skips it; existing assignments are not touched — the
     /// caller re-homes them.
     pub fn set_capacity(&mut self, core: CoreId, bytes: u64) {
@@ -236,7 +236,7 @@ impl AssignmentTable {
     }
 
     /// Forces an assignment even if it overflows the core's budget (used by
-    /// the replacement policy after it has made room).
+    /// [`crate::packing::place_over_budget`] when no core has room).
     pub fn assign_unchecked(&mut self, object: DenseObjectId, size: u64, core: CoreId) {
         self.unassign(object);
         self.place(object, size, core);
@@ -329,13 +329,6 @@ impl AssignmentTable {
         }
         self.unassign(object);
         self.assign(object, size, to)
-    }
-
-    /// Core with the most free budget.
-    pub fn most_free_core(&self) -> CoreId {
-        (0..self.capacities.len() as CoreId)
-            .max_by_key(|&c| self.free_bytes(c))
-            .unwrap_or(0)
     }
 
     /// Total bytes assigned across all cores (replicas counted).
@@ -458,15 +451,6 @@ mod tests {
         assert_eq!(t.used_bytes(0), 5000);
         assert_eq!(t.free_bytes(0), 0);
         assert_eq!(t.primary(1), Some(0));
-    }
-
-    #[test]
-    fn most_free_core_prefers_emptier_cores() {
-        let mut t = table();
-        t.assign(1, 900, 0);
-        t.assign(2, 500, 1);
-        let c = t.most_free_core();
-        assert!(c == 2 || c == 3);
     }
 
     #[test]

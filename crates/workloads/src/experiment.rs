@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use o2_fs::{directory_descriptor, Volume};
 use o2_runtime::{Engine, OpBehaviour, OpGenerator, RunWindow, SchedPolicy};
-use o2_sim::{InterconnectStats, Machine, Region};
+use o2_sim::{CoreCounters, InterconnectStats, Machine, Region};
 
 use crate::behaviour::{DirectoryLookupGen, DirectorySet};
 use crate::distribution::DirChooser;
@@ -24,6 +24,67 @@ pub struct Experiment {
     dirs: Rc<DirectorySet>,
 }
 
+/// What the whole machine did during the measurement window alone: the
+/// difference between the all-core counter totals just before and just
+/// after it. Whole-run counters fold the cold start into every number —
+/// at 16 MB the warm-up's compulsory DRAM loads outnumber the window's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowCounters {
+    /// Line accesses satisfied by each level, in [`WindowCounters::LEVELS`]
+    /// order.
+    pub lines: [u64; 5],
+    /// Cycles the cores spent executing work.
+    pub busy_cycles: u64,
+    /// Cycles the cores spent with nothing runnable.
+    pub idle_cycles: u64,
+}
+
+impl WindowCounters {
+    /// Where a line access can be satisfied, nearest first.
+    pub const LEVELS: [&'static str; 5] = ["L1", "L2", "L3", "remote", "DRAM"];
+
+    fn between(before: &CoreCounters, after: &CoreCounters) -> Self {
+        Self {
+            lines: [
+                after.l1_hits - before.l1_hits,
+                after.l2_hits - before.l2_hits,
+                after.l3_hits - before.l3_hits,
+                after.remote_cache_loads - before.remote_cache_loads,
+                after.dram_loads - before.dram_loads,
+            ],
+            busy_cycles: after.busy_cycles - before.busy_cycles,
+            idle_cycles: after.idle_cycles - before.idle_cycles,
+        }
+    }
+
+    /// Fraction of the window's line accesses each level satisfied (all
+    /// zero for an empty window).
+    pub fn line_shares(&self) -> [f64; 5] {
+        let total = self.lines.iter().sum::<u64>().max(1) as f64;
+        self.lines.map(|n| n as f64 / total)
+    }
+
+    /// Fraction of the window's core cycles that were idle.
+    pub fn idle_share(&self) -> f64 {
+        self.idle_cycles as f64 / (self.busy_cycles + self.idle_cycles).max(1) as f64
+    }
+
+    /// One line for reports: per-level shares, then the idle share.
+    pub fn describe(&self) -> String {
+        let shares = self.line_shares();
+        let levels: Vec<String> = Self::LEVELS
+            .iter()
+            .zip(shares)
+            .map(|(level, share)| format!("{level} {:.1}%", share * 100.0))
+            .collect();
+        format!(
+            "lines {}; cores idle {:.1}%",
+            levels.join(", "),
+            self.idle_share() * 100.0
+        )
+    }
+}
+
 /// The measurement produced by [`Experiment::run`].
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -33,6 +94,8 @@ pub struct Measurement {
     pub total_bytes: u64,
     /// The measurement window.
     pub window: RunWindow,
+    /// Machine-wide line accesses and core cycles of the window alone.
+    pub window_counters: WindowCounters,
     /// Spin-lock acquisitions that found the lock held.
     pub lock_contention: u64,
     /// Interconnect statistics accumulated over the whole run.
@@ -176,24 +239,38 @@ impl Experiment {
     /// Runs the warm-up phase followed by the measurement window and
     /// returns the measurement.
     pub fn run(&mut self) -> Measurement {
-        self.engine.run_until_ops(self.spec.warmup_ops);
-        let window = self.engine.run_window(self.spec.measure_cycles);
-        let machine = self.engine.machine();
-        let dram_loads = (0..self.spec.machine.total_cores())
+        let total_bytes = self.volume.total_directory_bytes();
+        let (warmup_ops, measure_cycles) = (self.spec.warmup_ops, self.spec.measure_cycles);
+        measure(&mut self.engine, warmup_ops, measure_cycles, total_bytes)
+    }
+}
+
+/// The measurement protocol every experiment shares: `warmup_ops`
+/// operations unmeasured, then one `measure_cycles` window.
+pub(crate) fn measure(
+    engine: &mut Engine,
+    warmup_ops: u64,
+    measure_cycles: u64,
+    total_bytes: u64,
+) -> Measurement {
+    engine.run_until_ops(warmup_ops);
+    let before = engine.machine().snapshot_counters().aggregate();
+    let window = engine.run_window(measure_cycles);
+    let machine = engine.machine();
+    let after = machine.snapshot_counters().aggregate();
+    let cores = 0..machine.config().total_cores();
+    Measurement {
+        policy: engine.policy().name().to_string(),
+        total_bytes,
+        window,
+        window_counters: WindowCounters::between(&before, &after),
+        lock_contention: engine.locks().total_contention(),
+        interconnect: machine.interconnect_stats(),
+        dram_loads: cores
+            .clone()
             .map(|c| machine.counters(c).dram_loads)
-            .collect();
-        let migrations = (0..self.spec.machine.total_cores())
-            .map(|c| machine.counters(c).migrations_in)
-            .sum();
-        Measurement {
-            policy: self.engine.policy().name().to_string(),
-            total_bytes: self.volume.total_directory_bytes(),
-            window,
-            lock_contention: self.engine.locks().total_contention(),
-            interconnect: machine.interconnect_stats(),
-            dram_loads,
-            migrations,
-        }
+            .collect(),
+        migrations: cores.map(|c| machine.counters(c).migrations_in).sum(),
     }
 }
 
@@ -237,6 +314,36 @@ mod tests {
         assert_eq!(m.total_bytes, 8 * 32_000);
         assert_eq!(m.policy, "thread-scheduler");
         assert_eq!(m.dram_loads.len(), 4);
+    }
+
+    #[test]
+    fn window_counters_cover_the_window_and_nothing_before_it() {
+        let spec = small_spec(8);
+        let w = Experiment::build(spec.clone(), Box::new(NullPolicy))
+            .run()
+            .window_counters;
+        // The same run by hand, reading the machine at the window's edges.
+        let mut exp = Experiment::build(spec.clone(), Box::new(NullPolicy));
+        exp.engine_mut().run_until_ops(spec.warmup_ops);
+        let warm = exp.engine().machine().snapshot_counters().aggregate();
+        exp.engine_mut().run_window(spec.measure_cycles);
+        let end = exp.engine().machine().snapshot_counters().aggregate();
+        assert_eq!(w.lines[0], end.l1_hits - warm.l1_hits);
+        assert_eq!(w.lines[4], end.dram_loads - warm.dram_loads);
+        assert_eq!(w.busy_cycles, end.busy_cycles - warm.busy_cycles);
+        assert_eq!(w.idle_cycles, end.idle_cycles - warm.idle_cycles);
+        // The cold start stays out: 8 x 32 KB fits the quad's caches, so
+        // most of the run's DRAM loads happened during the warm-up.
+        assert!(warm.dram_loads > 0 && w.lines[4] < warm.dram_loads);
+        assert_eq!(w.lines.iter().sum::<u64>(), {
+            (end.l1_hits + end.l1_misses) - (warm.l1_hits + warm.l1_misses)
+        });
+        // Four cores over a 500k-cycle window (a core's last operation may
+        // run a little past the edge).
+        let cycles = w.busy_cycles + w.idle_cycles;
+        assert!((2_000_000..2_100_000).contains(&cycles), "{cycles}");
+        assert!((w.line_shares().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(w.describe().starts_with("lines L1 "), "{}", w.describe());
     }
 
     #[test]

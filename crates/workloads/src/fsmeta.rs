@@ -36,7 +36,7 @@ use o2_runtime::{
 use o2_sim::{Machine, MachineConfig};
 
 use crate::behaviour::DirectorySet;
-use crate::experiment::Measurement;
+use crate::experiment::{measure, Measurement};
 
 /// A complete description of one metadata-churn run.
 #[derive(Debug, Clone)]
@@ -459,24 +459,9 @@ impl FsMetaExperiment {
     /// Runs the warm-up phase followed by the measurement window and
     /// returns the measurement (same shape as the lookup benchmark's).
     pub fn run(&mut self) -> Measurement {
-        self.engine.run_until_ops(self.spec.warmup_ops);
-        let window = self.engine.run_window(self.spec.measure_cycles);
-        let machine = self.engine.machine();
-        let dram_loads = (0..self.spec.machine.total_cores())
-            .map(|c| machine.counters(c).dram_loads)
-            .collect();
-        let migrations = (0..self.spec.machine.total_cores())
-            .map(|c| machine.counters(c).migrations_in)
-            .sum();
-        Measurement {
-            policy: self.engine.policy().name().to_string(),
-            total_bytes: self.state.borrow().volume.total_directory_bytes(),
-            window,
-            lock_contention: self.engine.locks().total_contention(),
-            interconnect: machine.interconnect_stats(),
-            dram_loads,
-            migrations,
-        }
+        let total_bytes = self.state.borrow().volume.total_directory_bytes();
+        let (warmup_ops, measure_cycles) = (self.spec.warmup_ops, self.spec.measure_cycles);
+        measure(&mut self.engine, warmup_ops, measure_cycles, total_bytes)
     }
 }
 

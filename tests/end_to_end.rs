@@ -16,29 +16,60 @@ fn small_point(n_dirs: u32, policy: Box<dyn SchedPolicy>) -> Measurement {
     exp.run()
 }
 
+/// One Figure-4 point on the paper's 16-core machine, warmed up for 12
+/// operations per directory and measured over 6.4M cycles (about one full
+/// oscillation of the Figure 4(b) workload at 16 MB): short of the
+/// registry's steady-state protocol, long enough to be past the transient
+/// that made this suite's old `> 1.3x` floor the most it could ask.
+fn sixteen_core_point(total_kb: u64, oscillating: bool, coretime: bool) -> Measurement {
+    let mut spec = WorkloadSpec::for_total_kb(total_kb);
+    if oscillating {
+        spec = spec.oscillating();
+    }
+    spec.warmup_ops = 12 * u64::from(spec.n_dirs);
+    spec.measure_cycles = 6_400_000;
+    let policy: Box<dyn SchedPolicy> = if coretime {
+        CoreTime::policy(&spec.machine)
+    } else {
+        Box::new(ThreadScheduler::new())
+    };
+    Experiment::build(spec, policy).run()
+}
+
 #[test]
 fn coretime_beats_the_thread_scheduler_when_the_working_set_exceeds_one_chip() {
-    // 8 MB of directories on the 16-core machine: far more than one chip's
-    // L3, well within the 16 MB of aggregate on-chip memory — the regime
-    // where the paper reports a 2-3x win for CoreTime.
-    let run = |policy: Box<dyn SchedPolicy>| {
-        let mut spec = WorkloadSpec::for_total_kb(8192);
-        spec.warmup_ops = 2_500;
-        spec.measure_cycles = 1_500_000;
-        let mut exp = Experiment::build(spec, policy);
-        exp.run()
-    };
-    let without = run(Box::new(ThreadScheduler::new()));
-    let with = run(CoreTime::policy(&MachineConfig::amd16()));
+    // 8 MB of directories is far more than one chip's L3 and well within
+    // the 16 MB of aggregate on-chip memory; 16 MB is all of it. This is
+    // the regime where the paper reports a 2-3x win for CoreTime, and a
+    // plateau: it must not fall away before the caches are full.
+    for (total_kb, floor) in [(8192, 2.0), (16384, 1.8)] {
+        let without = sixteen_core_point(total_kb, false, false);
+        let with = sixteen_core_point(total_kb, false, true);
+        assert!(
+            with.kres_per_sec() >= floor * without.kres_per_sec(),
+            "{total_kb} KB: CoreTime {:.0} kres/s is under {floor}x the thread scheduler's {:.0}",
+            with.kres_per_sec(),
+            without.kres_per_sec()
+        );
+        // CoreTime actually migrated operations.
+        assert!(with.migrations > 100);
+        assert_eq!(without.migrations, 0);
+    }
+}
+
+#[test]
+fn coretime_follows_an_oscillating_working_set_that_fills_the_machine() {
+    // Figure 4(b) at 16 MB: the active set shrinks to 1/16 of the
+    // directories and grows back. CoreTime must at least match the thread
+    // scheduler while following it.
+    let without = sixteen_core_point(16384, true, false);
+    let with = sixteen_core_point(16384, true, true);
     assert!(
-        with.kres_per_sec() > 1.3 * without.kres_per_sec(),
-        "CoreTime {:.0} kres/s should clearly beat the thread scheduler {:.0} kres/s",
+        with.kres_per_sec() >= without.kres_per_sec(),
+        "CoreTime {:.0} kres/s trails the thread scheduler's {:.0} kres/s",
         with.kres_per_sec(),
         without.kres_per_sec()
     );
-    // CoreTime actually migrated operations.
-    assert!(with.migrations > 100);
-    assert_eq!(without.migrations, 0);
 }
 
 #[test]

@@ -398,10 +398,19 @@ fn storm_clustering() -> (u64, O2Stats) {
     s.finish()
 }
 
-/// Expected `(fingerprint, O2Stats)` per storm, captured from the
+/// Expected `(fingerprint, O2Stats)` per storm. First captured from the
 /// pre-refactor implementation (HashMap assignment table, HashMap
 /// registry, HashMap co-access tracker) with the deterministic tie-breaks
-/// applied. The refactored decision path must reproduce these bit-for-bit.
+/// applied, and held bit-for-bit through every refactor since.
+///
+/// Re-captured once, for two deliberate changes of placement rule: an
+/// object is assigned by the *first* operation that passes the benefit
+/// test (`min_ops_before_assign` is gone), and an expensive object that
+/// fits no core's remaining budget is assigned past the budget of the
+/// least-loaded live core instead of being left unplaced. Every storm
+/// moved because each assigns its objects two operations earlier; only
+/// `epoch_churn` oversubscribes the budget, which is where the second
+/// rule shows (assignments 193 -> 300).
 struct Golden {
     name: &'static str,
     run: fn() -> (u64, O2Stats),
@@ -416,16 +425,16 @@ fn goldens() -> Vec<Golden> {
         Golden {
             name: "migration_heavy",
             run: storm_migration_heavy,
-            fingerprint: 0x565758ebb474b36c,
+            fingerprint: 0x0c3d1aafd61bad57,
             stats: O2Stats {
                 assignments: 48,
                 decays: 0,
-                rebalance_moves: 12,
+                rebalance_moves: 11,
                 pathology_moves: 0,
                 replications: 0,
                 replacement_evictions: 0,
-                migrations_requested: 22415,
-                local_operations: 1585,
+                migrations_requested: 22443,
+                local_operations: 1557,
                 epochs: 8,
                 op_latency: LatencySummary {
                     count: 24000,
@@ -440,16 +449,16 @@ fn goldens() -> Vec<Golden> {
         Golden {
             name: "epoch_churn",
             run: storm_epoch_churn,
-            fingerprint: 0xcaf9bdc96293c61c,
+            fingerprint: 0x1e1a860199e29023,
             stats: O2Stats {
-                assignments: 193,
-                decays: 136,
-                rebalance_moves: 59,
+                assignments: 300,
+                decays: 138,
+                rebalance_moves: 54,
                 pathology_moves: 0,
                 replications: 0,
-                replacement_evictions: 25,
-                migrations_requested: 13610,
-                local_operations: 6390,
+                replacement_evictions: 130,
+                migrations_requested: 13886,
+                local_operations: 6114,
                 epochs: 20,
                 op_latency: LatencySummary {
                     count: 20000,
@@ -464,16 +473,16 @@ fn goldens() -> Vec<Golden> {
         Golden {
             name: "clustering",
             run: storm_clustering,
-            fingerprint: 0x4bab7baaf57db132,
+            fingerprint: 0x2f9c90145a99083f,
             stats: O2Stats {
                 assignments: 40,
                 decays: 0,
-                rebalance_moves: 9,
+                rebalance_moves: 14,
                 pathology_moves: 0,
-                replications: 38,
+                replications: 43,
                 replacement_evictions: 0,
-                migrations_requested: 36484,
-                local_operations: 3516,
+                migrations_requested: 36589,
+                local_operations: 3411,
                 epochs: 8,
                 op_latency: LatencySummary {
                     count: 40000,
@@ -488,7 +497,7 @@ fn goldens() -> Vec<Golden> {
         Golden {
             name: "pathology",
             run: storm_pathology,
-            fingerprint: 0xe8ab112ad3a3ecb9,
+            fingerprint: 0x7fe9b68538e97fcf,
             stats: O2Stats {
                 assignments: 5,
                 decays: 0,
@@ -496,8 +505,8 @@ fn goldens() -> Vec<Golden> {
                 pathology_moves: 1,
                 replications: 0,
                 replacement_evictions: 0,
-                migrations_requested: 6733,
-                local_operations: 2267,
+                migrations_requested: 6739,
+                local_operations: 2261,
                 epochs: 9,
                 op_latency: LatencySummary {
                     count: 9000,

@@ -10,13 +10,18 @@
 //! * an object's replica set never double-counts a core (primary and
 //!   replicas never overlap): the primary appears in the set exactly once,
 //!   and the set size equals the number of per-core listings;
-//! * `used_bytes + free_bytes == capacity` and the global `len()` matches
+//! * `free_bytes` is what the budget has left (`capacity - used_bytes`,
+//!   zero on a core placed past its budget) and the global `len()` matches
 //!   the number of objects with a primary.
+//!
+//! A second randomised test holds the placement rule the policy applies on
+//! top of the table — first fit, else past the budget of the least-loaded
+//! live core — to its contract.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use o2_suite::coretime::AssignmentTable;
+use o2_suite::coretime::{place_balanced, place_over_budget, AssignmentTable};
 
 const CASES: usize = 32;
 const OPS_PER_CASE: usize = 400;
@@ -41,8 +46,8 @@ fn check_invariants(table: &AssignmentTable, sizes: &[u64]) {
             "core {core} used_bytes out of sync with its object list"
         );
         assert_eq!(
-            table.used_bytes(core) + table.free_bytes(core),
-            table.capacity(core),
+            table.free_bytes(core),
+            table.capacity(core).saturating_sub(table.used_bytes(core)),
             "core {core} bytes not conserved"
         );
         listings_total += on.len();
@@ -115,12 +120,9 @@ fn random_op_sequences_preserve_all_invariants() {
                     let _ = table.add_replica(object, core);
                 }
                 _ => {
-                    // assign_unchecked is what replacement uses after
-                    // making room; it may overflow but must stay
-                    // consistent.
-                    if table.free_bytes(core) >= size {
-                        table.assign_unchecked(object, size, core);
-                    }
+                    // assign_unchecked is what over-budget placement
+                    // uses; it may overflow but must stay consistent.
+                    table.assign_unchecked(object, size, core);
                 }
             }
             check_invariants(&table, &sizes);
@@ -149,4 +151,71 @@ fn replicate_then_move_then_release_never_leaks_bytes() {
     assert!(table.unassign(1));
     check_invariants(&table, &sizes);
     assert_eq!(table.total_assigned_bytes(), 0);
+}
+
+#[test]
+fn the_placement_rule_strands_only_what_no_live_core_could_hold() {
+    // The rule `O2Policy` applies for a newly expensive object and for
+    // every object a dead core held: first fit, else past the budget of
+    // the least-loaded live core.
+    let place = |table: &mut AssignmentTable, object: u32, size: u64| {
+        place_balanced(table, object, size).or_else(|| place_over_budget(table, object, size))
+    };
+    let mut rng = StdRng::seed_from_u64(0x0BAD_6E70);
+    for _case in 0..CASES {
+        let cores = rng.gen_range(2u32..8);
+        let cap = rng.gen_range(10_000u64..100_000);
+        let mut table = AssignmentTable::new(vec![cap; cores as usize]);
+        // A tenth of the objects are larger than a whole core's budget;
+        // the rest oversubscribe the machine several times over.
+        let sizes: Vec<u64> = (0..OBJECTS)
+            .map(|_| rng.gen_range(cap / 8..cap + cap / 9))
+            .collect();
+        for _step in 0..OPS_PER_CASE {
+            let object = rng.gen_range(0u32..OBJECTS);
+            let size = sizes[object as usize];
+            let live: Vec<u32> = (0..cores).filter(|&c| table.capacity(c) > 0).collect();
+            match rng.gen_range(0u8..64) {
+                0 if live.len() > 1 => {
+                    // The fault plane takes a core offline: zero its
+                    // budget, re-home what it held by the same rule.
+                    let dead = live[rng.gen_range(0usize..live.len())];
+                    table.set_capacity(dead, 0);
+                    for o in table.objects_on(dead).to_vec() {
+                        let charged = table.charged_bytes(o).expect("listed, so assigned");
+                        table.unassign(o);
+                        let home = place(&mut table, o, charged);
+                        assert_eq!(home.is_some(), charged <= cap, "object {o} stranded");
+                    }
+                    assert_eq!(table.used_bytes(dead), 0);
+                }
+                1..=20 => {
+                    let _ = table.unassign(object);
+                }
+                _ if !table.is_assigned(object) => {
+                    let used: Vec<u64> = (0..cores).map(|c| table.used_bytes(c)).collect();
+                    let fits_inside = live.iter().any(|&c| table.free_bytes(c) >= size);
+                    match place(&mut table, object, size) {
+                        None => assert!(size > cap, "object {object} fits a budget, unplaced"),
+                        Some(core) => {
+                            assert!(size <= cap);
+                            assert!(live.contains(&core), "placed on offline core {core}");
+                            assert_eq!(table.primary(object), Some(core));
+                            if !fits_inside {
+                                let least = live.iter().map(|&c| used[c as usize]).min();
+                                assert_eq!(Some(used[core as usize]), least, "not least loaded");
+                                assert_eq!(table.free_bytes(core), 0);
+                            }
+                            // Release is exact, over budget or not.
+                            table.unassign(object);
+                            assert_eq!(table.used_bytes(core), used[core as usize]);
+                            assert_eq!(place(&mut table, object, size), Some(core));
+                        }
+                    }
+                }
+                _ => {}
+            }
+            check_invariants(&table, &sizes);
+        }
+    }
 }
