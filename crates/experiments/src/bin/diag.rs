@@ -1,13 +1,13 @@
 //! Diagnostic harness: prints detailed per-core and policy statistics for
 //! a single Figure-4 point. Useful when calibrating the simulator.
 //!
-//! `cargo run --release -p o2-bench --bin diag -- [total_kb] [coretime|baseline] [storm]`
+//! `cargo run --release -p o2-experiments --bin diag -- [total_kb] [coretime|baseline] [storm]`
 //!
 //! The optional third argument `storm` injects a seeded fault storm (one
 //! slowdown window, one interconnect-degradation window, one offlining)
 //! so the fault-plane telemetry below has something to show.
 
-use o2_bench::PolicyKind;
+use o2_experiments::PolicyKind;
 use o2_sim::FaultPlan;
 use o2_workloads::{Experiment, WindowCounters, WorkloadSpec};
 

@@ -14,7 +14,7 @@
 //! seed from its coordinates, so the text and JSON renderings are
 //! byte-identical for any `--jobs` value.
 
-use o2_bench::{quick_mode, registry, render_json, render_reports, run_matrix};
+use o2_experiments::{quick_mode, registry, render_json, render_reports, run_matrix, Scenario};
 
 fn usage() -> ! {
     eprintln!(
@@ -79,7 +79,7 @@ fn main() {
     } else {
         // Pick from the registry built above; a name can be taken once.
         let mut pool = available;
-        let mut picked: Vec<o2_bench::Scenario> = Vec::new();
+        let mut picked: Vec<Scenario> = Vec::new();
         for name in &names {
             match pool.iter().position(|s| s.name == *name) {
                 Some(i) => picked.push(pool.remove(i)),

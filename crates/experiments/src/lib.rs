@@ -23,6 +23,10 @@
 //! scenario name, the series label and the point index, so every cell's
 //! placement and interleaving is a pure function of the cell — never of
 //! worker scheduling.
+//!
+//! Two binaries sit on top: `o2`, the matrix driver (`o2 --list`,
+//! `o2 --run <scenario> --jobs N`, `o2 --all --json <path>`), and `diag`,
+//! the per-point calibration diagnostic for one Figure-4 cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -879,9 +879,9 @@ fn fig_fault(quick: bool) -> Scenario {
 
 // ---- fig_scale -------------------------------------------------------
 
-/// The scale-tier specification shared by `fig_scale` and the scale
-/// bench: the machine and its on-chip budget stay fixed while the object
-/// count sweeps three orders of magnitude past it.
+/// The scale-tier specification shared by `fig_scale` and `benchmark/`'s
+/// `scale_zipf`: the machine and its on-chip budget stay fixed while the
+/// object count sweeps three orders of magnitude past it.
 pub fn scale_spec_for(n_objects: u64, seed: u64) -> ScaleSpec {
     let mut spec = ScaleSpec::new(n_objects);
     spec.machine = MachineConfig::amd16();
@@ -903,11 +903,11 @@ pub fn scale_spec_for(n_objects: u64, seed: u64) -> ScaleSpec {
 }
 
 /// The CoreTime configuration of the replica-serving scenarios
-/// (`fig_scale`, `fig_web` and the scale bench): measured-read-fraction
-/// serving on top of the kind's usual extension set. `max_replicas`
-/// equals the machine's core count so the hottest object can earn a local
-/// copy everywhere; non-CoreTime kinds ignore the configuration.
-/// `n_objects` scales the promotion floor — see below.
+/// (`fig_scale`, `fig_web` and `benchmark/`'s `scale_zipf`):
+/// measured-read-fraction serving on top of the kind's usual extension
+/// set. `max_replicas` equals the machine's core count so the hottest
+/// object can earn a local copy everywhere; non-CoreTime kinds ignore the
+/// configuration. `n_objects` scales the promotion floor — see below.
 pub fn serving_coretime_config(kind: PolicyKind, n_objects: u64) -> CoreTimeConfig {
     let mut cfg = match kind {
         PolicyKind::CoreTimeExtensions => CoreTimeConfig::with_all_extensions(),
@@ -941,6 +941,18 @@ pub fn serving_coretime_config(kind: PolicyKind, n_objects: u64) -> CoreTimeConf
     cfg
 }
 
+/// A sketched quantile `q` of `count` samples, printed only when at least
+/// ten samples lie beyond its rank (the rule `benchmark/` applies):
+/// below that the rank falls among the last few samples, and the value
+/// says little the maximum does not.
+fn percentile_text(value: u64, q: f64, count: u64) -> String {
+    if count as f64 * (1.0 - q) >= 10.0 - 1e-9 {
+        value.to_string()
+    } else {
+        "n/a".into()
+    }
+}
+
 fn fig_scale_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {
     let n = sc.points[pt].value;
     let spec = scale_spec_for(n, seed);
@@ -961,9 +973,9 @@ fn fig_scale_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult 
             sc.series[se].label,
             sc.points[pt].label,
             m.kops_per_sec(),
-            lat.p50,
-            lat.p99,
-            lat.p999,
+            percentile_text(lat.p50, 0.50, lat.count),
+            percentile_text(lat.p99, 0.99, lat.count),
+            percentile_text(lat.p999, 0.999, lat.count),
             lat.max,
             lat.count,
             m.footprint_bytes as f64 / (1024.0 * 1024.0),
@@ -1460,6 +1472,15 @@ mod tests {
             "an idle open loop never drained a background fill"
         );
         assert!(m.replication.promotions > 0);
+    }
+
+    #[test]
+    fn a_percentile_is_printed_only_with_ten_samples_beyond_it() {
+        assert_eq!(percentile_text(14_446, 0.999, 9_999), "n/a");
+        assert_eq!(percentile_text(14_446, 0.999, 10_000), "14446");
+        assert_eq!(percentile_text(900, 0.99, 999), "n/a");
+        assert_eq!(percentile_text(900, 0.99, 1_000), "900");
+        assert_eq!(percentile_text(7, 0.50, 20), "7");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! [`o2_collections::FlatTable`] from canonical 8.3 [`NameKey`]s to entry
 //! slots), so create / rename / unlink churn probes and backward-shifts a
 //! flat table instead of rescanning the image. The old linear scan
-//! survives as [`Volume::search_linear`], kept as an executable
-//! specification and as the baseline for `bench_fs`.
+//! survives only in this module's tests, as the oracle `search` is
+//! checked against after seeded create / unlink / rename churn.
 //!
 //! ## The handle table
 //!
@@ -464,25 +464,9 @@ impl Volume {
     /// Search of directory `dir` for `name`: the entry slot and the number
     /// of entries the benchmark's inner loop would examine to find it
     /// (slot + 1 — the modeled cost charged by `lookup.rs` is unchanged).
-    /// Host-side the resolution goes through the flat name index;
-    /// [`Volume::search_linear`] is the scan it replaced.
+    /// Host-side the resolution goes through the flat name index.
     pub fn search(&self, dir: DirId, name: &str) -> Result<Option<(u32, u32)>, VolumeError> {
         Ok(self.find_entry(dir, name)?.map(|i| (i, i + 1)))
-    }
-
-    /// Linear search of directory `dir` for `name`, exactly like the
-    /// benchmark's inner loop: kept as the executable specification of
-    /// [`Volume::search`] and as the pre-refactor baseline for
-    /// `bench_fs`.
-    pub fn search_linear(&self, dir: DirId, name: &str) -> Result<Option<(u32, u32)>, VolumeError> {
-        let d = self.directory(dir)?;
-        for i in 0..d.entry_count {
-            let e = self.read_entry(dir, i)?;
-            if e.matches(name) {
-                return Ok(Some((i, i + 1)));
-            }
-        }
-        Ok(None)
     }
 
     /// Maps every directory (and a per-directory lock word) into the
@@ -520,6 +504,16 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The image scan `search` replaced, exactly like the benchmark's
+    /// inner loop: the first entry whose name matches, and the number of
+    /// entries examined to reach it. The oracle for `search`.
+    fn search_linear(v: &Volume, dir: DirId, name: &str) -> Option<(u32, u32)> {
+        let entries = v.directory(dir).unwrap().entry_count;
+        (0..entries)
+            .find(|&i| v.read_entry(dir, i).unwrap().matches(name))
+            .map(|i| (i, i + 1))
+    }
 
     #[test]
     fn benchmark_volume_matches_paper_parameters() {
@@ -566,9 +560,92 @@ mod tests {
         for name in &names {
             assert_eq!(
                 v.search(0, name).unwrap(),
-                v.search_linear(0, name).unwrap(),
+                search_linear(&v, 0, name),
                 "index and linear scan diverge on {name}"
             );
+        }
+    }
+
+    #[test]
+    fn seeded_churn_agrees_with_a_linear_model() {
+        // fsmeta's shape: many small half-full directories, churned by a
+        // seeded 45/35/20 create/unlink/rename tape. The model keeps, per
+        // directory, the serial of the synthetic name in each slot and
+        // answers every question by scanning; directory `d` only ever
+        // holds names with serials below `next[d]`.
+        const DIRS: u32 = 8;
+        const CAPACITY: u32 = 64;
+        const LIVE: u32 = 32;
+        let mut v = Volume::new(VolumeGeometry::default());
+        let mut model: Vec<Vec<Option<u32>>> = Vec::new();
+        for _ in 0..DIRS {
+            v.create_directory_with_capacity(LIVE, CAPACITY).unwrap();
+            model.push((0..CAPACITY).map(|i| (i < LIVE).then_some(i)).collect());
+        }
+        let mut next = vec![LIVE; DIRS as usize];
+        let mut rng: u64 = 0xF5_0002;
+        for _ in 0..3_000 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = rng >> 33;
+            let dir = (r % u64::from(DIRS)) as u32;
+            let (slots, serial) = (&mut model[dir as usize], &mut next[dir as usize]);
+            let live: Vec<u32> = (0..CAPACITY)
+                .filter(|&i| slots[i as usize].is_some())
+                .collect();
+            let n = live.len() as u32;
+            let roll = match n {
+                0 => 0,
+                CAPACITY => 45,
+                _ => ((r >> 8) % 100) as u32,
+            };
+            // Only unlink and rename pick a victim, and an empty
+            // directory always creates.
+            let victim = || live[((r >> 16) % u64::from(n)) as usize];
+            match roll {
+                0..=44 => {
+                    let free = slots.iter().position(Option::is_none).unwrap();
+                    let got = v.create_entry(dir, &synthetic_name(*serial), 64);
+                    assert_eq!(got, Ok(free as u32), "create in dir {dir}");
+                    slots[free] = Some(*serial);
+                    *serial += 1;
+                }
+                45..=79 => {
+                    let at = victim();
+                    let old = slots[at as usize].take().unwrap();
+                    assert_eq!(v.unlink(dir, &synthetic_name(old)), Ok(at));
+                }
+                _ => {
+                    let at = victim();
+                    let old = slots[at as usize].replace(*serial).unwrap();
+                    let got = v.rename(dir, &synthetic_name(old), &synthetic_name(*serial));
+                    assert_eq!(got, Ok(at), "rename in dir {dir}");
+                    *serial += 1;
+                }
+            }
+        }
+        for dir in 0..DIRS {
+            let slots = &model[dir as usize];
+            let live = slots.iter().flatten().count() as u32;
+            assert_eq!(v.live_entries(dir).unwrap(), live, "dir {dir}");
+            for serial in 0..next[dir as usize] {
+                let name = synthetic_name(serial);
+                let expected = slots
+                    .iter()
+                    .position(|&s| s == Some(serial))
+                    .map(|i| (i as u32, i as u32 + 1));
+                assert_eq!(
+                    search_linear(&v, dir, &name),
+                    expected,
+                    "{name} in dir {dir}"
+                );
+                assert_eq!(
+                    v.search(dir, &name).unwrap(),
+                    expected,
+                    "{name} in dir {dir}"
+                );
+            }
         }
     }
 

@@ -1,13 +1,15 @@
 //! The crate's determinism contract, end to end and under a real
 //! policy: op counts and the final shard state are identical across
-//! reruns and across worker counts, even though timings, migrations and
-//! occupancy are free to vary.
+//! reruns, worker counts and policies, even though timings, migrations
+//! and occupancy are free to vary.
 
+use o2_baseline::{StaticPartition, ThreadClustering, ThreadScheduler};
 use o2_core::CoreTime;
 use o2_native::{
     run_native, NativeConfig, NativeFsMeta, NativeFsMetaSpec, NativeLookup, NativeLookupSpec,
     NativeMeasurement, NativeWorkload,
 };
+use o2_runtime::SchedPolicy;
 
 fn cfg(workers: usize) -> NativeConfig {
     let mut cfg = NativeConfig::new(workers);
@@ -91,4 +93,69 @@ fn executed_state_matches_a_sequential_replay() {
         wl.execute(&op);
     }
     assert_eq!(threaded.state_digest, wl.state_digest());
+}
+
+/// Every policy the experiment matrix compares, by name.
+fn every_policy(workers: usize) -> Vec<(&'static str, Box<dyn SchedPolicy + Send>)> {
+    let m = o2_native::native_machine_config(workers);
+    vec![
+        ("coretime", CoreTime::policy(&m)),
+        ("coretime-extensions", CoreTime::policy_with_extensions(&m)),
+        ("thread-scheduler", Box::new(ThreadScheduler::new())),
+        (
+            "thread-clustering",
+            Box::new(ThreadClustering::new(m.chips, m.cores_per_chip)),
+        ),
+        (
+            "static-partition",
+            Box::new(StaticPartition::new(m.total_cores())),
+        ),
+    ]
+}
+
+/// A fresh `name` workload: the same op stream against the same initial
+/// state every time. The lookup's Zipf-popular 4 KB directories with a
+/// few writes are expensive enough that CoreTime assigns them and
+/// migrates operations to their owners.
+fn workload(name: &str) -> Box<dyn NativeWorkload> {
+    const SEED: u64 = 0x000a_ce0f_ba5e;
+    if name == "lookup" {
+        let mut spec = NativeLookupSpec::paper_default(64, SEED);
+        spec.entries_per_dir = 128;
+        spec.zipf_exponent = Some(1.1);
+        spec.write_fraction = 0.05;
+        Box::new(NativeLookup::build(&spec))
+    } else {
+        Box::new(NativeFsMeta::build(&NativeFsMetaSpec {
+            n_dirs: 32,
+            slots_per_dir: 64,
+            seed: SEED,
+        }))
+    }
+}
+
+#[test]
+fn every_policy_leaves_the_same_state_and_only_coretime_migrates_lookups() {
+    // How many migrations happen depends on the schedule; whether any
+    // happen is the policy's decision.
+    let workers = 2;
+    for name in ["lookup", "fsmeta"] {
+        let mut digests = Vec::new();
+        for (policy, p) in every_policy(workers) {
+            let m = run_native(workload(name).as_ref(), p, &cfg(workers));
+            assert_counts(&m, workers);
+            digests.push((policy, m.state_digest));
+            if name == "lookup" {
+                match policy {
+                    "coretime" => assert!(m.migrations > 0, "CoreTime never migrated"),
+                    "thread-scheduler" => assert_eq!(m.migrations, 0),
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            digests.iter().all(|&(_, d)| d == digests[0].1),
+            "{name}: state digests diverged across policies: {digests:#x?}"
+        );
+    }
 }
