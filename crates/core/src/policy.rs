@@ -74,8 +74,8 @@ pub struct O2Stats {
     pub replica_invalidations: u64,
     /// Operations served from a non-primary copy of a replicated object.
     pub replica_served: u64,
-    /// Streaming percentiles of per-operation busy cycles seen at
-    /// `ct_end`, from the policy's constant-memory quantile sketch.
+    /// Percentiles of per-operation busy cycles seen at `ct_end`, from the
+    /// policy's fixed-memory latency histogram.
     pub op_latency: LatencySummary,
 }
 
@@ -91,10 +91,6 @@ fn mask_bits(mut mask: u64) -> impl Iterator<Item = o2_runtime::CoreId> {
         Some(core)
     })
 }
-
-/// Fixed compaction seed for the policy's latency sketch: determinism
-/// requires the same compaction schedule in every run.
-const POLICY_LATENCY_SEED: u64 = 0x6f32_636f_7265_6c61;
 
 /// The CoreTime O2 scheduling policy.
 pub struct O2Policy {
@@ -123,7 +119,7 @@ pub struct O2Policy {
     /// The counter detector only runs when armed, so a zero-fault run
     /// stays bit-identical to one with no fault plane at all.
     fault_plane_armed: bool,
-    /// Constant-memory sketch of per-operation busy cycles, recorded at
+    /// Fixed-memory histogram of per-operation busy cycles, recorded at
     /// `ct_end`. Pure observation: it never feeds a placement decision.
     op_latency: LatencyRecorder,
     /// Rotation counter for replica selection under `serve_from_replicas`:
@@ -153,7 +149,7 @@ impl O2Policy {
             degraded_mask: 0,
             detected_mask: 0,
             fault_plane_armed: false,
-            op_latency: LatencyRecorder::new(POLICY_LATENCY_SEED),
+            op_latency: LatencyRecorder::default(),
             replica_rotor: 0,
         }
     }
@@ -171,7 +167,7 @@ impl O2Policy {
         Self::new(machine, CoreTimeConfig::default())
     }
 
-    /// The policy's activity counters, with the latency sketch summarized
+    /// The policy's activity counters, with the latency histogram summarized
     /// into `op_latency`.
     pub fn stats(&self) -> O2Stats {
         let mut s = self.stats;

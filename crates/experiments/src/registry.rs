@@ -941,7 +941,7 @@ pub fn serving_coretime_config(kind: PolicyKind, n_objects: u64) -> CoreTimeConf
     cfg
 }
 
-/// A sketched quantile `q` of `count` samples, printed only when at least
+/// A recorded quantile `q` of `count` samples, printed only when at least
 /// ten samples lie beyond its rank (the rule `benchmark/` applies):
 /// below that the rank falls among the last few samples, and the value
 /// says little the maximum does not.
@@ -1020,7 +1020,9 @@ fn fig_scale(quick: bool) -> Scenario {
             ),
             (
                 "latency".into(),
-                "streaming sketch percentiles (ct_start->ct_end), no per-op samples".into(),
+                "log-linear histogram percentiles (ct_start->ct_end), within 0.8% of the \
+                 sample, no per-op samples"
+                    .into(),
             ),
         ],
         series: PolicyKind::ALL

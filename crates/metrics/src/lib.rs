@@ -1,9 +1,9 @@
 //! # o2-metrics — measurement and reporting utilities
 //!
 //! Small, dependency-free helpers used by the benchmark harness and the
-//! integration tests: summary statistics ([`stats`]), streaming quantile
-//! sketches and cycle-domain latency recorders for the scale tier
-//! ([`sketch`]), named data series and text/CSV tables ([`series`]),
+//! integration tests: summary statistics ([`stats`]), the fixed-memory
+//! cycle-domain latency recorder ([`sketch`]), named data series and
+//! text/CSV tables ([`series`]),
 //! series comparisons — speedups and crossover points — ([`compare`]) and
 //! experiment reports rendered as markdown or plain text ([`report`]).
 //!
@@ -29,5 +29,5 @@ pub mod stats;
 pub use compare::{crossover, max_speedup, mean_speedup_above, speedup_series};
 pub use report::Report;
 pub use series::{Series, SeriesTable};
-pub use sketch::{LatencyRecorder, LatencySummary, QuantileSketch, DEFAULT_SKETCH_K};
+pub use sketch::{LatencyRecorder, LatencySummary};
 pub use stats::{geometric_mean, percentile, percentile_sorted, Summary};

@@ -67,10 +67,6 @@ struct Sleeper {
     wake_at: Cycles,
 }
 
-/// Seed of the engine's service-latency sketch. Fixed (not configurable):
-/// determinism requires the same compaction schedule in every run.
-const OP_LATENCY_SEED: u64 = 0x6f32_5f6c_6174_656e;
-
 /// Per-core scheduler state.
 #[derive(Debug, Default)]
 struct CoreState {
@@ -124,9 +120,9 @@ pub struct Engine {
     core_slowdown: Vec<u32>,
     /// Cores taken permanently offline by the fault plan.
     core_offline: Vec<bool>,
-    /// Streaming service-latency sketch: every `ct_end` records the
-    /// operation's `ct_start`→`ct_end` span. Constant memory regardless
-    /// of run length; summarized into [`SchedStats::op_latency`].
+    /// Service-latency histogram: every `ct_end` records the operation's
+    /// `ct_start`→`ct_end` span. Fixed memory regardless of run length;
+    /// summarized into [`SchedStats::op_latency`].
     op_latency: LatencyRecorder,
 }
 
@@ -158,7 +154,7 @@ impl Engine {
             fault_seed: 0,
             core_slowdown: vec![100; n],
             core_offline: vec![false; n],
-            op_latency: LatencyRecorder::new(OP_LATENCY_SEED),
+            op_latency: LatencyRecorder::default(),
         }
     }
 
@@ -210,7 +206,7 @@ impl Engine {
     }
 
     /// Heap bytes of per-object scheduler state: the object index, the
-    /// policy's tables, and the latency sketch. Divide by
+    /// policy's tables, and the latency histogram. Divide by
     /// `object_index().len()` for the scale tier's audit of bytes per
     /// touched object.
     pub fn footprint_bytes(&self) -> u64 {
@@ -297,7 +293,7 @@ impl Engine {
         }
     }
 
-    /// The engine's streaming service-latency recorder (`ct_start` →
+    /// The engine's service-latency recorder (`ct_start` →
     /// `ct_end` spans, in cycles).
     pub fn op_latency(&self) -> &LatencyRecorder {
         &self.op_latency

@@ -47,9 +47,9 @@ pub struct SchedStats {
     /// Cycles spent on background replica fills, charged to otherwise
     /// idle cores.
     pub replica_fill_cycles: u64,
-    /// Streaming percentiles of per-operation service latency
-    /// (`ct_start` → `ct_end`, in cycles on the executing core), from the
-    /// engine's constant-memory quantile sketch.
+    /// Percentiles of per-operation service latency (`ct_start` →
+    /// `ct_end`, in cycles on the executing core), from the engine's
+    /// fixed-memory latency histogram.
     pub op_latency: LatencySummary,
 }
 

@@ -18,8 +18,8 @@
 //! * [`open_loop`] — a Poisson arrival process that wraps any generator,
 //!   so latency includes queueing delay instead of just service time;
 //! * [`scale`] — the million-object tier: computed object layout, O(1)
-//!   Zipf sampling, objects registered at first touch and sketch-based
-//!   latency;
+//!   Zipf sampling, objects registered at first touch and fixed-memory
+//!   latency histograms;
 //! * [`experiment`] — builds machine + volume + engine + threads for a
 //!   spec and a policy, runs warm-up and a measurement window, and reports
 //!   throughput in the paper's units (thousands of resolutions per second).

@@ -20,8 +20,9 @@
 //!   immediately — it was queued, and the time it spent waiting is part of
 //!   its latency;
 //! * when an operation completes, `arrival → completion` is recorded into
-//!   a shared constant-memory [`LatencyRecorder`], so the experiment can
-//!   report p50/p99/p999 without storing a sample per request.
+//!   a shared fixed-memory [`LatencyRecorder`] histogram, so the
+//!   experiment can report p50/p99/p999 without storing a sample per
+//!   request.
 //!
 //! The wrapper is purely additive: workloads that do not opt in never
 //! construct it, and no existing generator changes behaviour.
@@ -79,8 +80,8 @@ impl<G: OpGenerator> OpenLoopGen<G> {
     }
 
     /// A fresh shared recorder for one experiment's latency distribution.
-    pub fn recorder(seed: u64) -> Rc<RefCell<LatencyRecorder>> {
-        Rc::new(RefCell::new(LatencyRecorder::new(seed)))
+    pub fn recorder() -> Rc<RefCell<LatencyRecorder>> {
+        Rc::default()
     }
 
     /// The wrapped generator.
@@ -163,7 +164,7 @@ mod tests {
 
     #[test]
     fn future_arrivals_sleep_and_backlogged_arrivals_do_not() {
-        let rec = OpenLoopGen::<ComputeGen>::recorder(1);
+        let rec = OpenLoopGen::<ComputeGen>::recorder();
         let mut g = OpenLoopGen::new(
             ComputeGen {
                 remaining: 100,
@@ -190,7 +191,7 @@ mod tests {
 
     #[test]
     fn latency_includes_queueing_delay() {
-        let rec = OpenLoopGen::<ComputeGen>::recorder(1);
+        let rec = OpenLoopGen::<ComputeGen>::recorder();
         let mut g = OpenLoopGen::new(
             ComputeGen {
                 remaining: 100,
@@ -205,10 +206,10 @@ mod tests {
         // completion is only observed much later, the recorded latency
         // carries the whole wait.
         let _ = g.next_op(&ctx_at(50_000));
-        let sketch_max = rec.borrow().summary().max;
+        let max = rec.borrow().summary().max;
         assert!(
-            sketch_max > 40_000,
-            "queueing delay missing from latency: max {sketch_max}"
+            max > 40_000,
+            "queueing delay missing from latency: max {max}"
         );
         assert_eq!(rec.borrow().count(), 1);
     }
@@ -216,7 +217,7 @@ mod tests {
     #[test]
     fn arrival_stream_is_deterministic_and_open() {
         let arrivals = |seed| {
-            let rec = OpenLoopGen::<ComputeGen>::recorder(1);
+            let rec = OpenLoopGen::<ComputeGen>::recorder();
             let mut g = OpenLoopGen::new(
                 ComputeGen {
                     remaining: 50,
@@ -243,7 +244,7 @@ mod tests {
 
     #[test]
     fn gap_mean_is_close_to_the_configured_mean() {
-        let rec = OpenLoopGen::<ComputeGen>::recorder(1);
+        let rec = OpenLoopGen::<ComputeGen>::recorder();
         let mut g = OpenLoopGen::new(
             ComputeGen {
                 remaining: 0,
@@ -264,7 +265,7 @@ mod tests {
 
     #[test]
     fn inner_exhaustion_ends_the_stream() {
-        let rec = OpenLoopGen::<ComputeGen>::recorder(1);
+        let rec = OpenLoopGen::<ComputeGen>::recorder();
         let mut g = OpenLoopGen::new(
             ComputeGen {
                 remaining: 1,

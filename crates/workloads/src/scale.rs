@@ -20,7 +20,7 @@
 //!   it — so set-up is O(chips), tables grow by amortised doubling inside
 //!   the run as objects are touched, and the experiment reports the
 //!   accounted bytes per *touched* object from `footprint_bytes`;
-//! * latency comes from the constant-memory sketches — the runtime's
+//! * latency comes from fixed-memory histograms — the runtime's
 //!   service-latency recorder, plus (in open-loop mode) the shared
 //!   arrival→completion recorder of [`crate::open_loop::OpenLoopGen`].
 
@@ -294,12 +294,12 @@ pub struct ScaleMeasurement {
     /// The measurement window.
     pub window: RunWindow,
     /// Service latency (`ct_start`→`ct_end`) percentiles from the
-    /// runtime's sketch.
+    /// runtime's recorder.
     pub service_latency: LatencySummary,
     /// Arrival→completion percentiles; `None` in closed-loop runs.
     pub arrival_latency: Option<LatencySummary>,
     /// Accounted heap bytes of the object-indexed state (runtime index +
-    /// policy tables + sketches).
+    /// policy tables + latency histograms).
     pub footprint_bytes: u64,
     /// Distinct objects operated on since the engine was built — the
     /// only ones any table holds state for.
@@ -332,10 +332,6 @@ pub struct ScaleExperiment {
     engine: Engine,
     arrival_latency: Option<Rc<RefCell<LatencyRecorder>>>,
 }
-
-/// Seed for the shared arrival-latency sketch (fixed: determinism
-/// requires the same compaction schedule in every run).
-const ARRIVAL_LATENCY_SEED: u64 = 0x6172_7269_7661_6c73;
 
 impl ScaleExperiment {
     /// Builds the machine, the object space and the worker threads.
@@ -389,7 +385,7 @@ impl ScaleExperiment {
 
         let arrival_latency = spec
             .open_loop_mean_gap
-            .map(|_| Rc::new(RefCell::new(LatencyRecorder::new(ARRIVAL_LATENCY_SEED))));
+            .map(|_| Rc::new(RefCell::new(LatencyRecorder::default())));
 
         for t in 0..spec.total_threads() {
             let core = t % spec.machine.total_cores();
