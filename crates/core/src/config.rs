@@ -129,6 +129,36 @@ impl CoreTimeConfig {
         }
     }
 
+    /// Measured-read-fraction replica serving for `n_objects` objects on
+    /// `cores` cores, on top of `self`'s other settings: the configuration
+    /// of the replica-serving scenarios. `max_replicas` equals the core
+    /// count, so the hottest object can earn a local copy everywhere.
+    pub fn with_serving(mut self, n_objects: u64, cores: u32) -> Self {
+        self.enable_replication = true;
+        self.serve_from_replicas = true;
+        self.max_replicas = cores;
+        // The scale tier's epochs see a few hundred ops total, so the Zipf
+        // head musters tens of ops per epoch, not the hint-planner's 64: a
+        // much lower heat unit lets promotion spread the head across the
+        // machine in one epoch. The floor scales with the object count: a
+        // Zipf(1.1) head over 1e7 objects is colder and wider than over
+        // 1e5, so floor 2 would over-fill the replica set with barely-warm
+        // objects and churn it.
+        self.replication_hot_ops = match n_objects {
+            n if n < 1_000_000 => 2,
+            n if n < 10_000_000 => 4,
+            _ => 8,
+        };
+        // The promote gate sits below the default 0.90 because the per-op
+        // EWMA dips to ~0.67 right after each write even on a 95%-read
+        // object; 0.60/0.40 keeps the hysteresis band while tolerating that
+        // jitter, so a lone write costs one invalidation but not a round of
+        // migrations before the demand-fill re-qualifies.
+        self.replica_promote_read_fraction = 0.60;
+        self.replica_demote_read_fraction = 0.40;
+        self
+    }
+
     /// Whether an object with the given smoothed miss rate is worth
     /// assigning: the expected fetch cost per operation must exceed the
     /// migration cost.
@@ -230,6 +260,20 @@ mod tests {
         let mut c = CoreTimeConfig::default();
         c.replica_promote_read_fraction = 1.5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn serving_scales_its_heat_floor_with_the_object_count() {
+        let floor = |n| {
+            let c = CoreTimeConfig::default().with_serving(n, 16);
+            c.validate().unwrap();
+            assert_eq!(c.max_replicas, 16);
+            c.replication_hot_ops
+        };
+        assert_eq!(
+            [floor(10_000), floor(1_000_000), floor(10_000_000)],
+            [2, 4, 8]
+        );
     }
 
     #[test]

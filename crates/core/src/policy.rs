@@ -1125,18 +1125,11 @@ mod tests {
         assert!(dbg.contains("O2Policy"));
     }
 
-    /// Measured-read-fraction serving on the quad test machine: every
-    /// core may hold a copy, two ops per epoch make an object hot, and
-    /// the 0.60/0.40 hysteresis band matches the scale scenarios.
+    /// The scale scenarios' serving configuration for one object on the
+    /// quad test machine: every core may hold a copy and two ops per epoch
+    /// make an object hot.
     fn serving_config() -> CoreTimeConfig {
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_replication = true;
-        cfg.serve_from_replicas = true;
-        cfg.max_replicas = 4;
-        cfg.replication_hot_ops = 2;
-        cfg.replica_promote_read_fraction = 0.60;
-        cfg.replica_demote_read_fraction = 0.40;
-        cfg
+        CoreTimeConfig::default().with_serving(1, 4)
     }
 
     /// Runs one expensive operation on object 0 from `core` with the

@@ -904,41 +904,15 @@ pub fn scale_spec_for(n_objects: u64, seed: u64) -> ScaleSpec {
 
 /// The CoreTime configuration of the replica-serving scenarios
 /// (`fig_scale`, `fig_web` and `benchmark/`'s `scale_zipf`):
-/// measured-read-fraction serving on top of the kind's usual extension
-/// set. `max_replicas` equals the machine's core count so the hottest
-/// object can earn a local copy everywhere; non-CoreTime kinds ignore the
-/// configuration. `n_objects` scales the promotion floor — see below.
+/// [`CoreTimeConfig::with_serving`] on top of the kind's usual extension
+/// set, for the 16-core machine all three run. Non-CoreTime kinds ignore
+/// the configuration.
 pub fn serving_coretime_config(kind: PolicyKind, n_objects: u64) -> CoreTimeConfig {
-    let mut cfg = match kind {
+    let base = match kind {
         PolicyKind::CoreTimeExtensions => CoreTimeConfig::with_all_extensions(),
         _ => CoreTimeConfig::default(),
     };
-    cfg.enable_replication = true;
-    cfg.serve_from_replicas = true;
-    cfg.max_replicas = 16;
-    // The scale tier's epochs see a few hundred ops total, so the Zipf
-    // head musters tens of ops per epoch, not the hint-planner's 64: a
-    // much lower heat unit lets promotion spread the head across the
-    // machine in one epoch. The promote gate sits below the default 0.90
-    // because the per-op EWMA dips to ~0.67 right after each write even
-    // on a 95%-read object; 0.60/0.40 keeps the hysteresis band while
-    // tolerating that jitter, so a lone write costs one invalidation but
-    // not a round of migrations before the demand-fill re-qualifies.
-    //
-    // The floor scales with the object count: a Zipf(1.1) head over 1e7
-    // objects is colder and wider than over 1e5 — per-object epoch heat
-    // shrinks while the number of objects clearing a fixed floor grows,
-    // so floor 2 over-fills the replica set with barely-warm objects and
-    // churns it. Raising the floor with the population keeps promotion
-    // pinned to the genuinely hot head.
-    cfg.replication_hot_ops = match n_objects {
-        n if n < 1_000_000 => 2,
-        n if n < 10_000_000 => 4,
-        _ => 8,
-    };
-    cfg.replica_promote_read_fraction = 0.60;
-    cfg.replica_demote_read_fraction = 0.40;
-    cfg
+    base.with_serving(n_objects, MachineConfig::amd16().total_cores())
 }
 
 /// A recorded quantile `q` of `count` samples, printed only when at least
@@ -1210,145 +1184,6 @@ fn fig_web(quick: bool) -> Scenario {
     }
 }
 
-// ---- fig_native ------------------------------------------------------
-
-/// Workload seed shared by every `fig_native` series *and* the sim twin
-/// in its summary: measured-vs-predicted is only meaningful when both
-/// sides run the identical op stream.
-const NATIVE_SEED: u64 = 0x0005_ca1e_d0c5;
-
-/// The native lookup spec every `fig_native` cell runs: a Zipf(1.1) head
-/// over 64 paper-sized directories (1,000 entries — 2 MB of images, past
-/// any per-core budget, so partitioning the directories across caches is
-/// exactly what the paper says should pay), 5% writes.
-fn fig_native_spec() -> o2_native::NativeLookupSpec {
-    let mut spec = o2_native::NativeLookupSpec::paper_default(64, NATIVE_SEED);
-    spec.zipf_exponent = Some(1.1);
-    spec.write_fraction = 0.05;
-    spec
-}
-
-fn fig_native_cell(sc: &Scenario, se: usize, pt: usize, _seed: u64) -> CellResult {
-    let workers = sc.points[pt].value as usize;
-    let kind = policy_of(sc, se);
-    let machine = o2_native::native_machine_config(workers);
-    let mut cfg = o2_native::NativeConfig::new(workers);
-    cfg.machine = machine.clone();
-    cfg.warmup_ops = 1_000;
-    cfg.measure_ops = sc.payload;
-    let wl = o2_native::NativeLookup::build(&fig_native_spec());
-    let m = o2_native::run_native(&wl, kind.build(&machine), &cfg);
-    CellResult {
-        x: workers as f64,
-        y: m.kops_per_sec(),
-        lines: vec![format!(
-            "{} / {}: {:.0} kops/s wall-clock over {} ops, {} migrations, {} ring-full \
-             fallbacks, ring depth hwm {}, occupancy {:?}, {}/{} workers pinned",
-            sc.series[se].label,
-            sc.points[pt].label,
-            m.kops_per_sec(),
-            m.ops,
-            m.migrations,
-            m.ring_full_local,
-            m.ring_depth_hwm,
-            m.per_worker_ops,
-            m.pinned_workers,
-            m.workers,
-        )],
-    }
-}
-
-/// The simulator's prediction for the same spec: CoreTime vs the thread
-/// scheduler on a `workers`-core machine, identical directories,
-/// popularity, write mix and seed.
-fn fig_native_predicted_ratio(workers: usize) -> Option<f64> {
-    let machine = o2_native::native_machine_config(workers);
-    let run = |kind: PolicyKind| {
-        let native = fig_native_spec();
-        let mut spec = WorkloadSpec::paper_default(native.n_dirs);
-        spec.machine = machine.clone();
-        spec.entries_per_dir = native.entries_per_dir;
-        spec.popularity = Popularity::Zipf { exponent: 1.1 };
-        spec.write_fraction = native.write_fraction;
-        spec.seed = NATIVE_SEED;
-        let m = o2_workloads::run_once(spec, kind.build(&machine));
-        m.kres_per_sec()
-    };
-    let ct = run(PolicyKind::CoreTime);
-    let ts = run(PolicyKind::ThreadScheduler);
-    (ts > 0.0).then(|| ct / ts)
-}
-
-fn fig_native(quick: bool) -> Scenario {
-    let worker_counts: Vec<u64> = if quick { vec![2] } else { vec![2, 4] };
-    Scenario {
-        name: "fig_native",
-        title: "Native: CoreTime on real cores, measured speedup vs the simulator's prediction",
-        description: "Runs the directory-lookup workload on real pinned std::thread workers \
-                      with SPSC migration rings, driving the unchanged SchedPolicy \
-                      implementations; the summary puts the measured CoreTime-vs-thread-\
-                      scheduler ratio next to the simulator's prediction for the same spec. \
-                      Wall-clock numbers vary with the host and are reported, never asserted.",
-        x_label: "Workers",
-        params: vec![
-            (
-                "workload".into(),
-                "64 dirs x 128 entries, Zipf(1.1), 5% writes, real FAT images".into(),
-            ),
-            (
-                "runtime".into(),
-                "std::thread workers pinned via raw sched_setaffinity, SPSC op-migration \
-                 rings, closed loop"
-                    .into(),
-            ),
-            (
-                "determinism".into(),
-                "op stream pure in (seed, index); commutative updates; state digest \
-                 invariant across policies and worker counts"
-                    .into(),
-            ),
-        ],
-        series: vec![
-            SeriesDef::policy(PolicyKind::CoreTime),
-            SeriesDef::policy(PolicyKind::ThreadScheduler),
-            SeriesDef::policy(PolicyKind::StaticPartition),
-        ],
-        points: worker_counts
-            .iter()
-            .map(|&w| SweepPoint::scalar(w, format!("{w} workers")))
-            .collect(),
-        payload: if quick { 6_000 } else { 20_000 },
-        run: fig_native_cell,
-        summarize: Some(|_, table| {
-            // Series 0 is CoreTime, series 1 the thread scheduler.
-            let mut notes = Vec::new();
-            let ct = &table.series[0].points;
-            let ts = &table.series[1].points;
-            for (c, t) in ct.iter().zip(ts.iter()) {
-                if t.1 <= 0.0 {
-                    continue;
-                }
-                let workers = c.0 as usize;
-                let measured = c.1 / t.1;
-                match fig_native_predicted_ratio(workers) {
-                    Some(predicted) => notes.push(format!(
-                        "{workers} workers: measured CoreTime vs thread scheduler {measured:.2}x \
-                         wall-clock, simulator predicts {predicted:.2}x for the same spec \
-                         (gap {:.2}x — oversubscribed or unpinnable hosts migrate without \
-                         the cache locality the prediction assumes)",
-                        measured / predicted,
-                    )),
-                    None => notes.push(format!(
-                        "{workers} workers: measured CoreTime vs thread scheduler {measured:.2}x \
-                         wall-clock (simulator prediction unavailable)"
-                    )),
-                }
-            }
-            notes
-        }),
-    }
-}
-
 // ---- the registry ----------------------------------------------------
 
 /// Builds the full scenario registry. `quick` selects the reduced
@@ -1368,7 +1203,6 @@ pub fn registry(quick: bool) -> Vec<Scenario> {
         fig_fault(quick),
         fig_scale(quick),
         fig_web(quick),
-        fig_native(quick),
     ]
 }
 
@@ -1408,7 +1242,6 @@ mod tests {
             "fig_fault",
             "fig_scale",
             "fig_web",
-            "fig_native",
         ] {
             assert!(
                 scenarios.iter().any(|s| s.name == required),

@@ -13,6 +13,14 @@
 //! enqueueing an op descriptor onto another core's ring instead of
 //! simulating cache traffic.
 //!
+//! The crate carries one workload, [`NativeLookup`]: the paper's
+//! directory lookup over a real in-memory FAT image. It is measured end
+//! to end by the benchmark's `native_lookup` workload
+//! (`benchmark/run.sh --workload native_lookup`), which runs CoreTime
+//! and the thread scheduler on pinned workers beside a simulator twin of
+//! the same spec. The experiment matrix does not depend on this crate,
+//! so its output stays a pure function of its seeds.
+//!
 //! ## Determinism contract
 //!
 //! Real time is not virtual time: wall-clock durations, per-worker
@@ -22,7 +30,7 @@
 //! stream is a pure function of `(seed, op index)`, and every state
 //! update an op performs is commutative (XOR accumulators, counter
 //! increments under the object's spin lock), so op counts and the final
-//! shard state are identical across reruns and across `--workers` values
+//! shard state are identical across reruns, worker counts and policies
 //! no matter how the policy scatters the ops.
 //!
 //! ```
@@ -44,14 +52,12 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod affinity;
-pub mod fsmeta;
 pub mod host;
 pub mod ring;
 pub mod runtime;
 pub mod workload;
 
 pub use affinity::{available_cpus, pin_to_cpu};
-pub use fsmeta::{NativeFsMeta, NativeFsMetaSpec};
 pub use host::{synthetic_delta, PolicyHost};
 pub use ring::SpscRing;
 pub use runtime::{native_machine_config, run_native, NativeConfig, NativeMeasurement};

@@ -37,7 +37,7 @@ pub struct NativeOp {
     pub index: u64,
     /// Dense object id (directory index).
     pub object: u32,
-    /// Target entry (lookup) or slot (fsmeta) within the object.
+    /// Target entry within the directory.
     pub entry: u32,
     /// Declared access kind.
     pub kind: AccessKind,
@@ -135,18 +135,18 @@ impl<T> SpinGuarded<T> {
 /// A splitmix64 stream seeded from `(seed, index)`: the op stream's
 /// randomness is a pure function of the coordinates, never of thread
 /// state, so any worker computes the same op `i`.
-pub(crate) struct OpBits {
+struct OpBits {
     state: u64,
 }
 
 impl OpBits {
-    pub(crate) fn new(seed: u64, index: u64) -> Self {
+    fn new(seed: u64, index: u64) -> Self {
         Self {
             state: seed ^ (index.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         }
     }
 
-    pub(crate) fn next(&mut self) -> u64 {
+    fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -155,13 +155,13 @@ impl OpBits {
     }
 
     /// A uniform f64 in [0, 1).
-    pub(crate) fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
 /// FNV-1a over a byte slice, for order-fixed state digests.
-pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     let mut h = h;
     for &b in bytes {
         h ^= u64::from(b);
@@ -171,7 +171,7 @@ pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 // ---- the directory-lookup workload -----------------------------------
 

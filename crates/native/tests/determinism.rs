@@ -6,8 +6,7 @@
 use o2_baseline::{StaticPartition, ThreadClustering, ThreadScheduler};
 use o2_core::CoreTime;
 use o2_native::{
-    run_native, NativeConfig, NativeFsMeta, NativeFsMetaSpec, NativeLookup, NativeLookupSpec,
-    NativeMeasurement, NativeWorkload,
+    run_native, NativeConfig, NativeLookup, NativeLookupSpec, NativeMeasurement, NativeWorkload,
 };
 use o2_runtime::SchedPolicy;
 
@@ -19,11 +18,23 @@ fn cfg(workers: usize) -> NativeConfig {
     cfg
 }
 
-fn run_lookup(workers: usize) -> NativeMeasurement {
+/// The small lookup's write share: its descriptors are read-mostly.
+const FEW_WRITES: f64 = 0.1;
+
+/// A write share past one half makes the lookup's descriptors
+/// write-shared (`read_mostly(false)`).
+const WRITE_SHARED: f64 = 0.9;
+
+fn small_spec(write_fraction: f64) -> NativeLookupSpec {
     let mut spec = NativeLookupSpec::small(42);
     spec.n_dirs = 16;
     spec.zipf_exponent = Some(1.1);
-    let wl = NativeLookup::build(&spec);
+    spec.write_fraction = write_fraction;
+    spec
+}
+
+fn run_lookup(workers: usize, write_fraction: f64) -> NativeMeasurement {
+    let wl = NativeLookup::build(&small_spec(write_fraction));
     let machine = o2_native::native_machine_config(workers);
     run_native(&wl, CoreTime::policy(&machine), &cfg(workers))
 }
@@ -39,8 +50,8 @@ fn assert_counts(m: &NativeMeasurement, workers: usize) {
 
 #[test]
 fn lookup_under_coretime_is_deterministic_across_reruns() {
-    let a = run_lookup(2);
-    let b = run_lookup(2);
+    let a = run_lookup(2, FEW_WRITES);
+    let b = run_lookup(2, FEW_WRITES);
     assert_counts(&a, 2);
     assert_counts(&b, 2);
     assert_eq!(a.state_digest, b.state_digest);
@@ -53,7 +64,7 @@ fn lookup_under_coretime_is_deterministic_across_worker_counts() {
     let digests: Vec<u64> = [1, 2, 3]
         .into_iter()
         .map(|w| {
-            let m = run_lookup(w);
+            let m = run_lookup(w, FEW_WRITES);
             assert_counts(&m, w);
             m.state_digest
         })
@@ -63,17 +74,26 @@ fn lookup_under_coretime_is_deterministic_across_worker_counts() {
 }
 
 #[test]
-fn fsmeta_under_coretime_is_deterministic_across_worker_counts() {
+fn write_shared_lookup_is_deterministic_across_worker_counts() {
     let run = |workers: usize| {
-        let wl = NativeFsMeta::build(&NativeFsMetaSpec::small(7));
-        let machine = o2_native::native_machine_config(workers);
-        let m = run_native(&wl, CoreTime::policy(&machine), &cfg(workers));
+        let m = run_lookup(workers, WRITE_SHARED);
         assert_counts(&m, workers);
+        assert!(m.writes > m.reads, "writes {} reads {}", m.writes, m.reads);
         m.state_digest
     };
     let two = run(2);
     assert_eq!(two, run(1));
     assert_eq!(two, run(3));
+    // Replay the warm-up and measured ops on one thread, last op first.
+    // Most entries are written more than once, so an update that did not
+    // commute would leave the stream's first writer in place here and a
+    // later one in every threaded run.
+    let replay = NativeLookup::build(&small_spec(WRITE_SHARED));
+    assert!(!replay.descriptor(0).read_mostly);
+    for index in (0..(200 + 4_000)).rev() {
+        replay.execute(&replay.op(index));
+    }
+    assert_eq!(two, replay.state_digest());
 }
 
 #[test]
@@ -81,13 +101,9 @@ fn executed_state_matches_a_sequential_replay() {
     // The final digest of a threaded run equals replaying the same op
     // stream sequentially — the strongest form of "the schedule does not
     // change the work".
-    let mut spec = NativeLookupSpec::small(42);
-    spec.n_dirs = 16;
-    spec.zipf_exponent = Some(1.1);
+    let threaded = run_lookup(3, FEW_WRITES);
 
-    let threaded = run_lookup(3);
-
-    let wl = NativeLookup::build(&spec);
+    let wl = NativeLookup::build(&small_spec(FEW_WRITES));
     for index in 0..(200 + 4_000) {
         let op = wl.op(index);
         wl.execute(&op);
@@ -113,25 +129,16 @@ fn every_policy(workers: usize) -> Vec<(&'static str, Box<dyn SchedPolicy + Send
     ]
 }
 
-/// A fresh `name` workload: the same op stream against the same initial
-/// state every time. The lookup's Zipf-popular 4 KB directories with a
-/// few writes are expensive enough that CoreTime assigns them and
-/// migrates operations to their owners.
-fn workload(name: &str) -> Box<dyn NativeWorkload> {
-    const SEED: u64 = 0x000a_ce0f_ba5e;
-    if name == "lookup" {
-        let mut spec = NativeLookupSpec::paper_default(64, SEED);
-        spec.entries_per_dir = 128;
-        spec.zipf_exponent = Some(1.1);
-        spec.write_fraction = 0.05;
-        Box::new(NativeLookup::build(&spec))
-    } else {
-        Box::new(NativeFsMeta::build(&NativeFsMetaSpec {
-            n_dirs: 32,
-            slots_per_dir: 64,
-            seed: SEED,
-        }))
-    }
+/// A fresh lookup at `write_fraction`: the same op stream against the
+/// same initial state every time. Zipf-popular 4 KB directories are
+/// expensive enough that CoreTime assigns them and migrates operations to
+/// their owners.
+fn workload(write_fraction: f64) -> NativeLookup {
+    let mut spec = NativeLookupSpec::paper_default(64, 0x000a_ce0f_ba5e);
+    spec.entries_per_dir = 128;
+    spec.zipf_exponent = Some(1.1);
+    spec.write_fraction = write_fraction;
+    NativeLookup::build(&spec)
 }
 
 #[test]
@@ -139,23 +146,22 @@ fn every_policy_leaves_the_same_state_and_only_coretime_migrates_lookups() {
     // How many migrations happen depends on the schedule; whether any
     // happen is the policy's decision.
     let workers = 2;
-    for name in ["lookup", "fsmeta"] {
+    for write_fraction in [0.05, WRITE_SHARED] {
         let mut digests = Vec::new();
         for (policy, p) in every_policy(workers) {
-            let m = run_native(workload(name).as_ref(), p, &cfg(workers));
+            let m = run_native(&workload(write_fraction), p, &cfg(workers));
             assert_counts(&m, workers);
             digests.push((policy, m.state_digest));
-            if name == "lookup" {
-                match policy {
-                    "coretime" => assert!(m.migrations > 0, "CoreTime never migrated"),
-                    "thread-scheduler" => assert_eq!(m.migrations, 0),
-                    _ => {}
-                }
+            match policy {
+                "coretime" => assert!(m.migrations > 0, "CoreTime never migrated"),
+                "thread-scheduler" => assert_eq!(m.migrations, 0),
+                _ => {}
             }
         }
         assert!(
             digests.iter().all(|&(_, d)| d == digests[0].1),
-            "{name}: state digests diverged across policies: {digests:#x?}"
+            "write fraction {write_fraction}: state digests diverged across policies: \
+             {digests:#x?}"
         );
     }
 }

@@ -20,8 +20,7 @@
 //!   CoreTime reads ([`counters`]),
 //! * a simulated physical address space with NUMA home nodes ([`memory`]),
 //! * helpers to map cache contents back to application objects for
-//!   Figure-2 style reports ([`occupancy`]) and an access trace for
-//!   debugging ([`trace`]).
+//!   Figure-2 style reports ([`occupancy`]).
 //!
 //! Everything is deterministic: the simulator has no dependence on wall
 //! clock time, threads or host hardware.
@@ -53,7 +52,6 @@ pub mod latency;
 pub mod machine;
 pub mod memory;
 pub mod occupancy;
-pub mod trace;
 
 pub use cache::{Cache, Evicted, LineAddr, Probe};
 pub use config::{CacheGeometry, ContentionModel, LatencyConfig, MachineConfig};
@@ -65,4 +63,3 @@ pub use latency::{AccessOutcome, LatencyModel};
 pub use machine::{AccessKind, Machine};
 pub use memory::{Addr, HomePolicy, Region, SimMemory};
 pub use occupancy::{snapshot, snapshot_with_threshold, OccupancySnapshot, Residency};
-pub use trace::{AccessTrace, TraceEntry};

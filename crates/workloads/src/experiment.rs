@@ -274,11 +274,6 @@ pub(crate) fn measure(
     }
 }
 
-/// Convenience: build and run in one call.
-pub fn run_once(spec: WorkloadSpec, policy: Box<dyn SchedPolicy>) -> Measurement {
-    Experiment::build(spec, policy).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

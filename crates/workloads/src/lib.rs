@@ -51,7 +51,7 @@ pub mod webserver;
 
 pub use behaviour::{DirectoryLookupGen, DirectorySet};
 pub use distribution::DirChooser;
-pub use experiment::{run_once, Experiment, Measurement, WindowCounters};
+pub use experiment::{Experiment, Measurement, WindowCounters};
 pub use fsmeta::{FsMetaExperiment, FsMetaGen, FsMetaSpec, FsMetaStats};
 pub use open_loop::OpenLoopGen;
 pub use scale::{run_scale, ScaleExperiment, ScaleGen, ScaleMeasurement, ScaleSpec, ZipfSampler};

@@ -658,24 +658,17 @@ mod tests {
         use o2_baseline::{ThreadClustering, ThreadScheduler};
         use o2_core::{CoreTime, CoreTimeConfig};
 
-        // `o2_experiments::serving_coretime_config` for this object count
-        // (that crate depends on this one, so it cannot be called here).
-        fn serving(mut cfg: CoreTimeConfig) -> CoreTimeConfig {
-            cfg.enable_replication = true;
-            cfg.serve_from_replicas = true;
-            cfg.max_replicas = 16;
-            cfg.replication_hot_ops = 2;
-            cfg.replica_promote_read_fraction = 0.60;
-            cfg.replica_demote_read_fraction = 0.40;
-            cfg
-        }
+        const N_OBJECTS: u64 = 20_000;
         type Build = fn(&MachineConfig) -> Box<dyn SchedPolicy>;
         let policies: [(&str, Build); 4] = [
             ("coretime", |m| {
-                CoreTime::policy_with(m, serving(CoreTimeConfig::default()))
+                let cfg = CoreTimeConfig::default().with_serving(N_OBJECTS, m.total_cores());
+                CoreTime::policy_with(m, cfg)
             }),
             ("coretime +extensions", |m| {
-                CoreTime::policy_with(m, serving(CoreTimeConfig::with_all_extensions()))
+                let cfg =
+                    CoreTimeConfig::with_all_extensions().with_serving(N_OBJECTS, m.total_cores());
+                CoreTime::policy_with(m, cfg)
             }),
             ("thread scheduler", |_| Box::new(ThreadScheduler::new())),
             ("thread clustering", |m| {
@@ -685,7 +678,7 @@ mod tests {
         for (name, build) in policies {
             for open_gap in [None, Some(8_000.0)] {
                 for seed in [7, 42] {
-                    let mut spec = ScaleSpec::new(20_000);
+                    let mut spec = ScaleSpec::new(N_OBJECTS);
                     spec.machine = MachineConfig::amd16();
                     spec.object_size = 4096;
                     spec.read_fraction = 0.95;
