@@ -1,55 +1,16 @@
 //! CoreTime configuration.
+//!
+//! Only the Section-6.2 extension switches and the replication knobs that
+//! the presets set to different values are configurable. The thresholds
+//! and cost estimates no caller varies are named constants next to the one
+//! module that reads each: the benefit test in [`crate::monitor`], the
+//! load classes in [`crate::rebalance`], the hot-spot factor in
+//! [`crate::pathology`], and the smoothing factor, packing share, epoch
+//! signal floor and clustering threshold in [`crate::policy`].
 
 /// Tunable parameters of the CoreTime O2 scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreTimeConfig {
-    /// EWMA smoothing factor for per-object miss rates (0 < alpha <= 1).
-    pub ewma_alpha: f64,
-    /// Minimum smoothed private-cache misses per operation for an object to
-    /// be considered "expensive to fetch" (Section 4, runtime monitoring).
-    pub miss_threshold_per_op: f64,
-    /// Estimated cost of one private-cache miss, in cycles, used in the
-    /// "is migration worth it" comparison. The paper's criterion: migrating
-    /// an operation is only beneficial when the migration cost is less than
-    /// the cost of fetching the object from DRAM or a remote cache.
-    pub miss_cost_estimate: u64,
-    /// Estimated one-way migration cost in cycles (the paper measured
-    /// ~2000 on the AMD system).
-    pub migration_cost_estimate: u64,
-    /// Fraction of each core's cache budget (L2 + its share of the L3) that
-    /// the packer is allowed to fill.
-    pub capacity_fraction: f64,
-    /// Idle fraction below which a core counts as saturated for the
-    /// rebalancer.
-    pub low_idle_fraction: f64,
-    /// Idle fraction above which a core counts as under-used.
-    pub high_idle_fraction: f64,
-    /// DRAM loads per thousand busy cycles above which a core counts as
-    /// memory-starved.
-    pub high_dram_rate: f64,
-    /// Fraction of an overloaded core's assigned bytes moved per rebalance.
-    pub rebalance_move_fraction: f64,
-    /// Minimum operations per core per epoch before the rebalancer and the
-    /// pathology detector act: with fewer samples the per-core counters are
-    /// noise and reacting to them just churns the caches.
-    pub min_epoch_ops_per_core: u64,
-    /// Operations-per-epoch imbalance factor that triggers pathology
-    /// handling (a single core receiving far more operations than average).
-    pub pathology_factor: f64,
-    /// Maximum objects moved away from one hot core per epoch by the
-    /// pathology detector.
-    pub pathology_max_moves: usize,
-    /// Whether idle assignments are ever released ("decay"). The paper's
-    /// CoreTime never unassigns an object; decay is part of the
-    /// Section 6.2 replacement discussion and is therefore off by default.
-    pub enable_decay: bool,
-    /// Epochs of inactivity after which an assigned object is released.
-    pub decay_epochs: u64,
-    /// Fraction of the total packing capacity that must be in use before
-    /// idle assignments are released. Decaying assignments only matters
-    /// when the budget is scarce; releasing them under no pressure just
-    /// throws away placement the workload may come back to.
-    pub decay_pressure_threshold: f64,
     /// Enable replication of read-mostly objects (Section 6.2).
     pub enable_replication: bool,
     /// Maximum **total copies** of a replicated object, the primary
@@ -78,8 +39,6 @@ pub struct CoreTimeConfig {
     /// Enable object clustering: objects used together are co-located
     /// (Section 6.2).
     pub enable_clustering: bool,
-    /// Co-access count after which two objects are considered clustered.
-    pub clustering_threshold: u64,
     /// Enable frequency-based admission when the expensive working set is
     /// larger than the total on-chip budget (Section 6.2).
     pub enable_replacement: bool,
@@ -88,21 +47,6 @@ pub struct CoreTimeConfig {
 impl Default for CoreTimeConfig {
     fn default() -> Self {
         Self {
-            ewma_alpha: 0.3,
-            miss_threshold_per_op: 8.0,
-            miss_cost_estimate: 120,
-            migration_cost_estimate: 2000,
-            capacity_fraction: 0.90,
-            low_idle_fraction: 0.02,
-            high_idle_fraction: 0.20,
-            high_dram_rate: 20.0,
-            rebalance_move_fraction: 0.25,
-            min_epoch_ops_per_core: 16,
-            pathology_factor: 3.0,
-            pathology_max_moves: 2,
-            enable_decay: false,
-            decay_epochs: 8,
-            decay_pressure_threshold: 0.70,
             enable_replication: false,
             max_replicas: 4,
             replication_hot_ops: 64,
@@ -110,7 +54,6 @@ impl Default for CoreTimeConfig {
             replica_promote_read_fraction: 0.90,
             replica_demote_read_fraction: 0.60,
             enable_clustering: false,
-            clustering_threshold: 16,
             enable_replacement: false,
         }
     }
@@ -121,7 +64,6 @@ impl CoreTimeConfig {
     /// frequency-based replacement).
     pub fn with_all_extensions() -> Self {
         Self {
-            enable_decay: true,
             enable_replication: true,
             enable_clustering: true,
             enable_replacement: true,
@@ -159,29 +101,8 @@ impl CoreTimeConfig {
         self
     }
 
-    /// Whether an object with the given smoothed miss rate is worth
-    /// assigning: the expected fetch cost per operation must exceed the
-    /// migration cost.
-    pub fn migration_is_beneficial(&self, ewma_misses_per_op: f64) -> bool {
-        ewma_misses_per_op >= self.miss_threshold_per_op
-            && ewma_misses_per_op * self.miss_cost_estimate as f64
-                > self.migration_cost_estimate as f64
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.ewma_alpha) || self.ewma_alpha == 0.0 {
-            return Err("ewma_alpha must be in (0, 1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.capacity_fraction) || self.capacity_fraction == 0.0 {
-            return Err("capacity_fraction must be in (0, 1]".into());
-        }
-        if self.rebalance_move_fraction < 0.0 || self.rebalance_move_fraction > 1.0 {
-            return Err("rebalance_move_fraction must be in [0, 1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.decay_pressure_threshold) {
-            return Err("decay_pressure_threshold must be in [0, 1]".into());
-        }
         if self.max_replicas == 0 {
             return Err("max_replicas must be at least 1".into());
         }
@@ -197,9 +118,6 @@ impl CoreTimeConfig {
             return Err(
                 "replica_demote_read_fraction must not exceed the promote threshold".into(),
             );
-        }
-        if self.pathology_factor < 1.0 {
-            return Err("pathology_factor must be at least 1".into());
         }
         Ok(())
     }
@@ -223,32 +141,20 @@ mod tests {
 
     #[test]
     fn benefit_test_matches_the_papers_criterion() {
-        let c = CoreTimeConfig::default();
+        use crate::monitor::migration_is_beneficial;
         // 250 misses/op at ~120 cycles each is far more than 2000 cycles.
-        assert!(c.migration_is_beneficial(250.0));
+        assert!(migration_is_beneficial(250.0));
         // 4 misses/op is under the floor.
-        assert!(!c.migration_is_beneficial(4.0));
+        assert!(!migration_is_beneficial(4.0));
         // 10 misses/op clears the floor but not the cost comparison
         // (10 * 120 = 1200 < 2000).
-        assert!(!c.migration_is_beneficial(10.0));
+        assert!(!migration_is_beneficial(10.0));
     }
 
     #[test]
     fn validate_rejects_bad_values() {
         let mut c = CoreTimeConfig::default();
-        c.ewma_alpha = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = CoreTimeConfig::default();
-        c.capacity_fraction = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = CoreTimeConfig::default();
-        c.rebalance_move_fraction = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = CoreTimeConfig::default();
         c.max_replicas = 0;
-        assert!(c.validate().is_err());
-        let mut c = CoreTimeConfig::default();
-        c.pathology_factor = 0.5;
         assert!(c.validate().is_err());
         let mut c = CoreTimeConfig::default();
         c.serve_from_replicas = true;

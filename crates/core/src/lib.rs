@@ -20,6 +20,10 @@
 //! | §6.2 object clustering         | [`clustering`] |
 //! | §6.2 frequency-based placement | [`replacement`] |
 //!
+//! [`CoreTimeConfig`] switches the §6.2 extensions and tunes replication;
+//! the Section 4 thresholds and cost estimates are constants in the module
+//! that reads each.
+//!
 //! The scheduler is expressed as an [`o2_runtime::SchedPolicy`], so it can
 //! be swapped against the baselines in `o2-baseline` without touching the
 //! workload, exactly as the paper's evaluation compares "With CoreTime"
@@ -66,6 +70,6 @@ pub use builder::CoreTime;
 pub use config::CoreTimeConfig;
 pub use monitor::MonitorVerdict;
 pub use object::{ObjectInfo, ObjectRegistry};
-pub use packing::{pack, place_balanced, place_over_budget, PackItem, Packing};
+pub use packing::{place_balanced, place_over_budget};
 pub use policy::{O2Policy, O2Stats};
 pub use table::AssignmentTable;

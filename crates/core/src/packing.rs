@@ -6,13 +6,12 @@
 //! with free space. The algorithm executes in Θ(n·log n) time, where n is
 //! the number of objects."
 //!
-//! Three forms are provided:
+//! The policy places one object at a time, when monitoring finds it
+//! expensive, so the paper's sort by expense never has a batch to sort.
+//! Two forms are provided:
 //!
-//! * [`pack`] — the batch algorithm from the paper: sort objects by
-//!   decreasing expense and first-fit each into the per-core budgets
-//!   (dominated by the sort, hence Θ(n·log n));
-//! * [`place_balanced`] — the incremental form used online by the policy
-//!   when monitoring promotes a single object;
+//! * [`place_balanced`] — first fit into the per-core budgets, least-loaded
+//!   core first;
 //! * [`place_over_budget`] — what the policy falls back to when no core
 //!   has room: an expensive object is never left to the hardware while a
 //!   live core could hold it.
@@ -20,66 +19,6 @@
 use o2_runtime::{CoreId, DenseObjectId};
 
 use crate::table::AssignmentTable;
-
-/// An object to be packed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackItem {
-    /// The object.
-    pub object: DenseObjectId,
-    /// Its size in bytes.
-    pub size: u64,
-    /// Its expense (expected fetch cost per operation); more expensive
-    /// objects are packed first.
-    pub expense: f64,
-}
-
-/// The outcome of a batch packing run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Packing {
-    /// Object → core assignments produced.
-    pub placed: Vec<(DenseObjectId, CoreId)>,
-    /// Objects that did not fit in any core's remaining budget; these stay
-    /// under hardware management.
-    pub unplaced: Vec<DenseObjectId>,
-}
-
-impl Packing {
-    /// The core an object was packed onto, if any.
-    pub fn core_of(&self, object: DenseObjectId) -> Option<CoreId> {
-        self.placed
-            .iter()
-            .find(|(o, _)| *o == object)
-            .map(|(_, c)| *c)
-    }
-}
-
-/// Batch cache packing: sorts by decreasing expense (ties broken by object
-/// id for determinism) and first-fits each object into the per-core
-/// capacities.
-pub fn pack(items: &[PackItem], capacities: &[u64]) -> Packing {
-    let mut sorted: Vec<&PackItem> = items.iter().collect();
-    sorted.sort_by(|a, b| {
-        b.expense
-            .partial_cmp(&a.expense)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.object.cmp(&b.object))
-    });
-
-    let mut free: Vec<u64> = capacities.to_vec();
-    let mut out = Packing::default();
-    for item in sorted {
-        // First fit: scan cores in index order, take the first with space.
-        let slot = free.iter().position(|&f| f >= item.size);
-        match slot {
-            Some(core) => {
-                free[core] -= item.size;
-                out.placed.push((item.object, core as CoreId));
-            }
-            None => out.unplaced.push(item.object),
-        }
-    }
-    out
-}
 
 /// Balanced incremental placement: first fit over cores ordered by
 /// ascending assigned bytes (ties broken by core id).
@@ -136,68 +75,20 @@ pub fn place_over_budget(
 mod tests {
     use super::*;
 
-    fn items(sizes_expenses: &[(u64, f64)]) -> Vec<PackItem> {
-        sizes_expenses
-            .iter()
-            .enumerate()
-            .map(|(i, &(size, expense))| PackItem {
-                object: i as DenseObjectId + 1,
-                size,
-                expense,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn packs_most_expensive_first() {
-        // Two cores of 100 bytes; three 60-byte objects with different
-        // expenses: the two most expensive fit, the cheapest does not.
-        let its = items(&[(60, 1.0), (60, 5.0), (60, 3.0)]);
-        let p = pack(&its, &[100, 100]);
-        assert_eq!(p.placed.len(), 2);
-        assert_eq!(p.core_of(2), Some(0)); // most expensive -> first core
-        assert_eq!(p.core_of(3), Some(1));
-        assert_eq!(p.unplaced, vec![1]);
-    }
-
-    #[test]
-    fn first_fit_fills_cores_in_order() {
-        let its = items(&[(40, 4.0), (40, 3.0), (40, 2.0), (40, 1.0)]);
-        let p = pack(&its, &[100, 100]);
-        // 40+40 fit on core 0, the next two go to core 1.
-        assert_eq!(p.core_of(1), Some(0));
-        assert_eq!(p.core_of(2), Some(0));
-        assert_eq!(p.core_of(3), Some(1));
-        assert_eq!(p.core_of(4), Some(1));
-        assert!(p.unplaced.is_empty());
-    }
-
     #[test]
     fn oversized_objects_are_unplaced() {
-        let its = items(&[(500, 10.0)]);
-        let p = pack(&its, &[100, 100]);
-        assert!(p.placed.is_empty());
-        assert_eq!(p.unplaced, vec![1]);
-    }
-
-    #[test]
-    fn equal_expense_is_deterministic_by_object_id() {
-        let its = items(&[(50, 1.0), (50, 1.0), (50, 1.0)]);
-        let a = pack(&its, &[100, 100]);
-        let b = pack(&its, &[100, 100]);
-        assert_eq!(a, b);
-        assert_eq!(a.core_of(1), Some(0));
-        assert_eq!(a.core_of(2), Some(0));
-        assert_eq!(a.core_of(3), Some(1));
+        let mut t = AssignmentTable::new(vec![100, 100]);
+        assert_eq!(place_balanced(&mut t, 1, 500), None);
+        assert_eq!(place_over_budget(&mut t, 1, 500), None);
+        assert!(!t.is_assigned(1));
     }
 
     #[test]
     fn empty_inputs() {
-        let p = pack(&[], &[100]);
-        assert!(p.placed.is_empty() && p.unplaced.is_empty());
-        let its = items(&[(10, 1.0)]);
-        let p = pack(&its, &[]);
-        assert_eq!(p.unplaced, vec![1]);
+        let mut t = AssignmentTable::new(Vec::new());
+        assert_eq!(place_balanced(&mut t, 1, 10), None);
+        assert_eq!(place_over_budget(&mut t, 1, 10), None);
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -246,24 +137,19 @@ mod tests {
 
     #[test]
     fn packing_respects_total_capacity() {
-        // Property-style check: nothing placed can exceed per-core budgets.
-        let its: Vec<PackItem> = (0..50u32)
-            .map(|i| PackItem {
-                object: i,
-                size: 10 + u64::from(i % 7) * 5,
-                expense: (i % 13) as f64,
-            })
-            .collect();
+        // Property-style check: balanced placement never exceeds a
+        // per-core budget, and an object is refused only when no core's
+        // remaining budget could hold it.
         let caps = [120u64, 80, 60, 40];
-        let p = pack(&its, &caps);
-        let mut used = vec![0u64; caps.len()];
-        for (obj, core) in &p.placed {
-            let size = its.iter().find(|it| it.object == *obj).unwrap().size;
-            used[*core as usize] += size;
+        let mut t = AssignmentTable::new(caps.to_vec());
+        for i in 0..50u32 {
+            let size = 10 + u64::from(i % 7) * 5;
+            let fits_somewhere = (0..4).any(|c| t.free_bytes(c) >= size);
+            assert_eq!(place_balanced(&mut t, i, size).is_some(), fits_somewhere);
         }
-        for (u, c) in used.iter().zip(caps.iter()) {
-            assert!(u <= c, "core over budget: {u} > {c}");
+        for (core, &cap) in caps.iter().enumerate() {
+            let used = t.used_bytes(core as CoreId);
+            assert!(used <= cap, "core over budget: {used} > {cap}");
         }
-        assert_eq!(p.placed.len() + p.unplaced.len(), its.len());
     }
 }

@@ -14,14 +14,22 @@
 use o2_runtime::{CoreId, DenseObjectId};
 use o2_sim::CounterDelta;
 
-use crate::config::CoreTimeConfig;
 use crate::object::ObjectRegistry;
 use crate::rebalance::Move;
 use crate::table::AssignmentTable;
 
+/// Operations-per-epoch imbalance factor that marks a hot core (a single
+/// core receiving far more operations than average), and the
+/// ops-per-busy-cycle shortfall that marks a slow one. The policy reuses it
+/// as the announced-slowdown threshold past which a core stops receiving
+/// migrations.
+pub(crate) const PATHOLOGY_FACTOR: f64 = 3.0;
+/// Maximum objects moved away from one hot core per epoch.
+const PATHOLOGY_MAX_MOVES: usize = 2;
+
 /// Detects operation hot-spots: cores whose completed-operation count this
-/// epoch exceeds `pathology_factor` times the machine average.
-pub fn hot_cores(cfg: &CoreTimeConfig, deltas: &[CounterDelta]) -> Vec<CoreId> {
+/// epoch exceeds [`PATHOLOGY_FACTOR`] times the machine average.
+pub fn hot_cores(deltas: &[CounterDelta]) -> Vec<CoreId> {
     if deltas.is_empty() {
         return Vec::new();
     }
@@ -33,19 +41,19 @@ pub fn hot_cores(cfg: &CoreTimeConfig, deltas: &[CounterDelta]) -> Vec<CoreId> {
     deltas
         .iter()
         .enumerate()
-        .filter(|(_, d)| d.operations_completed as f64 > cfg.pathology_factor * mean)
+        .filter(|(_, d)| d.operations_completed as f64 > PATHOLOGY_FACTOR * mean)
         .map(|(i, _)| i as CoreId)
         .collect()
 }
 
 /// Detects degraded cores: cores that were busy this epoch but completed
-/// operations at less than `1 / pathology_factor` of the mean
+/// operations at less than `1 / PATHOLOGY_FACTOR` of the mean
 /// ops-per-busy-cycle rate. This is the fault plane's detector — a core
 /// the fault plan slowed down burns `slowdown × cost` cycles per
 /// operation, so its rate collapses relative to its peers and CoreTime
 /// stops migrating operations to it (data moves instead). Idle cores are
 /// excluded: completing nothing while doing nothing is not degradation.
-pub fn slow_cores(cfg: &CoreTimeConfig, deltas: &[CounterDelta]) -> Vec<CoreId> {
+pub fn slow_cores(deltas: &[CounterDelta]) -> Vec<CoreId> {
     let rates: Vec<Option<f64>> = deltas
         .iter()
         .map(|d| (d.busy_cycles > 0).then(|| d.operations_completed as f64 / d.busy_cycles as f64))
@@ -61,7 +69,7 @@ pub fn slow_cores(cfg: &CoreTimeConfig, deltas: &[CounterDelta]) -> Vec<CoreId> 
     rates
         .iter()
         .enumerate()
-        .filter(|(_, r)| matches!(r, Some(rate) if *rate < mean / cfg.pathology_factor))
+        .filter(|(_, r)| matches!(r, Some(rate) if *rate < mean / PATHOLOGY_FACTOR))
         .map(|(i, _)| i as CoreId)
         .collect()
 }
@@ -69,12 +77,11 @@ pub fn slow_cores(cfg: &CoreTimeConfig, deltas: &[CounterDelta]) -> Vec<CoreId> 
 /// Plans moves that spread a hot core's objects (all but its single hottest
 /// object, which stays) to the coldest cores with room.
 pub fn plan(
-    cfg: &CoreTimeConfig,
     table: &AssignmentTable,
     registry: &ObjectRegistry,
     deltas: &[CounterDelta],
 ) -> Vec<Move> {
-    let hot = hot_cores(cfg, deltas);
+    let hot = hot_cores(deltas);
     if hot.is_empty() {
         return Vec::new();
     }
@@ -118,7 +125,7 @@ pub fn plan(
             )
         });
         let mut receiver_idx = 0usize;
-        for &obj in objs.iter().skip(1).take(cfg.pathology_max_moves) {
+        for &obj in objs.iter().skip(1).take(PATHOLOGY_MAX_MOVES) {
             let size = registry.get(obj).map(|i| i.size()).unwrap_or(0);
             if size == 0 {
                 continue;
@@ -163,17 +170,15 @@ mod tests {
 
     #[test]
     fn hot_core_detection_uses_the_factor() {
-        let cfg = CoreTimeConfig::default();
         let deltas = vec![ops_delta(1000), ops_delta(10), ops_delta(10), ops_delta(10)];
-        assert_eq!(hot_cores(&cfg, &deltas), vec![0]);
+        assert_eq!(hot_cores(&deltas), vec![0]);
         let even = vec![ops_delta(100); 4];
-        assert!(hot_cores(&cfg, &even).is_empty());
-        assert!(hot_cores(&cfg, &[]).is_empty());
+        assert!(hot_cores(&even).is_empty());
+        assert!(hot_cores(&[]).is_empty());
     }
 
     #[test]
     fn slow_core_detection_compares_ops_per_busy_cycle() {
-        let cfg = CoreTimeConfig::default(); // pathology_factor = 3
         let rate = |ops, busy| CounterDelta {
             busy_cycles: busy,
             operations_completed: ops,
@@ -186,20 +191,19 @@ mod tests {
             rate(100, 100_000),
             rate(800, 100_000),
         ];
-        assert_eq!(slow_cores(&cfg, &deltas), vec![2]);
+        assert_eq!(slow_cores(&deltas), vec![2]);
         // An idle core (busy = 0) is parked, not degraded.
         let deltas = vec![rate(800, 100_000), rate(0, 0), rate(800, 100_000)];
-        assert!(slow_cores(&cfg, &deltas).is_empty());
+        assert!(slow_cores(&deltas).is_empty());
         // Uniform rates: nothing is slow.
-        assert!(slow_cores(&cfg, &vec![rate(500, 100_000); 4]).is_empty());
-        assert!(slow_cores(&cfg, &[]).is_empty());
+        assert!(slow_cores(&vec![rate(500, 100_000); 4]).is_empty());
+        assert!(slow_cores(&[]).is_empty());
     }
 
     #[test]
     fn zero_ops_everywhere_is_not_a_pathology() {
-        let cfg = CoreTimeConfig::default();
         let deltas = vec![ops_delta(0); 4];
-        assert!(hot_cores(&cfg, &deltas).is_empty());
+        assert!(hot_cores(&deltas).is_empty());
     }
 
     fn registry_with_ops(objs: &[(u32, u64, u64)]) -> ObjectRegistry {
@@ -220,14 +224,13 @@ mod tests {
 
     #[test]
     fn spreads_all_but_the_hottest_object() {
-        let cfg = CoreTimeConfig::default();
         let mut table = AssignmentTable::new(vec![100_000; 4]);
         let registry = registry_with_ops(&[(1, 10_000, 50), (2, 10_000, 20), (3, 10_000, 5)]);
         table.assign(1, 10_000, 0);
         table.assign(2, 10_000, 0);
         table.assign(3, 10_000, 0);
         let deltas = vec![ops_delta(900), ops_delta(10), ops_delta(10), ops_delta(10)];
-        let moves = plan(&cfg, &table, &registry, &deltas);
+        let moves = plan(&table, &registry, &deltas);
         // Objects 2 and 3 move away; object 1 (hottest) stays.
         let moved: Vec<DenseObjectId> = moves.iter().map(|m| m.object).collect();
         assert!(moved.contains(&2) && moved.contains(&3));
@@ -240,11 +243,10 @@ mod tests {
 
     #[test]
     fn single_object_hot_core_is_left_alone() {
-        let cfg = CoreTimeConfig::default();
         let mut table = AssignmentTable::new(vec![100_000; 4]);
         let registry = registry_with_ops(&[(1, 10_000, 100)]);
         table.assign(1, 10_000, 0);
         let deltas = vec![ops_delta(900), ops_delta(10), ops_delta(10), ops_delta(10)];
-        assert!(plan(&cfg, &table, &registry, &deltas).is_empty());
+        assert!(plan(&table, &registry, &deltas).is_empty());
     }
 }

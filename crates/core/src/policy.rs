@@ -9,10 +9,13 @@
 //!   (Section 4, "Runtime monitoring" + the greedy cache-packing
 //!   algorithm);
 //! * at every epoch the policy rebalances objects away from saturated
-//!   cores, spreads migration hot-spots, ages out idle assignments, and —
-//!   when the Section 6.2 extensions are enabled — replicates hot
-//!   read-mostly objects and admits objects by frequency when the on-chip
-//!   budget is oversubscribed.
+//!   cores, spreads migration hot-spots, and — when the Section 6.2
+//!   extensions are enabled — replicates hot read-mostly objects and admits
+//!   objects by frequency when the on-chip budget is oversubscribed.
+//!
+//! As in the paper, an assigned object is never un-assigned for being
+//! idle: only rebalancing, pathology spreading, replacement and the fault
+//! plane move or release it.
 
 use o2_metrics::{LatencyRecorder, LatencySummary};
 use o2_runtime::{
@@ -26,19 +29,29 @@ use crate::config::CoreTimeConfig;
 use crate::monitor::{verdict, MonitorVerdict};
 use crate::object::ObjectRegistry;
 use crate::packing;
-use crate::pathology;
+use crate::pathology::{self, PATHOLOGY_FACTOR};
 use crate::rebalance;
 use crate::replacement;
 use crate::replication;
 use crate::table::AssignmentTable;
+
+/// EWMA smoothing factor for per-object miss rates and read fractions.
+const EWMA_ALPHA: f64 = 0.3;
+/// Fraction of each core's cache budget (L2 + its share of the L3) that
+/// placement is allowed to fill.
+const CAPACITY_FRACTION: f64 = 0.90;
+/// Minimum operations per core per epoch before the rebalancer and the
+/// pathology detector act: with fewer samples the per-core counters are
+/// noise and reacting to them just churns the caches.
+const MIN_EPOCH_OPS_PER_CORE: u64 = 16;
+/// Co-access count after which two objects are considered clustered.
+const CLUSTERING_THRESHOLD: u64 = 16;
 
 /// Counters describing what the policy has done, for reports and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct O2Stats {
     /// Objects assigned to caches by the monitor + packer.
     pub assignments: u64,
-    /// Objects released because they idled for too long.
-    pub decays: u64,
     /// Object moves planned by the counter-driven rebalancer.
     pub rebalance_moves: u64,
     /// Object moves planned by the pathology detector.
@@ -99,18 +112,10 @@ pub struct O2Policy {
     table: AssignmentTable,
     clustering: CoAccessTracker,
     stats: O2Stats,
-    /// Objects that found no room inside any budget since the last epoch
-    /// (most of them were then assigned past one); used to gate decay
-    /// (releasing idle assignments only helps when something is actually
-    /// waiting for the space).
-    placement_failures_this_epoch: u64,
-    /// Scratch for the epoch decay pass, reused across epochs so the
-    /// decision path stays allocation-free in steady state.
-    idle_scratch: Vec<DenseObjectId>,
     /// Cores the fault plane took permanently offline.
     offline_mask: u64,
     /// Cores whose announced slowdown crossed the degradation threshold
-    /// (`pathology_factor` as a percentage of nominal cost).
+    /// ([`PATHOLOGY_FACTOR`] as a percentage of nominal cost).
     degraded_mask: u64,
     /// Cores the pathology detector flagged as slow from counters alone,
     /// recomputed every epoch — the detector half of the fault plane.
@@ -131,11 +136,11 @@ pub struct O2Policy {
 
 impl O2Policy {
     /// Creates a CoreTime policy for a machine, using each core's
-    /// L2-plus-L3-share budget scaled by `capacity_fraction` as its packing
-    /// capacity.
+    /// L2-plus-L3-share budget scaled by [`CAPACITY_FRACTION`] as its
+    /// packing capacity.
     pub fn new(machine: &MachineConfig, cfg: CoreTimeConfig) -> Self {
         cfg.validate().expect("invalid CoreTime configuration");
-        let per_core = (machine.per_core_budget_bytes() as f64 * cfg.capacity_fraction) as u64;
+        let per_core = (machine.per_core_budget_bytes() as f64 * CAPACITY_FRACTION) as u64;
         let capacities = vec![per_core; machine.total_cores() as usize];
         Self {
             cfg,
@@ -143,8 +148,6 @@ impl O2Policy {
             table: AssignmentTable::new(capacities),
             clustering: CoAccessTracker::new(),
             stats: O2Stats::default(),
-            placement_failures_this_epoch: 0,
-            idle_scratch: Vec::new(),
             offline_mask: 0,
             degraded_mask: 0,
             detected_mask: 0,
@@ -205,11 +208,11 @@ impl O2Policy {
         // 1. Object clustering: prefer the core already holding a partner.
         if self.cfg.enable_clustering {
             let registry = &self.registry;
-            let partners =
-                self.clustering
-                    .partners(object, self.cfg.clustering_threshold, |partner| {
-                        registry.key_of(partner)
-                    });
+            let partners = self
+                .clustering
+                .partners(object, CLUSTERING_THRESHOLD, |partner| {
+                    registry.key_of(partner)
+                });
             for partner in partners {
                 if let Some(core) = self.table.primary(partner) {
                     if self.table.free_bytes(core) >= size && self.table.assign(object, size, core)
@@ -243,11 +246,9 @@ impl O2Policy {
                 return;
             }
         }
-        // 4. No room anywhere. That is a placement failure for the decay
-        //    gate (something is waiting for space), but the object is still
-        //    assigned: unassigned, every core would scan it and the copies
-        //    would evict what steps 1-3 packed.
-        self.placement_failures_this_epoch += 1;
+        // 4. No room anywhere, but the object is still assigned:
+        //    unassigned, every core would scan it and the copies would
+        //    evict what steps 1-3 packed.
         if packing::place_over_budget(&mut self.table, object, size).is_some() {
             self.stats.assignments += 1;
         }
@@ -272,7 +273,6 @@ impl SchedPolicy for O2Policy {
         self.registry.footprint_bytes()
             + self.table.footprint_bytes()
             + self.clustering.footprint_bytes()
-            + (self.idle_scratch.capacity() * std::mem::size_of::<DenseObjectId>()) as u64
             + self.op_latency.footprint_bytes()
     }
 
@@ -397,15 +397,11 @@ impl SchedPolicy for O2Policy {
     fn on_ct_end(&mut self, ctx: &OpContext<'_>, delta: &CounterDelta) {
         self.op_latency.record(delta.busy_cycles);
         let misses = delta.object_fetch_misses();
-        let info = self.registry.record_op(
-            ctx.object,
-            ctx.object_key,
-            misses,
-            self.cfg.ewma_alpha,
-            ctx.kind,
-        );
+        let info =
+            self.registry
+                .record_op(ctx.object, ctx.object_key, misses, EWMA_ALPHA, ctx.kind);
         let assigned = self.table.is_assigned(ctx.object);
-        let decision = verdict(&self.cfg, info, assigned);
+        let decision = verdict(info, assigned);
         if decision == MonitorVerdict::Assign {
             self.place_object(ctx.object);
         }
@@ -416,49 +412,15 @@ impl SchedPolicy for O2Policy {
         self.registry.roll_epoch();
         self.clustering.decay();
 
-        // Release assignments that have been idle for too long, freeing
-        // budget for the objects the workload is actually using (this is
-        // what lets CoreTime follow a shifting working set when the cache
-        // budget is scarce). Only done under capacity pressure: with spare
-        // budget an idle assignment costs nothing and the workload may come
-        // back to it.
-        let pressure =
-            self.table.total_assigned_bytes() as f64 / self.table.total_capacity().max(1) as f64;
-        if self.cfg.enable_decay
-            && pressure >= self.cfg.decay_pressure_threshold
-            && self.placement_failures_this_epoch > 0
-        {
-            // Release roughly one idle assignment per object that failed to
-            // find room, rather than everything idle at once: mass releases
-            // at the capacity edge just trade one set of cached objects for
-            // another and the refills swamp the machine.
-            let mut budget = self.placement_failures_this_epoch;
-            let mut idle = std::mem::take(&mut self.idle_scratch);
-            self.registry
-                .idle_objects_into(self.cfg.decay_epochs, &mut idle);
-            for &object in &idle {
-                if budget == 0 {
-                    break;
-                }
-                if self.table.unassign(object) {
-                    self.stats.decays += 1;
-                    budget -= 1;
-                }
-            }
-            self.idle_scratch = idle;
-        }
-        self.placement_failures_this_epoch = 0;
-
         // Moving an assignment invalidates the cache affinity it has built
         // up, so the reactive mechanisms only act when the epoch carries a
         // meaningful number of samples per core.
         let epoch_ops: u64 = view.deltas.iter().map(|d| d.operations_completed).sum();
-        let enough_signal =
-            epoch_ops >= self.cfg.min_epoch_ops_per_core * view.deltas.len().max(1) as u64;
+        let enough_signal = epoch_ops >= MIN_EPOCH_OPS_PER_CORE * view.deltas.len().max(1) as u64;
 
         if enough_signal {
             // Counter-driven rebalancing away from saturated cores.
-            let moves = rebalance::plan(&self.cfg, &self.table, &self.registry, view.deltas);
+            let moves = rebalance::plan(&self.table, &self.registry, view.deltas);
             for m in moves {
                 if self.table.reassign(m.object, m.size, m.to) {
                     self.stats.rebalance_moves += 1;
@@ -466,7 +428,7 @@ impl SchedPolicy for O2Policy {
             }
 
             // Spread migration hot-spots.
-            let moves = pathology::plan(&self.cfg, &self.table, &self.registry, view.deltas);
+            let moves = pathology::plan(&self.table, &self.registry, view.deltas);
             for m in moves {
                 if self.table.reassign(m.object, m.size, m.to) {
                     self.stats.pathology_moves += 1;
@@ -530,7 +492,7 @@ impl SchedPolicy for O2Policy {
         // already handles fault-free imbalance by moving objects).
         if self.fault_plane_armed {
             self.detected_mask = 0;
-            for core in pathology::slow_cores(&self.cfg, view.deltas) {
+            for core in pathology::slow_cores(view.deltas) {
                 if core < 64 {
                     self.detected_mask |= 1u64 << core;
                 }
@@ -577,9 +539,9 @@ impl SchedPolicy for O2Policy {
             return;
         }
         // The degradation threshold reuses the pathology factor: a core
-        // announced at `pathology_factor`× nominal cost (or worse) is no
+        // announced at `PATHOLOGY_FACTOR`× nominal cost (or worse) is no
         // longer a profitable migration target.
-        let threshold = (self.cfg.pathology_factor * 100.0) as u32;
+        let threshold = (PATHOLOGY_FACTOR * 100.0) as u32;
         if slowdown_percent >= threshold {
             self.degraded_mask |= 1u64 << core;
         } else {
@@ -746,69 +708,6 @@ mod tests {
         assert_eq!(policy.stats().migrations_requested, 1);
     }
 
-    #[test]
-    fn idle_assignments_decay_after_the_configured_epochs() {
-        let machine = quad_machine();
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_decay = true;
-        cfg.decay_epochs = 2;
-        // Force decay regardless of how little of the budget is in use.
-        cfg.decay_pressure_threshold = 0.0;
-        let mut policy = O2Policy::new(machine.config(), cfg);
-        policy.register_object(0, &ObjectDescriptor::new(0x1000, 0x1000, 32 * 1024));
-        for _ in 0..5 {
-            let ctx = OpContext {
-                thread: 0,
-                core: 0,
-                home_core: 0,
-                object: 0,
-                object_key: 0x1000,
-                kind: AccessKind::Write,
-                now: 0,
-                machine: &machine,
-            };
-            let delta = CounterDelta {
-                l2_misses: 400,
-                busy_cycles: 50_000,
-                ..Default::default()
-            };
-            policy.on_ct_end(&ctx, &delta);
-        }
-        assert!(policy.table().is_assigned(0));
-        // A second object, larger than a whole core's budget, is the one
-        // kind the placement rule leaves to the hardware; every expensive
-        // operation on it fails placement again, and that standing demand
-        // is what allows idle assignments to decay.
-        policy.register_object(1, &ObjectDescriptor::new(0x2000, 0x2000, 64 * 1024 * 1024));
-        let idle_delta = vec![CounterDelta::default(); 4];
-        for epoch in 0..3u64 {
-            let ctx = OpContext {
-                thread: 1,
-                core: 1,
-                home_core: 1,
-                object: 1,
-                object_key: 0x2000,
-                kind: AccessKind::Write,
-                now: epoch * 100_000,
-                machine: &machine,
-            };
-            let delta = CounterDelta {
-                l2_misses: 100_000,
-                busy_cycles: 1_000_000,
-                ..Default::default()
-            };
-            policy.on_ct_end(&ctx, &delta);
-            let view = EpochView {
-                now: (epoch + 1) * 100_000,
-                machine: &machine,
-                deltas: &idle_delta,
-            };
-            policy.on_epoch(&view);
-        }
-        assert!(!policy.table().is_assigned(0));
-        assert_eq!(policy.stats().decays, 1);
-    }
-
     /// Drives `on_ct_end` for one expensive operation on `(dense, key)`.
     fn expensive_op(policy: &mut O2Policy, machine: &Machine, dense: u32, key: u64) {
         let ctx = OpContext {
@@ -827,106 +726,6 @@ mod tests {
             ..Default::default()
         };
         policy.on_ct_end(&ctx, &delta);
-    }
-
-    fn fire_idle_epoch(policy: &mut O2Policy, machine: &Machine, epoch: u64) {
-        let idle = vec![CounterDelta::default(); 4];
-        let view = EpochView {
-            now: (epoch + 1) * 100_000,
-            machine,
-            deltas: &idle,
-        };
-        policy.on_epoch(&view);
-    }
-
-    #[test]
-    fn idle_assignments_survive_when_nothing_fails_placement() {
-        // The decay gate: idle assignments are only released when
-        // `placement_failures_this_epoch > 0`. Without demand, an idle
-        // assignment stays put no matter how long it idles or how full
-        // the budget looks.
-        let machine = quad_machine();
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_decay = true;
-        cfg.decay_epochs = 1;
-        cfg.decay_pressure_threshold = 0.0;
-        let mut policy = O2Policy::new(machine.config(), cfg);
-        policy.register_object(0, &ObjectDescriptor::new(0x1000, 0x1000, 32 * 1024));
-        for _ in 0..5 {
-            expensive_op(&mut policy, &machine, 0, 0x1000);
-        }
-        assert!(policy.table().is_assigned(0));
-        for epoch in 0..6 {
-            fire_idle_epoch(&mut policy, &machine, epoch);
-        }
-        assert!(
-            policy.table().is_assigned(0),
-            "idle assignment released without any placement failure"
-        );
-        assert_eq!(policy.stats().decays, 0);
-    }
-
-    #[test]
-    fn decayed_bytes_return_to_the_packing_budget() {
-        // Fill every core, then assign one more object past a budget: the
-        // overflow counts as a placement failure, which opens the decay
-        // gate; the idle assignment it releases returns exactly its bytes
-        // to the budget, and the next object packs into them by plain
-        // first fit.
-        let machine = quad_machine();
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_decay = true;
-        cfg.decay_epochs = 2;
-        let mut policy = O2Policy::new(machine.config(), cfg);
-        let per_core = policy.table().capacity(0);
-        let big = per_core - 40 * 1024; // fills a core, leaves ~40 KB
-        for dense in 0..4u32 {
-            let key = 0x1000 * (u64::from(dense) + 1);
-            policy.register_object(dense, &ObjectDescriptor::new(key, key, big));
-            expensive_op(&mut policy, &machine, dense, key);
-        }
-        assert_eq!(policy.table().len(), 4, "one filler per core");
-        assert_eq!(policy.placement_failures_this_epoch, 0);
-        // The fillers idle for two epochs. Nothing failed placement, so
-        // nothing decays however full the budget is.
-        for epoch in 0..2 {
-            fire_idle_epoch(&mut policy, &machine, epoch);
-        }
-        assert_eq!(policy.stats().decays, 0);
-        // Object 4 needs more than any core's leftover, less than a core:
-        // its first expensive operation assigns it past the budget of the
-        // least-loaded core (all equal, so core 0) and counts one failure.
-        let over = 600 * 1024;
-        policy.register_object(4, &ObjectDescriptor::new(0x9000, 0x9000, over));
-        expensive_op(&mut policy, &machine, 4, 0x9000);
-        assert_eq!(policy.table().primary(4), Some(0));
-        assert_eq!(policy.table().used_bytes(0), big + over);
-        assert_eq!(policy.table().free_bytes(0), 0);
-        assert_eq!(policy.placement_failures_this_epoch, 1);
-        assert_eq!(policy.stats().assignments, 5);
-        // Further operations on it keep the assignment and fail nothing.
-        expensive_op(&mut policy, &machine, 4, 0x9000);
-        assert_eq!(policy.placement_failures_this_epoch, 1);
-        // The epoch boundary: pressure is high and one failure is pending,
-        // so exactly one idle assignment decays (one release per failure,
-        // not a mass flush). The longest-idle tie breaks by key: object 0
-        // (key 0x1000), which shares core 0 with the overflowed object.
-        fire_idle_epoch(&mut policy, &machine, 2);
-        assert_eq!(policy.stats().decays, 1);
-        assert!(!policy.table().is_assigned(0));
-        assert!(policy.table().is_assigned(4), "the active object decayed");
-        assert_eq!(
-            policy.table().used_bytes(0),
-            over,
-            "decayed bytes did not return to the packing budget"
-        );
-        // The returned budget is immediately usable, inside the budget.
-        let fits = per_core - over;
-        policy.register_object(5, &ObjectDescriptor::new(0xa000, 0xa000, fits));
-        expensive_op(&mut policy, &machine, 5, 0xa000);
-        assert_eq!(policy.table().primary(5), Some(0));
-        assert_eq!(policy.table().free_bytes(0), 0);
-        assert_eq!(policy.placement_failures_this_epoch, 0);
     }
 
     #[test]
@@ -958,14 +757,12 @@ mod tests {
             used[least as usize] + 64 * 1024
         );
         // An object larger than a core's whole budget is never assigned,
-        // however many expensive operations it sees; each one is a failure.
-        let before = policy.placement_failures_this_epoch;
+        // however many expensive operations it sees.
         policy.register_object(9, &ObjectDescriptor::new(0xa000, 0xa000, per_core + 1));
         for _ in 0..3 {
             expensive_op(&mut policy, &machine, 9, 0xa000);
         }
         assert!(!policy.table().is_assigned(9));
-        assert_eq!(policy.placement_failures_this_epoch, before + 3);
         assert_eq!(policy.stats().assignments, 9);
     }
 

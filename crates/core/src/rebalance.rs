@@ -11,9 +11,18 @@
 use o2_runtime::{CoreId, DenseObjectId};
 use o2_sim::CounterDelta;
 
-use crate::config::CoreTimeConfig;
 use crate::object::ObjectRegistry;
 use crate::table::AssignmentTable;
+
+/// Idle fraction below which a core counts as saturated.
+const LOW_IDLE_FRACTION: f64 = 0.02;
+/// Idle fraction above which a core counts as under-used.
+const HIGH_IDLE_FRACTION: f64 = 0.20;
+/// DRAM loads per thousand busy cycles above which a core counts as
+/// memory-starved.
+const HIGH_DRAM_RATE: f64 = 20.0;
+/// Fraction of an overloaded core's assigned bytes moved per rebalance.
+const REBALANCE_MOVE_FRACTION: f64 = 0.25;
 
 /// One planned object move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,12 +49,12 @@ pub enum CoreLoad {
 }
 
 /// Classifies a core from its per-epoch counter delta.
-pub fn classify(cfg: &CoreTimeConfig, delta: &CounterDelta) -> CoreLoad {
+pub fn classify(delta: &CounterDelta) -> CoreLoad {
     let idle = delta.idle_fraction();
     let dram_rate = delta.dram_load_rate();
-    if idle < cfg.low_idle_fraction || dram_rate > cfg.high_dram_rate {
+    if idle < LOW_IDLE_FRACTION || dram_rate > HIGH_DRAM_RATE {
         CoreLoad::Overloaded
-    } else if idle > cfg.high_idle_fraction && dram_rate < cfg.high_dram_rate / 2.0 {
+    } else if idle > HIGH_IDLE_FRACTION && dram_rate < HIGH_DRAM_RATE / 2.0 {
         CoreLoad::Underloaded
     } else {
         CoreLoad::Normal
@@ -55,11 +64,10 @@ pub fn classify(cfg: &CoreTimeConfig, delta: &CounterDelta) -> CoreLoad {
 /// Plans rebalancing moves for one epoch.
 ///
 /// For every overloaded core (most DRAM-bound first) the planner moves up
-/// to `rebalance_move_fraction` of its assigned bytes — coldest objects
+/// to [`REBALANCE_MOVE_FRACTION`] of its assigned bytes — coldest objects
 /// first, so the hot object that made the core busy keeps its cache — to
 /// underloaded cores with free budget.
 pub fn plan(
-    cfg: &CoreTimeConfig,
     table: &AssignmentTable,
     registry: &ObjectRegistry,
     deltas: &[CounterDelta],
@@ -68,7 +76,7 @@ pub fn plan(
     let mut overloaded: Vec<CoreId> = Vec::new();
     let mut underloaded: Vec<CoreId> = Vec::new();
     for core in 0..n as CoreId {
-        match classify(cfg, &deltas[core as usize]) {
+        match classify(&deltas[core as usize]) {
             CoreLoad::Overloaded => {
                 if !table.objects_on(core).is_empty() {
                     overloaded.push(core);
@@ -94,7 +102,7 @@ pub fn plan(
         .collect();
 
     for &from in &overloaded {
-        let budget = (table.used_bytes(from) as f64 * cfg.rebalance_move_fraction) as u64;
+        let budget = (table.used_bytes(from) as f64 * REBALANCE_MOVE_FRACTION) as u64;
         if budget == 0 {
             continue;
         }
@@ -171,21 +179,17 @@ mod tests {
 
     #[test]
     fn classification_thresholds() {
-        let cfg = CoreTimeConfig::default();
         // No idle time: overloaded.
-        assert_eq!(classify(&cfg, &delta(100_000, 0, 0)), CoreLoad::Overloaded);
+        assert_eq!(classify(&delta(100_000, 0, 0)), CoreLoad::Overloaded);
         // Lots of DRAM loads: overloaded even with some idle time.
         assert_eq!(
-            classify(&cfg, &delta(100_000, 10_000, 4_000)),
+            classify(&delta(100_000, 10_000, 4_000)),
             CoreLoad::Overloaded
         );
         // Mostly idle, no DRAM: underloaded.
-        assert_eq!(
-            classify(&cfg, &delta(50_000, 50_000, 0)),
-            CoreLoad::Underloaded
-        );
+        assert_eq!(classify(&delta(50_000, 50_000, 0)), CoreLoad::Underloaded);
         // In between: normal.
-        assert_eq!(classify(&cfg, &delta(95_000, 5_000, 10)), CoreLoad::Normal);
+        assert_eq!(classify(&delta(95_000, 5_000, 10)), CoreLoad::Normal);
     }
 
     fn registry_with(sizes: &[(u32, u64)]) -> ObjectRegistry {
@@ -201,7 +205,6 @@ mod tests {
 
     #[test]
     fn moves_go_from_overloaded_to_underloaded() {
-        let cfg = CoreTimeConfig::default();
         let mut table = AssignmentTable::new(vec![10_000; 4]);
         let registry = registry_with(&[(1, 4000), (2, 4000), (3, 1000)]);
         table.assign(1, 4000, 0);
@@ -214,7 +217,7 @@ mod tests {
             delta(50_000, 150_000, 0),
             delta(50_000, 150_000, 0),
         ];
-        let moves = plan(&cfg, &table, &registry, &deltas);
+        let moves = plan(&table, &registry, &deltas);
         assert!(!moves.is_empty());
         for m in &moves {
             assert_eq!(m.from, 0);
@@ -222,37 +225,34 @@ mod tests {
         }
         // At most the configured fraction of core 0's bytes moves.
         let moved: u64 = moves.iter().map(|m| m.size).sum();
-        assert!(moved <= (8000_f64 * cfg.rebalance_move_fraction) as u64 + 4000);
+        assert!(moved <= (8000_f64 * REBALANCE_MOVE_FRACTION) as u64 + 4000);
     }
 
     #[test]
     fn no_moves_without_underloaded_receivers() {
-        let cfg = CoreTimeConfig::default();
         let mut table = AssignmentTable::new(vec![10_000; 2]);
         let registry = registry_with(&[(1, 4000)]);
         table.assign(1, 4000, 0);
         let deltas = vec![delta(200_000, 0, 2_000), delta(200_000, 0, 1_000)];
-        assert!(plan(&cfg, &table, &registry, &deltas).is_empty());
+        assert!(plan(&table, &registry, &deltas).is_empty());
     }
 
     #[test]
     fn no_moves_when_nothing_is_assigned() {
-        let cfg = CoreTimeConfig::default();
         let table = AssignmentTable::new(vec![10_000; 2]);
         let registry = registry_with(&[]);
         let deltas = vec![delta(200_000, 0, 2_000), delta(10_000, 190_000, 0)];
-        assert!(plan(&cfg, &table, &registry, &deltas).is_empty());
+        assert!(plan(&table, &registry, &deltas).is_empty());
     }
 
     #[test]
     fn receivers_must_have_free_space() {
-        let cfg = CoreTimeConfig::default();
         let mut table = AssignmentTable::new(vec![10_000, 1_000]);
         let registry = registry_with(&[(1, 4000), (2, 4000)]);
         table.assign(1, 4000, 0);
         table.assign(2, 4000, 0);
         let deltas = vec![delta(200_000, 0, 2_000), delta(10_000, 190_000, 0)];
         // Core 1 is idle but has only 1000 bytes of budget: nothing fits.
-        assert!(plan(&cfg, &table, &registry, &deltas).is_empty());
+        assert!(plan(&table, &registry, &deltas).is_empty());
     }
 }

@@ -21,18 +21,6 @@ pub fn speedup_series(a: &Series, b: &Series) -> Series {
     out
 }
 
-/// The largest speedup of `a` over `b` across shared x values.
-pub fn max_speedup(a: &Series, b: &Series) -> Option<(f64, f64)> {
-    speedup_series(a, b)
-        .points
-        .into_iter()
-        .fold(None, |acc, (x, s)| match acc {
-            None => Some((x, s)),
-            Some((_, best)) if s > best => Some((x, s)),
-            other => other,
-        })
-}
-
 /// Mean speedup of `a` over `b` restricted to x values above `min_x`.
 pub fn mean_speedup_above(a: &Series, b: &Series, min_x: f64) -> Option<f64> {
     let s = speedup_series(a, b);
@@ -85,7 +73,6 @@ mod tests {
         let b = series("b", &[(1.0, 100.0), (2.0, 100.0)]);
         let s = speedup_series(&a, &b);
         assert_eq!(s.points, vec![(1.0, 2.0), (2.0, 3.0)]);
-        assert_eq!(max_speedup(&a, &b), Some((2.0, 3.0)));
     }
 
     #[test]
@@ -93,7 +80,6 @@ mod tests {
         let a = series("a", &[(1.0, 200.0)]);
         let b = series("b", &[(1.0, 0.0)]);
         assert!(speedup_series(&a, &b).points.is_empty());
-        assert_eq!(max_speedup(&a, &b), None);
     }
 
     #[test]

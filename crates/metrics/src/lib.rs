@@ -26,8 +26,8 @@ pub mod series;
 pub mod sketch;
 pub mod stats;
 
-pub use compare::{crossover, max_speedup, mean_speedup_above, speedup_series};
+pub use compare::{crossover, mean_speedup_above, speedup_series};
 pub use report::Report;
 pub use series::{Series, SeriesTable};
 pub use sketch::{LatencyRecorder, LatencySummary};
-pub use stats::{geometric_mean, percentile, percentile_sorted, Summary};
+pub use stats::{percentile, percentile_sorted, Summary};

@@ -93,15 +93,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Geometric mean of strictly positive samples.
-pub fn geometric_mean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +113,6 @@ mod tests {
     fn empty_samples_yield_none() {
         assert!(Summary::of(&[]).is_none());
         assert!(percentile(&[], 50.0).is_none());
-        assert!(geometric_mean(&[]).is_none());
     }
 
     #[test]
@@ -137,13 +127,6 @@ mod tests {
     #[test]
     fn single_sample_percentile() {
         assert_eq!(percentile(&[7.0], 99.0), Some(7.0));
-    }
-
-    #[test]
-    fn geometric_mean_of_powers() {
-        let g = geometric_mean(&[1.0, 4.0, 16.0]).unwrap();
-        assert!((g - 4.0).abs() < 1e-9);
-        assert!(geometric_mean(&[1.0, -2.0]).is_none());
     }
 
     #[test]

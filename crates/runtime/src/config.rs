@@ -1,5 +1,7 @@
 //! Runtime configuration: migration costs, polling, locking and epoch
-//! parameters.
+//! parameters. The costs no caller varies (lock, yield and migration-retry
+//! cycles) are constants in `engine/exec.rs`, the one module that charges
+//! them.
 
 use crate::types::Cycles;
 
@@ -19,18 +21,6 @@ pub struct RuntimeConfig {
     /// average a migrating thread waits half of this on top of the
     /// save/transfer/restore costs.
     pub poll_interval_cycles: Cycles,
-    /// Cycles burned per spin-lock retry while the lock is held by a thread
-    /// on a *different* core.
-    pub lock_spin_cycles: Cycles,
-    /// Cycles charged for a successful lock acquire / release, in addition
-    /// to the memory access on the lock word.
-    pub lock_op_cycles: Cycles,
-    /// Cycles charged for a voluntary yield.
-    pub yield_cycles: Cycles,
-    /// Whether `Placement::On` decisions are honoured. Disabling this turns
-    /// any policy into the plain thread scheduler; it exists so experiments
-    /// can hold everything else constant.
-    pub migration_enabled: bool,
     /// Whether a migrated thread returns to its home core after `ct_end`.
     /// The paper's `ct_end` only marks the thread "ready to run on another
     /// core"; leaving it where it is until the next `ct_start` decides a
@@ -46,18 +36,6 @@ pub struct RuntimeConfig {
     /// paper-faithful spinning. Spinning burns cycles and coherence
     /// traffic; blocking models a runtime with sleeping mutexes.
     pub blocking_locks: bool,
-    /// How many times a migration send is retried when the context message
-    /// is lost on a degraded interconnect (fault injection). The first
-    /// attempt is not a retry; zero means a single lossy send fails the
-    /// migration outright.
-    pub migration_max_retries: u32,
-    /// Backoff charged on the source core before the first migration
-    /// retry; doubles on each subsequent retry.
-    pub migration_retry_backoff_cycles: Cycles,
-    /// Total backoff budget for one migration: once the accumulated
-    /// backoff reaches this, the migration times out and the operation
-    /// runs where the thread already is.
-    pub migration_timeout_cycles: Cycles,
 }
 
 impl Default for RuntimeConfig {
@@ -66,17 +44,10 @@ impl Default for RuntimeConfig {
             save_context_cycles: 400,
             restore_context_cycles: 400,
             poll_interval_cycles: 400,
-            lock_spin_cycles: 60,
-            lock_op_cycles: 20,
-            yield_cycles: 20,
-            migration_enabled: true,
             return_home_after_op: false,
             epoch_cycles: 200_000,
             quantum_cycles: 50_000,
             blocking_locks: false,
-            migration_max_retries: 4,
-            migration_retry_backoff_cycles: 200,
-            migration_timeout_cycles: 8_000,
         }
     }
 }
@@ -102,13 +73,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Disables operation migration (turning any policy into the baseline
-    /// thread scheduler).
-    pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
-        self
-    }
-
     /// Makes contended locks block (and park their core) instead of
     /// spinning; the holder's release wakes the first waiter.
     pub fn with_blocking_locks(mut self) -> Self {
@@ -126,12 +90,6 @@ impl RuntimeConfig {
         }
         if self.poll_interval_cycles == 0 {
             return Err("poll_interval_cycles must be positive".into());
-        }
-        if self.migration_retry_backoff_cycles == 0 {
-            return Err("migration_retry_backoff_cycles must be positive".into());
-        }
-        if self.migration_timeout_cycles < self.migration_retry_backoff_cycles {
-            return Err("migration_timeout_cycles must cover at least one backoff".into());
         }
         Ok(())
     }
@@ -166,12 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn without_migration_disables_migration() {
-        let cfg = RuntimeConfig::default().without_migration();
-        assert!(!cfg.migration_enabled);
-    }
-
-    #[test]
     fn validate_rejects_zero_intervals() {
         let mut cfg = RuntimeConfig::default();
         cfg.epoch_cycles = 0;
@@ -181,12 +133,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let mut cfg = RuntimeConfig::default();
         cfg.poll_interval_cycles = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = RuntimeConfig::default();
-        cfg.migration_retry_backoff_cycles = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = RuntimeConfig::default();
-        cfg.migration_timeout_cycles = cfg.migration_retry_backoff_cycles - 1;
         assert!(cfg.validate().is_err());
     }
 }

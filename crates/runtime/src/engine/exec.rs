@@ -16,6 +16,26 @@ use crate::thread::{OpRecord, ThreadState};
 use crate::types::{CoreId, Cycles, LockId, ObjectId, ThreadId};
 use o2_sim::AccessKind;
 
+/// Cycles burned per spin-lock retry while the lock is held by a thread
+/// on a *different* core.
+const LOCK_SPIN_CYCLES: Cycles = 60;
+/// Cycles charged for a successful lock acquire / release, in addition to
+/// the memory access on the lock word.
+const LOCK_OP_CYCLES: Cycles = 20;
+/// Cycles charged for a voluntary yield.
+const YIELD_CYCLES: Cycles = 20;
+/// How many times a migration send is retried when the context message is
+/// lost on a degraded interconnect (fault injection). The first attempt is
+/// not a retry.
+const MIGRATION_MAX_RETRIES: u32 = 4;
+/// Backoff charged on the source core before the first migration retry;
+/// doubles on each subsequent retry.
+const MIGRATION_RETRY_BACKOFF_CYCLES: Cycles = 200;
+/// Total backoff budget for one migration: once the accumulated backoff
+/// would pass this, the migration times out and the operation runs where
+/// the thread already is.
+const MIGRATION_TIMEOUT_CYCLES: Cycles = 8_000;
+
 impl Engine {
     /// Advances one core by one scheduling decision or action and returns
     /// the cycle at which it next needs to run (`None` parks the core).
@@ -220,7 +240,7 @@ impl Engine {
             Action::CtStart(object, kind) => self.exec_ct_start(core_idx, tid, object, kind)?,
             Action::CtEnd => self.exec_ct_end(core_idx, tid)?,
             Action::Yield => {
-                let cost = self.scaled_cycles(core_idx, self.cfg.yield_cycles);
+                let cost = self.scaled_cycles(core_idx, YIELD_CYCLES);
                 self.cores[core_idx].clock += cost;
                 self.machine.counters_mut(core_id).busy_cycles += cost;
                 if !self.cores[core_idx].run_queue.is_empty() {
@@ -267,11 +287,11 @@ impl Engine {
             .try_acquire(lock, tid)
             .expect("lock id verified above");
         if acquired {
-            let cost = self.scaled_cycles(core_idx, self.cfg.lock_op_cycles)
+            let cost = self.scaled_cycles(core_idx, LOCK_OP_CYCLES)
                 + self.machine.access(core_id, addr, 8, AccessKind::Write);
             self.cores[core_idx].clock += cost;
             self.machine.counters_mut(core_id).busy_cycles +=
-                self.scaled_cycles(core_idx, self.cfg.lock_op_cycles);
+                self.scaled_cycles(core_idx, LOCK_OP_CYCLES);
         } else {
             // The lock is held by another thread.
             // Invariant: `try_acquire` returned false, so a holder exists.
@@ -283,11 +303,11 @@ impl Engine {
                 // Block instead of spinning: charge the failed probe, then
                 // sleep until the holder's release wakes this thread (and,
                 // if need be, un-parks this core).
-                let cost = self.scaled_cycles(core_idx, self.cfg.lock_spin_cycles)
+                let cost = self.scaled_cycles(core_idx, LOCK_SPIN_CYCLES)
                     + self.machine.access(core_id, addr, 8, AccessKind::Read);
                 self.cores[core_idx].clock += cost;
                 self.machine.counters_mut(core_id).busy_cycles +=
-                    self.scaled_cycles(core_idx, self.cfg.lock_spin_cycles);
+                    self.scaled_cycles(core_idx, LOCK_SPIN_CYCLES);
                 self.threads[tid].stats.lock_wait_cycles += cost;
                 self.threads[tid].state = ThreadState::Blocked;
                 self.locks.push_waiter(lock, tid);
@@ -295,18 +315,18 @@ impl Engine {
             } else if holder_here && !self.cores[core_idx].run_queue.is_empty() {
                 // Spinning would deadlock a cooperative core: yield to let
                 // the holder make progress.
-                let cost = self.scaled_cycles(core_idx, self.cfg.yield_cycles);
+                let cost = self.scaled_cycles(core_idx, YIELD_CYCLES);
                 self.cores[core_idx].clock += cost;
                 self.machine.counters_mut(core_id).busy_cycles += cost;
                 self.cores[core_idx].run_queue.push_back(tid);
                 self.cores[core_idx].current = None;
             } else {
                 // Spin: re-read the lock word and burn the retry cost.
-                let cost = self.scaled_cycles(core_idx, self.cfg.lock_spin_cycles)
+                let cost = self.scaled_cycles(core_idx, LOCK_SPIN_CYCLES)
                     + self.machine.access(core_id, addr, 8, AccessKind::Read);
                 self.cores[core_idx].clock += cost;
                 self.machine.counters_mut(core_id).busy_cycles +=
-                    self.scaled_cycles(core_idx, self.cfg.lock_spin_cycles);
+                    self.scaled_cycles(core_idx, LOCK_SPIN_CYCLES);
                 self.threads[tid].stats.lock_wait_cycles += cost;
             }
         }
@@ -332,11 +352,11 @@ impl Engine {
                 lock,
                 error: e,
             })?;
-        let cost = self.scaled_cycles(core_idx, self.cfg.lock_op_cycles)
+        let cost = self.scaled_cycles(core_idx, LOCK_OP_CYCLES)
             + self.machine.access(core_id, addr, 8, AccessKind::Write);
         self.cores[core_idx].clock += cost;
         self.machine.counters_mut(core_id).busy_cycles +=
-            self.scaled_cycles(core_idx, self.cfg.lock_op_cycles);
+            self.scaled_cycles(core_idx, LOCK_OP_CYCLES);
         // A release is a wake-up source: hand the lock's first waiter back
         // to its core's run queue and un-park that core if necessary.
         if self.cfg.blocking_locks {
@@ -412,7 +432,7 @@ impl Engine {
         if let Placement::On(dest) = placement {
             let valid = (dest as usize) < self.cores.len();
             debug_assert!(valid, "policy placed an operation on invalid core {dest}");
-            if valid && dest != core_id && self.cfg.migration_enabled {
+            if valid && dest != core_id {
                 // The send can fail over a lossy interconnect (or be
                 // redirected off an offlined core): only a completed
                 // migration marks the op as executing remotely.
@@ -462,10 +482,7 @@ impl Engine {
         // a thread-clustering policy) arrived while the thread was running.
         let home = self.threads[tid].home_core;
         let rehome = self.threads[tid].rehome_pending;
-        if (self.cfg.return_home_after_op || rehome)
-            && self.cfg.migration_enabled
-            && home != core_id
-        {
+        if (self.cfg.return_home_after_op || rehome) && home != core_id {
             self.threads[tid].rehome_pending = false;
             if self.migrate(core_idx, tid, home).is_some() {
                 self.threads[tid].stats.returns_home += 1;
@@ -482,8 +499,8 @@ impl Engine {
     ///
     /// Over a fault-degraded interconnect the context message can be lost;
     /// the sender then retries with doubling backoff (charged as busy time
-    /// on the source core) up to `migration_max_retries` attempts or the
-    /// `migration_timeout_cycles` budget, whichever runs out first. An
+    /// on the source core) up to `MIGRATION_MAX_RETRIES` attempts or the
+    /// `MIGRATION_TIMEOUT_CYCLES` budget, whichever runs out first. An
     /// offlined destination is silently redirected to the next live core.
     /// Returns the core the thread actually landed on, or `None` if the
     /// migration was abandoned (the thread stays where it is).
@@ -503,10 +520,10 @@ impl Engine {
         // infallible send, exactly the pre-fault-plane behaviour.
         let mut wire = self.machine.try_migration_transfer(core_id, dest);
         if wire.is_none() {
-            let mut backoff = self.cfg.migration_retry_backoff_cycles;
+            let mut backoff = MIGRATION_RETRY_BACKOFF_CYCLES;
             let mut waited: Cycles = 0;
-            for _ in 0..self.cfg.migration_max_retries {
-                if waited.saturating_add(backoff) > self.cfg.migration_timeout_cycles {
+            for _ in 0..MIGRATION_MAX_RETRIES {
+                if waited.saturating_add(backoff) > MIGRATION_TIMEOUT_CYCLES {
                     break;
                 }
                 self.sched_stats.migration_retries += 1;

@@ -109,22 +109,6 @@ fn static_policy_migrates_operations_and_returns_home() {
 }
 
 #[test]
-fn disabling_migration_keeps_operations_local() {
-    let mut p = StaticPolicy::new();
-    p.assign(0x1000, 3);
-    let mut e = Engine::new(
-        machine(),
-        Box::new(p),
-        RuntimeConfig::default().without_migration(),
-    );
-    let op = OpBuilder::annotated(0x1000).compute(500).finish();
-    e.spawn(0, Box::new(RepeatBehaviour::new(op, Some(4))));
-    e.run_until_cycles(10_000_000);
-    assert_eq!(e.thread_stats(0).migrations, 0);
-    assert_eq!(e.machine().counters(0).operations_completed, 4);
-}
-
-#[test]
 fn migration_cost_is_roughly_the_papers_2000_cycles() {
     // One op that migrates from core 0 to core 1 and back, with zero
     // compute: the migration cycles accounted by the runtime for the

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use o2_suite::coretime::{pack, AssignmentTable, PackItem};
+use o2_suite::coretime::{place_balanced, AssignmentTable};
 use o2_suite::fs::{split_8_3, synthetic_name, DirEntry, Fat, Volume, DIRENT_SIZE};
 use o2_suite::sim::{AccessKind, Cache, CacheGeometry, ContentionModel, Machine, MachineConfig};
 
@@ -18,31 +18,27 @@ fn rng_for(test: u64) -> StdRng {
     StdRng::seed_from_u64(0x0510_7E57 ^ test)
 }
 
-/// The greedy cache packer never overflows any core's budget, and every
-/// object is either placed or reported as unplaced.
+/// Balanced placement never overflows any core's budget, refuses an
+/// object only when no core has room for it, and every object it places
+/// is in the table.
 #[test]
 fn packing_respects_budgets() {
     let mut rng = rng_for(1);
     for _ in 0..CASES {
-        let n_items = rng.gen_range(1usize..80);
+        let n_items = rng.gen_range(1u32..80);
         let n_cores = rng.gen_range(1usize..16);
-        let items: Vec<PackItem> = (0..n_items)
-            .map(|i| PackItem {
-                object: i as u32,
-                size: rng.gen_range(1u64..200_000),
-                expense: rng.gen::<f64>() * 1e6,
-            })
-            .collect();
         let capacities: Vec<u64> = (0..n_cores).map(|_| rng.gen_range(1u64..500_000)).collect();
-        let packing = pack(&items, &capacities);
-        assert_eq!(packing.placed.len() + packing.unplaced.len(), items.len());
-        let mut used = vec![0u64; capacities.len()];
-        for (obj, core) in &packing.placed {
-            let size = items.iter().find(|i| i.object == *obj).unwrap().size;
-            used[*core as usize] += size;
+        let mut table = AssignmentTable::new(capacities.clone());
+        for object in 0..n_items {
+            let size = rng.gen_range(1u64..200_000);
+            let room = (0..n_cores as u32).any(|c| table.free_bytes(c) >= size);
+            let placed = place_balanced(&mut table, object, size);
+            assert_eq!(placed.is_some(), room, "object {object} of {size} B");
+            assert_eq!(table.is_assigned(object), room);
         }
-        for (u, c) in used.iter().zip(capacities.iter()) {
-            assert!(u <= c, "core over budget: {u} > {c}");
+        for (core, &cap) in capacities.iter().enumerate() {
+            let used = table.used_bytes(core as u32);
+            assert!(used <= cap, "core over budget: {used} > {cap}");
         }
     }
 }
