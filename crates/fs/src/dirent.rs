@@ -43,6 +43,21 @@ impl DirEntry {
         }
     }
 
+    /// Creates a file entry whose name is the canonical `key`.
+    pub fn with_key(key: NameKey, first_cluster: u16, size: u32) -> Self {
+        let mut name = [0u8; 8];
+        let mut ext = [0u8; 3];
+        name.copy_from_slice(&key.0[..8]);
+        ext.copy_from_slice(&key.0[8..]);
+        Self {
+            name,
+            ext,
+            attr: ATTR_ARCHIVE,
+            first_cluster,
+            size,
+        }
+    }
+
     /// Creates a subdirectory entry.
     pub fn directory(name: &str, first_cluster: u16) -> Self {
         let (n, e) = split_8_3(name);
@@ -126,6 +141,27 @@ impl NameKey {
         bytes[8..].copy_from_slice(&e);
         Self(bytes)
     }
+
+    /// The key of [`synthetic_name`]`(i)`, spelled with digit arithmetic
+    /// instead of formatting and parsing a string: `F`, seven digits,
+    /// `DAT`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`SYNTHETIC_SERIALS`].
+    pub fn synthetic(i: u32) -> Self {
+        assert!(
+            i < SYNTHETIC_SERIALS,
+            "synthetic serial {i} needs more than seven digits"
+        );
+        let mut bytes = *b"F0000000DAT";
+        let mut n = i;
+        for b in bytes[1..8].iter_mut().rev() {
+            *b = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        Self(bytes)
+    }
 }
 
 impl FlatKey for NameKey {
@@ -168,6 +204,11 @@ pub fn split_8_3(name: &str) -> ([u8; 8], [u8; 3]) {
     }
     (n, e)
 }
+
+/// Serials [`synthetic_name`] spells as distinct 8.3 names: from 10^7 on
+/// the name gains an eighth digit and truncation aliases it with an
+/// earlier one.
+pub const SYNTHETIC_SERIALS: u32 = 10_000_000;
 
 /// Generates the deterministic name of the `i`-th synthetic file in a
 /// benchmark directory (e.g. `F0000042.DAT`).
@@ -249,5 +290,24 @@ mod tests {
         assert!(e.matches(&a));
         let e = DirEntry::file(&b, 0, 0);
         assert!(e.matches(&b));
+    }
+
+    #[test]
+    fn synthetic_keys_spell_synthetic_names() {
+        for i in [0, 9, 10, 999_999, 1_000_000, SYNTHETIC_SERIALS - 1] {
+            let key = NameKey::synthetic(i);
+            assert_eq!(key, NameKey::new(&synthetic_name(i)), "serial {i}");
+            assert_eq!(
+                DirEntry::with_key(key, 3, 64),
+                DirEntry::file(&synthetic_name(i), 3, 64)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than seven digits")]
+    fn synthetic_keys_refuse_serials_that_would_alias() {
+        // F10000000.DAT truncates to F1000000, serial 1,000,000's name.
+        NameKey::synthetic(SYNTHETIC_SERIALS);
     }
 }

@@ -6,6 +6,10 @@ pub const FAT_FREE: u16 = 0x0000;
 pub const FAT_EOC: u16 = 0xFFFF;
 /// First usable data cluster (clusters 0 and 1 are reserved, as in FAT16).
 pub const FIRST_DATA_CLUSTER: u16 = 2;
+/// Most data clusters a table holds: ids run from [`FIRST_DATA_CLUSTER`]
+/// and stay below [`FAT_EOC`], since linking a cluster whose id is the
+/// end-of-chain marker would cut its chain short there.
+pub const MAX_DATA_CLUSTERS: usize = (FAT_EOC - FIRST_DATA_CLUSTER) as usize;
 
 /// A FAT16-style allocation table.
 #[derive(Debug, Clone)]
@@ -24,9 +28,11 @@ pub enum FatError {
 
 impl Fat {
     /// Creates a table with `clusters` total clusters (including the two
-    /// reserved ones).
+    /// reserved ones), clamped to at most [`MAX_DATA_CLUSTERS`] data
+    /// clusters.
     pub fn new(clusters: usize) -> Self {
-        let mut entries = vec![FAT_FREE; clusters.max(FIRST_DATA_CLUSTER as usize)];
+        let reserved = FIRST_DATA_CLUSTER as usize;
+        let mut entries = vec![FAT_FREE; clusters.clamp(reserved, reserved + MAX_DATA_CLUSTERS)];
         // Reserved clusters carry media/EOC markers, as on a real volume.
         entries[0] = 0xFFF8;
         entries[1] = FAT_EOC;
@@ -168,5 +174,30 @@ mod tests {
         assert_eq!(fat.chain(0), Err(FatError::InvalidCluster));
         assert_eq!(fat.chain(1), Err(FatError::InvalidCluster));
         assert_eq!(fat.chain(999), Err(FatError::InvalidCluster));
+    }
+
+    #[test]
+    fn tables_stop_below_the_end_of_chain_marker() {
+        // Asking for one more data cluster than fits, or for 70,000 (which
+        // once wrapped to a 4,466-entry table), yields the largest table:
+        // every id up to 0xFFFE is handed out and every chain, including
+        // the one ending at 0xFFFE, reads back at full length.
+        for data_clusters in [MAX_DATA_CLUSTERS, MAX_DATA_CLUSTERS + 1, 70_000] {
+            let mut fat = Fat::new(data_clusters + 2);
+            assert_eq!(fat.total_clusters(), usize::from(FAT_EOC));
+            assert_eq!(fat.free_clusters(), MAX_DATA_CLUSTERS);
+            let mut last = 0;
+            for len in (0..MAX_DATA_CLUSTERS)
+                .step_by(1000)
+                .map(|at| 1000.min(MAX_DATA_CLUSTERS - at))
+            {
+                let first = fat.alloc_chain(len).unwrap();
+                let chain = fat.chain(first).unwrap();
+                assert_eq!(chain.len(), len, "{data_clusters} clusters");
+                last = *chain.last().unwrap();
+            }
+            assert_eq!(last, FAT_EOC - 1);
+            assert_eq!(fat.alloc_chain(1), Err(FatError::OutOfSpace));
+        }
     }
 }

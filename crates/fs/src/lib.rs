@@ -32,8 +32,9 @@ pub mod volume;
 
 pub use dirent::{
     split_8_3, synthetic_name, DirEntry, NameKey, ATTR_ARCHIVE, ATTR_DIRECTORY, DIRENT_SIZE,
+    SYNTHETIC_SERIALS,
 };
-pub use fat::{Fat, FatError, FAT_EOC, FAT_FREE, FIRST_DATA_CLUSTER};
+pub use fat::{Fat, FatError, FAT_EOC, FAT_FREE, FIRST_DATA_CLUSTER, MAX_DATA_CLUSTERS};
 pub use lookup::{
     directory_descriptor, lookup_actions, lookup_actions_kind, lookup_actions_unannotated, resolve,
     LookupCost, LookupOp,

@@ -22,6 +22,17 @@
 //! survives only in this module's tests, as the oracle `search` is
 //! checked against after seeded create / unlink / rename churn.
 //!
+//! A directory's index is built on its first name operation (search,
+//! create, unlink or rename), from the directory's creation state:
+//! every mutation goes through the index, so a directory whose index is
+//! unbuilt still holds exactly its synthetic entries `0..live`. Its live
+//! count is kept apart from the index, so `live_entries`, `free_slots`
+//! and the emptiness check of `remove_directory` never build one. Lookup
+//! workloads pick entries by index and read only [`DirectoryHandle`]
+//! addresses, so they never pay for an index; building a volume is just
+//! writing its image, synthetic names spelled with digit arithmetic
+//! ([`NameKey::synthetic`]).
+//!
 //! ## The handle table
 //!
 //! Directories are identified by dense [`DirId`]s handed out
@@ -35,11 +46,13 @@
 //! slots LIFO), so after interleaved removals the id → slot map is not
 //! the identity and the table genuinely resolves it.
 
+use std::cell::OnceCell;
+
 use o2_collections::FlatTable;
 use o2_sim::{Addr, SimMemory};
 
-use crate::dirent::{split_8_3, synthetic_name, DirEntry, NameKey, DIRENT_SIZE};
-use crate::fat::{Fat, FatError};
+use crate::dirent::{split_8_3, DirEntry, NameKey, DIRENT_SIZE};
+use crate::fat::{Fat, FatError, MAX_DATA_CLUSTERS};
 
 /// Dense directory identifier: the creation-order index of the directory
 /// in its volume's handle slab.
@@ -53,7 +66,8 @@ pub const DELETED_MARKER: u8 = 0xE5;
 pub struct VolumeGeometry {
     /// Bytes per cluster.
     pub bytes_per_cluster: u32,
-    /// Total data clusters available.
+    /// Total data clusters available; [`Volume::new`] clamps it to
+    /// FAT16's [`MAX_DATA_CLUSTERS`].
     pub data_clusters: u32,
 }
 
@@ -127,7 +141,7 @@ impl From<FatError> for VolumeError {
 
 /// Host-side bookkeeping of one directory: the flat name index plus the
 /// free-slot pool.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct DirIndex {
     /// Canonical 8.3 name → entry slot.
     names: FlatTable<NameKey, u32>,
@@ -138,6 +152,19 @@ struct DirIndex {
 }
 
 impl DirIndex {
+    /// The index of a directory exactly as created: synthetic entries in
+    /// slots `0..live`, every other slot free.
+    fn created(live: u32, capacity: u32) -> Self {
+        let mut names = FlatTable::with_capacity(capacity as usize * 8 / 7 + 1);
+        for i in 0..live {
+            names.insert(NameKey::synthetic(i), i);
+        }
+        Self {
+            names,
+            free: (live..capacity).rev().collect(),
+        }
+    }
+
     /// Returns a free slot to the pool, keeping it sorted descending.
     fn release_slot(&mut self, slot: u32) {
         let at = self.free.partition_point(|&s| s > slot);
@@ -145,11 +172,29 @@ impl DirIndex {
     }
 }
 
-/// One live directory's storage: the handle plus its host-side index.
+/// One live directory's storage: the handle, its live-entry count and its
+/// host-side index.
 #[derive(Debug, Clone)]
 struct DirSlot {
     handle: DirectoryHandle,
-    index: DirIndex,
+    /// Slots holding a name; the other `entry_count - live` are free.
+    live: u32,
+    /// Built on the directory's first name operation. Every mutation
+    /// builds it first, so while it is unbuilt the directory is exactly
+    /// as created and `live` alone describes it.
+    index: OnceCell<DirIndex>,
+}
+
+impl DirSlot {
+    fn index(&self) -> &DirIndex {
+        self.index
+            .get_or_init(|| DirIndex::created(self.live, self.handle.entry_count))
+    }
+
+    fn index_mut(&mut self) -> &mut DirIndex {
+        self.index();
+        self.index.get_mut().expect("built above")
+    }
 }
 
 /// The in-memory volume.
@@ -174,8 +219,10 @@ pub struct Volume {
 }
 
 impl Volume {
-    /// Creates an empty volume.
-    pub fn new(geometry: VolumeGeometry) -> Self {
+    /// Creates an empty volume of at most [`MAX_DATA_CLUSTERS`] data
+    /// clusters.
+    pub fn new(mut geometry: VolumeGeometry) -> Self {
+        geometry.data_clusters = geometry.data_clusters.min(MAX_DATA_CLUSTERS as u32);
         let clusters = geometry.data_clusters as usize + 2;
         Self {
             geometry,
@@ -190,21 +237,31 @@ impl Volume {
     }
 
     /// Builds the paper's benchmark volume: `n_dirs` directories with
-    /// `files_per_dir` 32-byte entries each (1,000 in the paper).
+    /// `files_per_dir` 32-byte entries each (1,000 in the paper). Errors
+    /// with [`FatError::OutOfSpace`], before building anything, if the
+    /// layout needs more than FAT16's [`MAX_DATA_CLUSTERS`].
     pub fn build_benchmark(n_dirs: u32, files_per_dir: u32) -> Result<Self, VolumeError> {
-        let mut geometry = VolumeGeometry::default();
-        // Make sure the data area is large enough for the requested layout.
-        let bytes_per_dir = (files_per_dir as usize * DIRENT_SIZE)
-            .div_ceil(geometry.bytes_per_cluster as usize)
-            * geometry.bytes_per_cluster as usize;
-        let needed_clusters =
-            (n_dirs as usize * bytes_per_dir) / geometry.bytes_per_cluster as usize + 8;
-        geometry.data_clusters = geometry.data_clusters.max(needed_clusters as u32);
-        let mut v = Self::new(geometry);
+        let mut v = Self::new(Self::benchmark_geometry(n_dirs, files_per_dir)?);
         for _ in 0..n_dirs {
             v.create_directory(files_per_dir)?;
         }
         Ok(v)
+    }
+
+    /// The default geometry, grown (with a little slack) to hold `n_dirs`
+    /// directories of `files_per_dir` entries.
+    fn benchmark_geometry(n_dirs: u32, files_per_dir: u32) -> Result<VolumeGeometry, VolumeError> {
+        let mut geometry = VolumeGeometry::default();
+        let clusters_per_dir = (files_per_dir as usize * DIRENT_SIZE)
+            .div_ceil(geometry.bytes_per_cluster as usize)
+            .max(1);
+        let needed = n_dirs as usize * clusters_per_dir;
+        if needed > MAX_DATA_CLUSTERS {
+            return Err(FatError::OutOfSpace.into());
+        }
+        let wanted = (needed + 8).min(MAX_DATA_CLUSTERS) as u32;
+        geometry.data_clusters = geometry.data_clusters.max(wanted);
+        Ok(geometry)
     }
 
     /// The volume geometry.
@@ -274,6 +331,12 @@ impl Volume {
     /// [`Volume::create_entry`]. Returns the dense id — the lowest
     /// reclaimed id if any directory was removed, the next fresh one
     /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` exceeds [`crate::SYNTHETIC_SERIALS`]: beyond it
+    /// synthetic names alias. (At 4 KB clusters FAT16 caps a directory
+    /// below 8.4M entries, so only larger clusters can get there.)
     pub fn create_directory_with_capacity(
         &mut self,
         live: u32,
@@ -297,16 +360,10 @@ impl Volume {
         // The clusters may have belonged to a removed directory; start
         // from a clean byte range.
         self.image[image_offset..image_offset + bytes].fill(0);
-        let mut index = DirIndex {
-            names: FlatTable::with_capacity(capacity as usize * 8 / 7 + 1),
-            free: (live..capacity).rev().collect(),
-        };
         for i in 0..live {
-            let name = synthetic_name(i);
-            let entry = DirEntry::file(&name, first_cluster, 64);
+            let entry = DirEntry::with_key(NameKey::synthetic(i), first_cluster, 64);
             let off = image_offset + i as usize * DIRENT_SIZE;
             self.image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
-            index.names.insert(NameKey::new(&name), i);
         }
 
         let id = self.spare_ids.pop().unwrap_or_else(|| {
@@ -331,7 +388,8 @@ impl Volume {
                 sim_addr: 0,
                 lock_addr: 0,
             },
-            index,
+            live,
+            index: OnceCell::new(),
         });
         self.ids.insert(u64::from(id), slot as u32);
         Ok(id)
@@ -345,13 +403,7 @@ impl Volume {
     /// ids.
     pub fn remove_directory(&mut self, dir: DirId) -> Result<(), VolumeError> {
         let slot = self.slot_of(dir)?;
-        if !self.slots[slot]
-            .as_ref()
-            .expect("live slot")
-            .index
-            .names
-            .is_empty()
-        {
+        if self.slots[slot].as_ref().expect("live slot").live > 0 {
             return Err(VolumeError::DirectoryNotEmpty);
         }
         let s = self.slots[slot].take().expect("live slot");
@@ -380,7 +432,7 @@ impl Volume {
     pub fn find_entry(&self, dir: DirId, name: &str) -> Result<Option<u32>, VolumeError> {
         Ok(self
             .dir_slot(dir)?
-            .index
+            .index()
             .names
             .peek(NameKey::new(name))
             .copied())
@@ -388,12 +440,13 @@ impl Volume {
 
     /// Live entries (slots holding a name) in directory `dir`.
     pub fn live_entries(&self, dir: DirId) -> Result<u32, VolumeError> {
-        Ok(self.dir_slot(dir)?.index.names.len() as u32)
+        Ok(self.dir_slot(dir)?.live)
     }
 
     /// Free entry slots left in directory `dir`.
     pub fn free_slots(&self, dir: DirId) -> Result<u32, VolumeError> {
-        Ok(self.dir_slot(dir)?.index.free.len() as u32)
+        let s = self.dir_slot(dir)?;
+        Ok(s.handle.entry_count - s.live)
     }
 
     /// Creates a file entry named `name` in directory `dir`, taking the
@@ -404,11 +457,13 @@ impl Volume {
         let key = NameKey::new(name);
         let s = self.dir_slot_mut(dir)?;
         let (image_offset, first_cluster) = (s.handle.image_offset, s.handle.first_cluster);
-        if s.index.names.peek(key).is_some() {
+        let index = s.index_mut();
+        if index.names.peek(key).is_some() {
             return Err(VolumeError::DuplicateName);
         }
-        let slot = s.index.free.pop().ok_or(VolumeError::DirectoryFull)?;
-        s.index.names.insert(key, slot);
+        let slot = index.free.pop().ok_or(VolumeError::DirectoryFull)?;
+        index.names.insert(key, slot);
+        s.live += 1;
         let entry = DirEntry::file(name, first_cluster, size);
         let off = image_offset + slot as usize * DIRENT_SIZE;
         self.image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
@@ -422,12 +477,13 @@ impl Volume {
     pub fn unlink(&mut self, dir: DirId, name: &str) -> Result<u32, VolumeError> {
         let s = self.dir_slot_mut(dir)?;
         let image_offset = s.handle.image_offset;
-        let slot = s
-            .index
+        let index = s.index_mut();
+        let slot = index
             .names
             .remove(NameKey::new(name))
             .ok_or(VolumeError::NoSuchEntry)?;
-        s.index.release_slot(slot);
+        index.release_slot(slot);
+        s.live -= 1;
         self.image[image_offset + slot as usize * DIRENT_SIZE] = DELETED_MARKER;
         Ok(slot)
     }
@@ -442,18 +498,19 @@ impl Volume {
         let (old_key, new_key) = (NameKey::new(old), NameKey::new(new));
         let s = self.dir_slot_mut(dir)?;
         let image_offset = s.handle.image_offset;
-        let Some(&slot) = s.index.names.peek(old_key) else {
+        let names = &mut s.index_mut().names;
+        let Some(&slot) = names.peek(old_key) else {
             return Err(VolumeError::NoSuchEntry);
         };
         if old_key == new_key {
             // Canonically the same name: the stored bytes already match.
             return Ok(slot);
         }
-        if s.index.names.peek(new_key).is_some() {
+        if names.peek(new_key).is_some() {
             return Err(VolumeError::DuplicateName);
         }
-        let slot = s.index.names.remove(old_key).expect("checked above");
-        s.index.names.insert(new_key, slot);
+        let slot = names.remove(old_key).expect("checked above");
+        names.insert(new_key, slot);
         let (n, e) = split_8_3(new);
         let off = image_offset + slot as usize * DIRENT_SIZE;
         self.image[off..off + 8].copy_from_slice(&n);
@@ -504,6 +561,7 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dirent::synthetic_name;
 
     /// The image scan `search` replaced, exactly like the benchmark's
     /// inner loop: the first entry whose name matches, and the number of
@@ -513,6 +571,147 @@ mod tests {
         (0..entries)
             .find(|&i| v.read_entry(dir, i).unwrap().matches(name))
             .map(|i| (i, i + 1))
+    }
+
+    /// FNV-1a, eight bytes at a time, over the geometry, every directory
+    /// handle and the whole image.
+    fn volume_fingerprint(v: &Volume) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+        mix(u64::from(v.geometry.bytes_per_cluster));
+        mix(u64::from(v.geometry.data_clusters));
+        for d in v.directories() {
+            mix(u64::from(d.index));
+            mix(u64::from(d.first_cluster));
+            mix(u64::from(d.entry_count));
+            mix(d.image_offset as u64);
+            mix(d.byte_len as u64);
+        }
+        for w in v.image.chunks_exact(8) {
+            mix(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        h
+    }
+
+    #[test]
+    fn built_volumes_match_their_golden_fingerprints() {
+        // The lookup volumes at two sizes and fsmeta's 4096 half-full
+        // 64-slot directories, pinned byte for byte.
+        let fsmeta = {
+            let mut v = Volume::new(VolumeGeometry::default());
+            for _ in 0..4096 {
+                v.create_directory_with_capacity(32, 64).unwrap();
+            }
+            v
+        };
+        let got = [
+            volume_fingerprint(&Volume::build_benchmark(3, 1000).unwrap()),
+            volume_fingerprint(&Volume::build_benchmark(512, 1000).unwrap()),
+            volume_fingerprint(&fsmeta),
+        ];
+        assert_eq!(
+            got,
+            [
+                0x762c_7a89_1822_9d76,
+                0x51f4_4d69_102f_3bed,
+                0xf2fd_28f1_0861_bfed
+            ],
+            "{got:#018x?}"
+        );
+    }
+
+    #[test]
+    fn untouched_directories_answer_like_indexed_ones() {
+        // Full, half-full and empty directories; `forced` builds every
+        // index at once, `lazy` only on its first name operation.
+        let shapes = [(1000, 1000), (3, 8), (0, 8)];
+        let build = || {
+            let mut v = Volume::new(VolumeGeometry::default());
+            for (live, capacity) in shapes {
+                v.create_directory_with_capacity(live, capacity).unwrap();
+            }
+            v
+        };
+        let (mut forced, mut lazy) = (build(), build());
+        for d in 0..3 {
+            assert_eq!(forced.search(d, "FORCE.TXT").unwrap(), None);
+        }
+        let untouched = |v: &Volume| v.slots.iter().flatten().all(|s| s.index.get().is_none());
+        for d in 0..3 {
+            assert_eq!(lazy.live_entries(d), forced.live_entries(d));
+            assert_eq!(lazy.free_slots(d), forced.free_slots(d));
+        }
+        assert!(untouched(&lazy), "counts must not build an index");
+        for d in 0..3 {
+            assert_eq!(
+                lazy.remove_directory(d),
+                forced.remove_directory(d),
+                "dir {d}"
+            );
+        }
+        assert!(untouched(&lazy), "removal must not build an index");
+        for d in 0..2 {
+            for name in [
+                synthetic_name(0),
+                synthetic_name(2),
+                synthetic_name(999),
+                "NOPE.TXT".into(),
+            ] {
+                assert_eq!(
+                    lazy.search(d, &name),
+                    forced.search(d, &name),
+                    "{name} in dir {d}"
+                );
+            }
+        }
+        assert_eq!(
+            lazy.search(2, "NOPE.TXT"),
+            Err(VolumeError::NoSuchDirectory)
+        );
+        assert_eq!(volume_fingerprint(&lazy), volume_fingerprint(&forced));
+    }
+
+    #[test]
+    fn benchmark_layouts_beyond_fat16_are_refused_up_front() {
+        // One-cluster directories: 65,533 fit exactly, one more does not.
+        let at_limit = Volume::benchmark_geometry(65_533, 128).unwrap();
+        assert_eq!(at_limit.data_clusters as usize, MAX_DATA_CLUSTERS);
+        let refused = Err(VolumeError::Fat(FatError::OutOfSpace));
+        assert_eq!(Volume::benchmark_geometry(65_534, 128), refused);
+        // A 256 MB lookup volume: 8,192 directories of 8 clusters.
+        assert!(matches!(
+            Volume::build_benchmark(8_192, 1000),
+            Err(VolumeError::Fat(FatError::OutOfSpace))
+        ));
+    }
+
+    #[test]
+    fn volumes_fill_every_cluster_fat16_allows() {
+        // 32-byte clusters keep the image small: one entry per cluster.
+        for requested in [65_533, 65_534, 70_000] {
+            let mut v = Volume::new(VolumeGeometry {
+                bytes_per_cluster: 32,
+                data_clusters: requested,
+            });
+            assert_eq!(v.geometry().data_clusters as usize, MAX_DATA_CLUSTERS);
+            let sizes = (0..MAX_DATA_CLUSTERS as u32)
+                .step_by(1000)
+                .map(|at| 1000.min(MAX_DATA_CLUSTERS as u32 - at));
+            for capacity in sizes {
+                let d = v.create_directory_with_capacity(1, capacity).unwrap();
+                let first = v.directory(d).unwrap().first_cluster;
+                assert_eq!(
+                    v.fat.chain(first).unwrap().len(),
+                    capacity as usize,
+                    "{requested} clusters"
+                );
+                assert_eq!(v.search(d, &synthetic_name(0)).unwrap(), Some((0, 1)));
+            }
+            assert_eq!(
+                v.create_directory(1),
+                Err(VolumeError::Fat(FatError::OutOfSpace))
+            );
+        }
     }
 
     #[test]
