@@ -162,6 +162,17 @@ impl NameKey {
         }
         Self(bytes)
     }
+
+    /// The serial `i` whose [`NameKey::synthetic`] this key is, if it is
+    /// one: `F`, seven digits, `DAT`.
+    pub(crate) fn synthetic_serial(self) -> Option<u32> {
+        let [b'F', digits @ .., b'D', b'A', b'T'] = self.0 else {
+            return None;
+        };
+        digits.iter().try_fold(0u32, |n, &b| {
+            b.is_ascii_digit().then(|| n * 10 + u32::from(b - b'0'))
+        })
+    }
 }
 
 impl FlatKey for NameKey {
@@ -301,6 +312,19 @@ mod tests {
                 DirEntry::with_key(key, 3, 64),
                 DirEntry::file(&synthetic_name(i), 3, 64)
             );
+        }
+    }
+
+    #[test]
+    fn synthetic_serials_decode_synthetic_keys_only() {
+        for i in [0, 1, 42, 999_999, SYNTHETIC_SERIALS - 1] {
+            assert_eq!(NameKey::synthetic(i).synthetic_serial(), Some(i));
+        }
+        // Canonicalisation upper-cases and truncates before decoding.
+        assert_eq!(NameKey::new("f0000007.dat").synthetic_serial(), Some(7));
+        assert_eq!(NameKey::new("F00000012.DAT").synthetic_serial(), Some(1));
+        for name in ["F00000X1.DAT", "FOO.TXT", "G0000001.DAT", "F0000001.TXT"] {
+            assert_eq!(NameKey::new(name).synthetic_serial(), None, "{name}");
         }
     }
 

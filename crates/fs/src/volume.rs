@@ -14,24 +14,33 @@
 //! cycles the simulated machine pays in `lookup.rs`, exactly the paper's
 //! Figure-3 inner loop — is untouched. The **host-side** bookkeeping
 //! (which entry does this name live in? is this name taken? which slot is
-//! free?) used to be the same linear scan run natively; it now goes
-//! through a per-directory flat name index (an
+//! free?) used to be the same linear scan run natively; for a directory
+//! that has been mutated it now goes through a per-directory flat name
+//! index (an
 //! [`o2_collections::FlatTable`] from canonical 8.3 [`NameKey`]s to entry
 //! slots), so create / rename / unlink churn probes and backward-shifts a
 //! flat table instead of rescanning the image. The old linear scan
 //! survives only in this module's tests, as the oracle `search` is
 //! checked against after seeded create / unlink / rename churn.
 //!
-//! A directory's index is built on its first name operation (search,
-//! create, unlink or rename), from the directory's creation state:
-//! every mutation goes through the index, so a directory whose index is
-//! unbuilt still holds exactly its synthetic entries `0..live`. Its live
-//! count is kept apart from the index, so `live_entries`, `free_slots`
-//! and the emptiness check of `remove_directory` never build one. Lookup
-//! workloads pick entries by index and read only [`DirectoryHandle`]
-//! addresses, so they never pay for an index; building a volume is just
-//! writing its image, synthetic names spelled with digit arithmetic
-//! ([`NameKey::synthetic`]).
+//! ## Synthetic and materialized directories
+//!
+//! A directory is *synthetic* from its creation until its first
+//! mutation ([`Volume::create_entry`], [`Volume::unlink`] or
+//! [`Volume::rename`], whether or not it succeeds): its handle, its live
+//! count and its capacity describe it completely — slots `0..live` hold
+//! the synthetic entries [`NameKey::synthetic`]`(i)` and every other
+//! slot is zero — so nothing of it is written to the image and it has
+//! no index. [`Volume::read_entry`] builds the entry asked for, a
+//! search decodes the name back to its serial
+//! (`NameKey::synthetic_serial`), and `live_entries`, `free_slots` and
+//! `remove_directory` answer from the counts. The first mutation *materializes* the directory in one step:
+//! it zeroes the directory's byte range, writes the synthetic entries and
+//! builds the index; from then on the image and the index are the truth.
+//! Either way every reader sees the same bytes. Lookup workloads pick
+//! entries by index and read only [`DirectoryHandle`] addresses, so a
+//! lookup volume writes no image byte and builds no index, and its
+//! zeroed image pages are never touched.
 //!
 //! ## The handle table
 //!
@@ -46,12 +55,10 @@
 //! slots LIFO), so after interleaved removals the id → slot map is not
 //! the identity and the table genuinely resolves it.
 
-use std::cell::OnceCell;
-
 use o2_collections::FlatTable;
 use o2_sim::{Addr, SimMemory};
 
-use crate::dirent::{split_8_3, DirEntry, NameKey, DIRENT_SIZE};
+use crate::dirent::{split_8_3, DirEntry, NameKey, DIRENT_SIZE, SYNTHETIC_SERIALS};
 use crate::fat::{Fat, FatError, MAX_DATA_CLUSTERS};
 
 /// Dense directory identifier: the creation-order index of the directory
@@ -172,29 +179,44 @@ impl DirIndex {
     }
 }
 
-/// One live directory's storage: the handle, its live-entry count and its
-/// host-side index.
+/// One live directory's storage: the handle, its live-entry count and,
+/// once it is materialized, its host-side index.
 #[derive(Debug, Clone)]
 struct DirSlot {
     handle: DirectoryHandle,
     /// Slots holding a name; the other `entry_count - live` are free.
     live: u32,
-    /// Built on the directory's first name operation. Every mutation
-    /// builds it first, so while it is unbuilt the directory is exactly
-    /// as created and `live` alone describes it.
-    index: OnceCell<DirIndex>,
+    /// `None` while the directory is synthetic (see the module docs);
+    /// `Some` once it is materialized, when its bytes are in the image.
+    index: Option<DirIndex>,
 }
 
 impl DirSlot {
-    fn index(&self) -> &DirIndex {
+    /// The directory's index, materializing the directory first if it is
+    /// still synthetic.
+    fn materialize(&mut self, image: &mut [u8]) -> &mut DirIndex {
+        if self.index.is_none() {
+            write_synthetic(image, &self.handle, self.live);
+        }
         self.index
-            .get_or_init(|| DirIndex::created(self.live, self.handle.entry_count))
+            .get_or_insert_with(|| DirIndex::created(self.live, self.handle.entry_count))
     }
+}
 
-    fn index_mut(&mut self) -> &mut DirIndex {
-        self.index();
-        self.index.get_mut().expect("built above")
+/// Writes a synthetic directory's bytes into `image`: its whole range
+/// zeroed (the clusters may have belonged to a removed directory), then
+/// synthetic entries in slots `0..live`.
+fn write_synthetic(image: &mut [u8], handle: &DirectoryHandle, live: u32) {
+    let range = &mut image[handle.image_offset..handle.image_offset + handle.byte_len];
+    range.fill(0);
+    for (i, bytes) in (0..live).zip(range.chunks_exact_mut(DIRENT_SIZE)) {
+        bytes.copy_from_slice(&synthetic_entry(handle, i).encode());
     }
+}
+
+/// Synthetic entry `i` of the directory `handle` describes.
+fn synthetic_entry(handle: &DirectoryHandle, i: u32) -> DirEntry {
+    DirEntry::with_key(NameKey::synthetic(i), handle.first_cluster, 64)
 }
 
 /// The in-memory volume.
@@ -282,9 +304,13 @@ impl Volume {
         Ok(self.slots[slot].as_ref().expect("live slot"))
     }
 
-    fn dir_slot_mut(&mut self, dir: DirId) -> Result<&mut DirSlot, VolumeError> {
+    /// A live directory's storage together with the image, for mutations.
+    fn dir_slot_mut(&mut self, dir: DirId) -> Result<(&mut DirSlot, &mut [u8]), VolumeError> {
         let slot = self.slot_of(dir)?;
-        Ok(self.slots[slot].as_mut().expect("live slot"))
+        Ok((
+            self.slots[slot].as_mut().expect("live slot"),
+            &mut self.image,
+        ))
     }
 
     /// The live directories, in id order.
@@ -328,13 +354,15 @@ impl Volume {
 
     /// Creates a directory with `capacity` entry slots of which the first
     /// `live` hold synthetic entries; the rest are free for
-    /// [`Volume::create_entry`]. Returns the dense id — the lowest
+    /// [`Volume::create_entry`]. The directory starts synthetic: it takes
+    /// its FAT chain and a handle and writes nothing to the image (see the
+    /// module docs). Returns the dense id — the lowest
     /// reclaimed id if any directory was removed, the next fresh one
     /// otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `live` exceeds [`crate::SYNTHETIC_SERIALS`]: beyond it
+    /// Panics if `live` exceeds [`SYNTHETIC_SERIALS`]: beyond it
     /// synthetic names alias. (At 4 KB clusters FAT16 caps a directory
     /// below 8.4M entries, so only larger clusters can get there.)
     pub fn create_directory_with_capacity(
@@ -343,6 +371,10 @@ impl Volume {
         capacity: u32,
     ) -> Result<DirId, VolumeError> {
         let live = live.min(capacity);
+        assert!(
+            live <= SYNTHETIC_SERIALS,
+            "{live} synthetic entries need serials of more than seven digits"
+        );
         let bytes = capacity as usize * DIRENT_SIZE;
         let clusters = bytes
             .div_ceil(self.geometry.bytes_per_cluster as usize)
@@ -350,20 +382,11 @@ impl Volume {
         let first_cluster = self.fat.alloc_chain(clusters)?;
         let chain = self.fat.chain(first_cluster)?;
         let image_offset = self.cluster_offset(chain[0]);
-
-        // Write the entries. Chains from a fresh FAT are contiguous, so the
-        // directory occupies a contiguous byte range of the image; assert
-        // that invariant because the lookup path relies on it.
+        // Chains from a fresh FAT are contiguous, so the directory occupies
+        // a contiguous byte range of the image; assert that invariant
+        // because the lookup path relies on it.
         for (i, w) in chain.windows(2).enumerate() {
             debug_assert_eq!(w[1], w[0] + 1, "cluster chain not contiguous at {i}");
-        }
-        // The clusters may have belonged to a removed directory; start
-        // from a clean byte range.
-        self.image[image_offset..image_offset + bytes].fill(0);
-        for i in 0..live {
-            let entry = DirEntry::with_key(NameKey::synthetic(i), first_cluster, 64);
-            let off = image_offset + i as usize * DIRENT_SIZE;
-            self.image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
         }
 
         let id = self.spare_ids.pop().unwrap_or_else(|| {
@@ -389,7 +412,7 @@ impl Volume {
                 lock_addr: 0,
             },
             live,
-            index: OnceCell::new(),
+            index: None,
         });
         self.ids.insert(u64::from(id), slot as u32);
         Ok(id)
@@ -417,25 +440,37 @@ impl Volume {
         Ok(())
     }
 
-    /// Reads entry `i` of directory `dir` from the image.
+    /// Reads entry `i` of directory `dir`: from the image once the
+    /// directory is materialized, built from its description while it is
+    /// synthetic. Errors with [`VolumeError::NoSuchEntry`] if `i` is not
+    /// one of the directory's slots.
     pub fn read_entry(&self, dir: DirId, i: u32) -> Result<DirEntry, VolumeError> {
-        let d = self.directory(dir)?;
+        let s = self.dir_slot(dir)?;
+        let d = &s.handle;
         if i >= d.entry_count {
-            return Err(VolumeError::NoSuchDirectory);
+            return Err(VolumeError::NoSuchEntry);
+        }
+        if s.index.is_none() {
+            return Ok(if i < s.live {
+                synthetic_entry(d, i)
+            } else {
+                DirEntry::decode(&[0; DIRENT_SIZE]).expect("a whole entry")
+            });
         }
         let off = d.image_offset + i as usize * DIRENT_SIZE;
         Ok(DirEntry::decode(&self.image[off..off + DIRENT_SIZE]).expect("entry in bounds"))
     }
 
-    /// Entry slot holding `name` in directory `dir`, resolved through the
-    /// flat name index (host-side, O(1) expected).
+    /// Entry slot holding `name` in directory `dir` (host-side, O(1)
+    /// expected: a decoded serial while the directory is synthetic, a flat
+    /// name-index probe once it is materialized).
     pub fn find_entry(&self, dir: DirId, name: &str) -> Result<Option<u32>, VolumeError> {
-        Ok(self
-            .dir_slot(dir)?
-            .index()
-            .names
-            .peek(NameKey::new(name))
-            .copied())
+        let s = self.dir_slot(dir)?;
+        let key = NameKey::new(name);
+        Ok(match &s.index {
+            Some(index) => index.names.peek(key).copied(),
+            None => key.synthetic_serial().filter(|&i| i < s.live),
+        })
     }
 
     /// Live entries (slots holding a name) in directory `dir`.
@@ -455,9 +490,9 @@ impl Volume {
     /// exists and [`VolumeError::DirectoryFull`] if no slot is free.
     pub fn create_entry(&mut self, dir: DirId, name: &str, size: u32) -> Result<u32, VolumeError> {
         let key = NameKey::new(name);
-        let s = self.dir_slot_mut(dir)?;
+        let (s, image) = self.dir_slot_mut(dir)?;
         let (image_offset, first_cluster) = (s.handle.image_offset, s.handle.first_cluster);
-        let index = s.index_mut();
+        let index = s.materialize(image);
         if index.names.peek(key).is_some() {
             return Err(VolumeError::DuplicateName);
         }
@@ -466,7 +501,7 @@ impl Volume {
         s.live += 1;
         let entry = DirEntry::file(name, first_cluster, size);
         let off = image_offset + slot as usize * DIRENT_SIZE;
-        self.image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
+        image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
         Ok(slot)
     }
 
@@ -475,16 +510,16 @@ impl Volume {
     /// the free pool. Errors with [`VolumeError::NoSuchEntry`] if the name
     /// is not present.
     pub fn unlink(&mut self, dir: DirId, name: &str) -> Result<u32, VolumeError> {
-        let s = self.dir_slot_mut(dir)?;
+        let (s, image) = self.dir_slot_mut(dir)?;
         let image_offset = s.handle.image_offset;
-        let index = s.index_mut();
+        let index = s.materialize(image);
         let slot = index
             .names
             .remove(NameKey::new(name))
             .ok_or(VolumeError::NoSuchEntry)?;
         index.release_slot(slot);
         s.live -= 1;
-        self.image[image_offset + slot as usize * DIRENT_SIZE] = DELETED_MARKER;
+        image[image_offset + slot as usize * DIRENT_SIZE] = DELETED_MARKER;
         Ok(slot)
     }
 
@@ -496,9 +531,9 @@ impl Volume {
     /// as on a real FAT volume.
     pub fn rename(&mut self, dir: DirId, old: &str, new: &str) -> Result<u32, VolumeError> {
         let (old_key, new_key) = (NameKey::new(old), NameKey::new(new));
-        let s = self.dir_slot_mut(dir)?;
+        let (s, image) = self.dir_slot_mut(dir)?;
         let image_offset = s.handle.image_offset;
-        let names = &mut s.index_mut().names;
+        let names = &mut s.materialize(image).names;
         let Some(&slot) = names.peek(old_key) else {
             return Err(VolumeError::NoSuchEntry);
         };
@@ -513,15 +548,15 @@ impl Volume {
         names.insert(new_key, slot);
         let (n, e) = split_8_3(new);
         let off = image_offset + slot as usize * DIRENT_SIZE;
-        self.image[off..off + 8].copy_from_slice(&n);
-        self.image[off + 8..off + 11].copy_from_slice(&e);
+        image[off..off + 8].copy_from_slice(&n);
+        image[off + 8..off + 11].copy_from_slice(&e);
         Ok(slot)
     }
 
     /// Search of directory `dir` for `name`: the entry slot and the number
     /// of entries the benchmark's inner loop would examine to find it
     /// (slot + 1 — the modeled cost charged by `lookup.rs` is unchanged).
-    /// Host-side the resolution goes through the flat name index.
+    /// Host-side the resolution is [`Volume::find_entry`]'s.
     pub fn search(&self, dir: DirId, name: &str) -> Result<Option<(u32, u32)>, VolumeError> {
         Ok(self.find_entry(dir, name)?.map(|i| (i, i + 1)))
     }
@@ -573,8 +608,38 @@ mod tests {
             .map(|i| (i, i + 1))
     }
 
+    /// The image every reader sees: materialized directories' bytes as
+    /// stored, synthetic directories' bytes as they would be written.
+    fn logical_image(v: &Volume) -> Vec<u8> {
+        let mut image = v.image.clone();
+        for s in v.slots.iter().flatten().filter(|s| s.index.is_none()) {
+            write_synthetic(&mut image, &s.handle, s.live);
+        }
+        image
+    }
+
+    /// Materializes every directory of `v`, as a first mutation would.
+    fn materialize_all(v: &mut Volume) {
+        for s in v.slots.iter_mut().flatten() {
+            s.materialize(&mut v.image);
+        }
+    }
+
+    /// Ids of the materialized directories of `v`.
+    fn materialized(v: &Volume) -> Vec<DirId> {
+        let mut ids: Vec<DirId> = v
+            .slots
+            .iter()
+            .flatten()
+            .filter(|s| s.index.is_some())
+            .map(|s| s.handle.index)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// FNV-1a, eight bytes at a time, over the geometry, every directory
-    /// handle and the whole image.
+    /// handle and the whole logical image.
     fn volume_fingerprint(v: &Volume) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
@@ -587,7 +652,7 @@ mod tests {
             mix(d.image_offset as u64);
             mix(d.byte_len as u64);
         }
-        for w in v.image.chunks_exact(8) {
+        for w in logical_image(v).chunks_exact(8) {
             mix(u64::from_le_bytes(w.try_into().unwrap()));
         }
         h
@@ -621,9 +686,9 @@ mod tests {
     }
 
     #[test]
-    fn untouched_directories_answer_like_indexed_ones() {
-        // Full, half-full and empty directories; `forced` builds every
-        // index at once, `lazy` only on its first name operation.
+    fn synthetic_directories_answer_like_materialized_ones() {
+        // Full, half-full and empty directories; `written` has every one
+        // materialized, `synthetic` none.
         let shapes = [(1000, 1000), (3, 8), (0, 8)];
         let build = || {
             let mut v = Volume::new(VolumeGeometry::default());
@@ -632,43 +697,94 @@ mod tests {
             }
             v
         };
-        let (mut forced, mut lazy) = (build(), build());
-        for d in 0..3 {
-            assert_eq!(forced.search(d, "FORCE.TXT").unwrap(), None);
+        let (mut synthetic, mut written) = (build(), build());
+        materialize_all(&mut written);
+        assert_eq!(materialized(&written), vec![0, 1, 2]);
+        assert_eq!(logical_image(&synthetic), written.image);
+        for (d, (live, capacity)) in (0..).zip(shapes) {
+            for i in 0..=capacity {
+                assert_eq!(
+                    synthetic.read_entry(d, i),
+                    written.read_entry(d, i),
+                    "slot {i} of dir {d}"
+                );
+            }
+            let names = [
+                "f0000001.dat".to_string(),
+                "F00000012.DAT".into(), // truncates onto serial 1
+                synthetic_name(live),
+                synthetic_name(live + 1),
+                "F00000X1.DAT".into(),
+                "FOO.TXT".into(),
+            ];
+            for name in &names {
+                assert_eq!(
+                    synthetic.search(d, name),
+                    written.search(d, name),
+                    "{name} in dir {d}"
+                );
+                assert_eq!(
+                    synthetic.search(d, name).unwrap(),
+                    search_linear(&synthetic, d, name)
+                );
+            }
+            assert_eq!(synthetic.live_entries(d), written.live_entries(d));
+            assert_eq!(synthetic.free_slots(d), written.free_slots(d));
         }
-        let untouched = |v: &Volume| v.slots.iter().flatten().all(|s| s.index.get().is_none());
-        for d in 0..3 {
-            assert_eq!(lazy.live_entries(d), forced.live_entries(d));
-            assert_eq!(lazy.free_slots(d), forced.free_slots(d));
-        }
-        assert!(untouched(&lazy), "counts must not build an index");
+        assert_eq!(synthetic.search(0, "f0000001.dat").unwrap(), Some((1, 2)));
+        assert_eq!(synthetic.search(1, "F00000012.DAT").unwrap(), Some((1, 2)));
+        assert!(
+            materialized(&synthetic).is_empty(),
+            "reads must not materialize"
+        );
         for d in 0..3 {
             assert_eq!(
-                lazy.remove_directory(d),
-                forced.remove_directory(d),
+                synthetic.remove_directory(d),
+                written.remove_directory(d),
                 "dir {d}"
             );
         }
-        assert!(untouched(&lazy), "removal must not build an index");
-        for d in 0..2 {
-            for name in [
-                synthetic_name(0),
-                synthetic_name(2),
-                synthetic_name(999),
-                "NOPE.TXT".into(),
-            ] {
-                assert_eq!(
-                    lazy.search(d, &name),
-                    forced.search(d, &name),
-                    "{name} in dir {d}"
-                );
-            }
-        }
+        assert!(
+            materialized(&synthetic).is_empty(),
+            "removal must not materialize"
+        );
         assert_eq!(
-            lazy.search(2, "NOPE.TXT"),
+            synthetic.search(2, "FOO.TXT"),
             Err(VolumeError::NoSuchDirectory)
         );
-        assert_eq!(volume_fingerprint(&lazy), volume_fingerprint(&forced));
+        assert_eq!(volume_fingerprint(&synthetic), volume_fingerprint(&written));
+    }
+
+    #[test]
+    fn only_a_mutation_materializes_a_directory() {
+        let mut v = Volume::build_benchmark(512, 1000).unwrap();
+        assert!(materialized(&v).is_empty(), "building materializes nothing");
+        for d in (0..512).step_by(37) {
+            v.read_entry(d, 999).unwrap();
+            v.search(d, &synthetic_name(d)).unwrap();
+            v.search(d, "NOPE.TXT").unwrap();
+        }
+        assert!(materialized(&v).is_empty(), "reads materialize nothing");
+        // A mutation materializes its directory before it looks at the
+        // names or the free slots, so even a refused one does.
+        assert_eq!(
+            v.create_entry(7, "NEW.TXT", 1),
+            Err(VolumeError::DirectoryFull)
+        );
+        assert_eq!(materialized(&v), vec![7]);
+        assert_eq!(v.unlink(7, &synthetic_name(3)), Ok(3));
+        assert_eq!(v.create_entry(7, "NEW.TXT", 1), Ok(3));
+        assert_eq!(materialized(&v), vec![7]);
+
+        // One create in a directory with headroom materializes exactly it.
+        let mut v = Volume::new(VolumeGeometry::default());
+        for _ in 0..8 {
+            v.create_directory_with_capacity(3, 8).unwrap();
+        }
+        assert_eq!(v.create_entry(5, "NEW.TXT", 1), Ok(3));
+        assert_eq!(materialized(&v), vec![5]);
+        assert_eq!(v.find_entry(5, "NEW.TXT").unwrap(), Some(3));
+        assert_eq!(v.find_entry(5, &synthetic_name(2)).unwrap(), Some(2));
     }
 
     #[test]
@@ -731,8 +847,8 @@ mod tests {
         let e = v.read_entry(2, 57).unwrap();
         assert!(e.matches(&synthetic_name(57)));
         assert_eq!(v.read_entry(0, 0).unwrap().display_name(), "F0000000.DAT");
-        assert!(v.read_entry(0, 100).is_err());
-        assert!(v.read_entry(9, 0).is_err());
+        assert_eq!(v.read_entry(0, 100), Err(VolumeError::NoSuchEntry));
+        assert_eq!(v.read_entry(9, 0), Err(VolumeError::NoSuchDirectory));
     }
 
     #[test]
@@ -1046,16 +1162,31 @@ mod tests {
             Err(VolumeError::Fat(FatError::OutOfSpace))
         ));
         drain(&mut v, a, 400);
+        assert_eq!(materialized(&v), vec![a]);
         v.remove_directory(a).unwrap();
+        let stale = v.image.clone();
         // Both the clusters and the DirId come back; the freed clusters
         // are the lowest free ones, so the image range is reused too.
-        let b = v.create_directory(400).unwrap();
+        let b = v.create_directory_with_capacity(2, 400).unwrap();
         assert_eq!(b, a);
         assert_eq!(v.directory(b).unwrap().image_offset, offset_a);
-        assert_eq!(v.live_entries(b).unwrap(), 400);
-        // The reused image range was wiped: entry 0 is the fresh
-        // synthetic entry, not stale bytes.
-        assert!(v.read_entry(b, 0).unwrap().matches(&synthetic_name(0)));
+        assert_eq!(v.live_entries(b).unwrap(), 2);
+        // The new directory is synthetic: its creation wrote nothing, so
+        // the removed one's deleted entries are still in the image, yet
+        // every read answers from the new directory's description.
+        assert!(materialized(&v).is_empty());
+        assert_eq!(v.image, stale);
+        let mut fresh = Volume::new(v.geometry());
+        fresh.create_directory_with_capacity(2, 400).unwrap();
+        let entries = |v: &Volume| -> Vec<DirEntry> {
+            (0..400).map(|i| v.read_entry(0, i).unwrap()).collect()
+        };
+        assert_eq!(entries(&v), entries(&fresh));
+        // Materializing wipes the range before writing the entries.
+        assert_eq!(v.create_entry(b, "NEW.TXT", 1), Ok(2));
+        assert_eq!(fresh.create_entry(0, "NEW.TXT", 1), Ok(2));
+        assert_eq!(entries(&v), entries(&fresh));
+        assert_eq!(v.image, fresh.image);
     }
 
     #[test]

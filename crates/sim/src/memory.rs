@@ -5,8 +5,6 @@
 //! knows which chip's DRAM bank backs each line (and therefore how far a
 //! DRAM fill has to travel).
 
-use std::collections::BTreeMap;
-
 /// A simulated byte address.
 pub type Addr = u64;
 
@@ -53,8 +51,9 @@ pub struct SimMemory {
     next: Addr,
     next_chip: u32,
     policy: HomePolicy,
-    /// Regions keyed by start address for range lookup.
-    regions: BTreeMap<Addr, Region>,
+    /// Regions in ascending address order: the bump allocator only ever
+    /// appends above the last one.
+    regions: Vec<Region>,
 }
 
 impl SimMemory {
@@ -75,7 +74,7 @@ impl SimMemory {
             next: Self::BASE,
             next_chip: 0,
             policy: HomePolicy::RoundRobin,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
         }
     }
 
@@ -123,16 +122,20 @@ impl SimMemory {
             label,
         };
         self.next = addr + round_up(size, self.line_size);
-        self.regions.insert(addr, region);
+        debug_assert!(
+            self.regions.last().map_or(true, |r| r.end() <= addr),
+            "regions must stay sorted by address"
+        );
+        self.regions.push(region);
         region
     }
 
     /// The region containing an address, if any.
     pub fn region_of(&self, addr: Addr) -> Option<Region> {
-        self.regions
-            .range(..=addr)
-            .next_back()
-            .map(|(_, r)| *r)
+        let after = self.regions.partition_point(|r| r.addr <= addr);
+        self.regions[..after]
+            .last()
+            .copied()
             .filter(|r| r.contains(addr))
     }
 
@@ -154,7 +157,7 @@ impl SimMemory {
 
     /// Total bytes allocated so far.
     pub fn allocated_bytes(&self) -> u64 {
-        self.regions.values().map(|r| r.size).sum()
+        self.regions.iter().map(|r| r.size).sum()
     }
 
     /// Number of regions allocated.
@@ -164,7 +167,7 @@ impl SimMemory {
 
     /// Iterates over every allocated region in address order.
     pub fn regions(&self) -> impl Iterator<Item = &Region> {
-        self.regions.values()
+        self.regions.iter()
     }
 
     /// Line size used for alignment.
