@@ -5,8 +5,8 @@
 //! simulator's coherence directory, the runtime's object interner, and
 //! CoreTime's co-access pair table. (The directory has since gone back to
 //! a table of its own — 16-byte slots that double in place, see
-//! `o2-sim::directory` — because nothing else wants its layout.) The
-//! recipe:
+//! `o2-sim::directory` — because nothing else wants its layout, and the
+//! pair table went with the co-access clustering it served.) The recipe:
 //!
 //! * **Power-of-two capacity, mask indexing.** The home slot of a key is
 //!   `(hash(key) >> 32) & (capacity - 1)` where `hash` is Fibonacci

@@ -37,15 +37,6 @@ impl CoreTime {
     ) -> Box<dyn SchedPolicy + Send> {
         Box::new(O2Policy::new(machine, cfg))
     }
-
-    /// A CoreTime policy with every Section-6.2 extension enabled
-    /// (replication, clustering, frequency-based replacement).
-    pub fn policy_with_extensions(machine: &MachineConfig) -> Box<dyn SchedPolicy + Send> {
-        Box::new(O2Policy::new(
-            machine,
-            CoreTimeConfig::with_all_extensions(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -60,6 +51,5 @@ mod tests {
             CoreTime::policy_with(&cfg, CoreTimeConfig::default()).name(),
             "coretime"
         );
-        assert_eq!(CoreTime::policy_with_extensions(&cfg).name(), "coretime");
     }
 }

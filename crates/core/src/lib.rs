@@ -16,11 +16,9 @@
 //! | event-counter monitoring       | [`monitor`] + [`object`] |
 //! | idle/DRAM/L2-load rebalancing  | [`rebalance`] |
 //! | pathology detection            | [`pathology`] |
-//! | §6.2 read-only replication     | [`replication`] |
-//! | §6.2 object clustering         | [`clustering`] |
-//! | §6.2 frequency-based placement | [`replacement`] |
+//! | §6.2 read-only replication     | [`replication`] (replica serving) |
 //!
-//! [`CoreTimeConfig`] switches the §6.2 extensions and tunes replication;
+//! [`CoreTimeConfig`] switches replica serving and sets its heat floor;
 //! the Section 4 thresholds and cost estimates are constants in the module
 //! that reads each.
 //!
@@ -54,7 +52,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod clustering;
 pub mod config;
 pub mod monitor;
 pub mod object;
@@ -62,7 +59,6 @@ pub mod packing;
 pub mod pathology;
 pub mod policy;
 pub mod rebalance;
-pub mod replacement;
 pub mod replication;
 pub mod table;
 

@@ -20,9 +20,8 @@ pub struct ObjectInfo {
     /// Smoothed private-cache misses per operation on this object.
     pub ewma_misses_per_op: f64,
     /// Smoothed fraction of operations that declared themselves reads at
-    /// `ct_start` (1.0 = all reads). This is the *measured* replacement
-    /// for the static `read_mostly` hint: replica promotion and demotion
-    /// key off it when `serve_from_replicas` is enabled.
+    /// `ct_start` (1.0 = all reads). Replica promotion and demotion key
+    /// off it when `serve_from_replicas` is enabled.
     pub ewma_read_fraction: f64,
     /// Total operations observed.
     pub ops_total: u64,
@@ -173,11 +172,6 @@ impl ObjectRegistry {
         self.slots.get(id as usize).filter(|info| info.present)
     }
 
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, id: DenseObjectId) -> Option<&mut ObjectInfo> {
-        self.slots.get_mut(id as usize).filter(|info| info.present)
-    }
-
     /// The external key of an object (zero if unknown).
     #[inline]
     pub fn key_of(&self, id: DenseObjectId) -> ObjectId {
@@ -204,8 +198,7 @@ impl ObjectRegistry {
         self.ensure_slot(id);
         let line_size = self.line_size;
         if !self.slots[id as usize].present {
-            let mut desc = ObjectDescriptor::new(key, key, misses.max(1) * line_size);
-            desc.read_mostly = false;
+            let desc = ObjectDescriptor::new(key, key, misses.max(1) * line_size);
             self.slots[id as usize] = ObjectInfo::new(desc, true);
             self.known += 1;
         }
@@ -255,17 +248,6 @@ impl ObjectRegistry {
         }
         std::mem::swap(&mut self.dirty_this, &mut self.dirty_last);
         self.dirty_this.clear();
-    }
-
-    /// Iterates over all known objects (slab order, i.e. ascending dense
-    /// id). Epoch-path consumers should prefer
-    /// [`ObjectRegistry::active_last_epoch`].
-    pub fn iter(&self) -> impl Iterator<Item = (DenseObjectId, &ObjectInfo)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, info)| info.present)
-            .map(|(i, info)| (i as DenseObjectId, info))
     }
 
     /// The objects operated on during the previous epoch — exactly the set

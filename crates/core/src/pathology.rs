@@ -111,8 +111,8 @@ pub fn plan(
     for &from in &hot {
         let mut objs: Vec<DenseObjectId> = table.objects_on(from).to_vec();
         if objs.len() <= 1 {
-            // A single popular object cannot be split by moving; replication
-            // (Section 6.2) handles that case when enabled.
+            // A single popular object cannot be split by moving; replica
+            // serving (Section 6.2) handles that case when it is on.
             continue;
         }
         // Keep the hottest object where it is, spread the rest (bounded per

@@ -9,13 +9,13 @@
 //!   (Section 4, "Runtime monitoring" + the greedy cache-packing
 //!   algorithm);
 //! * at every epoch the policy rebalances objects away from saturated
-//!   cores, spreads migration hot-spots, and — when the Section 6.2
-//!   extensions are enabled — replicates hot read-mostly objects and admits
-//!   objects by frequency when the on-chip budget is oversubscribed.
+//!   cores, spreads migration hot-spots, and — with replica serving on
+//!   (Section 6.2) — replicates the hot read-mostly head and asks the
+//!   engine to warm its copies in idle time.
 //!
 //! As in the paper, an assigned object is never un-assigned for being
-//! idle: only rebalancing, pathology spreading, replacement and the fault
-//! plane move or release it.
+//! idle: only rebalancing, pathology spreading and the fault plane move or
+//! release it.
 
 use o2_metrics::{LatencyRecorder, LatencySummary};
 use o2_runtime::{
@@ -24,15 +24,13 @@ use o2_runtime::{
 };
 use o2_sim::{CounterDelta, MachineConfig};
 
-use crate::clustering::CoAccessTracker;
 use crate::config::CoreTimeConfig;
 use crate::monitor::{verdict, MonitorVerdict};
 use crate::object::ObjectRegistry;
 use crate::packing;
 use crate::pathology::{self, PATHOLOGY_FACTOR};
 use crate::rebalance;
-use crate::replacement;
-use crate::replication;
+use crate::replication::{self, earns_replicas};
 use crate::table::AssignmentTable;
 
 /// EWMA smoothing factor for per-object miss rates and read fractions.
@@ -44,8 +42,6 @@ const CAPACITY_FRACTION: f64 = 0.90;
 /// pathology detector act: with fewer samples the per-core counters are
 /// noise and reacting to them just churns the caches.
 const MIN_EPOCH_OPS_PER_CORE: u64 = 16;
-/// Co-access count after which two objects are considered clustered.
-const CLUSTERING_THRESHOLD: u64 = 16;
 
 /// Counters describing what the policy has done, for reports and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,10 +52,6 @@ pub struct O2Stats {
     pub rebalance_moves: u64,
     /// Object moves planned by the pathology detector.
     pub pathology_moves: u64,
-    /// Replicas created for read-mostly objects.
-    pub replications: u64,
-    /// Objects evicted by the frequency-based replacement policy.
-    pub replacement_evictions: u64,
     /// Operations the policy asked to migrate.
     pub migrations_requested: u64,
     /// Operations that ran where the thread already was.
@@ -76,8 +68,8 @@ pub struct O2Stats {
     /// Migrations skipped because the target core was degraded — the
     /// "flip from migration to data movement" path.
     pub degraded_avoids: u64,
-    /// Objects promoted to extra replicas by the measured-read-fraction
-    /// planner (`serve_from_replicas`); counts replica copies created.
+    /// Replica copies created under serving, by the epoch planner and by
+    /// demand fills at `ct_start`.
     pub replica_promotions: u64,
     /// Objects whose extra replicas were dropped at an epoch boundary
     /// because their measured read fraction fell below the demote
@@ -110,7 +102,9 @@ pub struct O2Policy {
     cfg: CoreTimeConfig,
     registry: ObjectRegistry,
     table: AssignmentTable,
-    clustering: CoAccessTracker,
+    /// Most copies of one object, the primary included: one per core, so
+    /// the hottest object can earn a local copy everywhere.
+    max_copies: u32,
     stats: O2Stats,
     /// Cores the fault plane took permanently offline.
     offline_mask: u64,
@@ -141,12 +135,12 @@ impl O2Policy {
     pub fn new(machine: &MachineConfig, cfg: CoreTimeConfig) -> Self {
         cfg.validate().expect("invalid CoreTime configuration");
         let per_core = (machine.per_core_budget_bytes() as f64 * CAPACITY_FRACTION) as u64;
-        let capacities = vec![per_core; machine.total_cores() as usize];
+        let cores = machine.total_cores();
         Self {
             cfg,
             registry: ObjectRegistry::new(machine.line_size),
-            table: AssignmentTable::new(capacities),
-            clustering: CoAccessTracker::new(),
+            table: AssignmentTable::new(vec![per_core; cores as usize]),
+            max_copies: cores,
             stats: O2Stats::default(),
             offline_mask: 0,
             degraded_mask: 0,
@@ -193,63 +187,23 @@ impl O2Policy {
         &self.cfg
     }
 
-    /// Places a newly expensive object, in priority order: next to a
-    /// cluster partner, then greedy first fit, then (if enabled)
-    /// frequency-based replacement, and finally past the budget of the
-    /// least-loaded live core — only an object larger than a whole core's
-    /// budget is left to the hardware.
+    /// Places a newly expensive object: greedy first fit, else past the
+    /// budget of the least-loaded live core — only an object larger than a
+    /// whole core's budget is left to the hardware.
     fn place_object(&mut self, object: DenseObjectId) {
         let Some(info) = self.registry.get(object) else {
             return;
         };
         let size = info.size();
-        let frequency = info.ops_this_epoch.max(info.ops_last_epoch);
-
-        // 1. Object clustering: prefer the core already holding a partner.
-        if self.cfg.enable_clustering {
-            let registry = &self.registry;
-            let partners = self
-                .clustering
-                .partners(object, CLUSTERING_THRESHOLD, |partner| {
-                    registry.key_of(partner)
-                });
-            for partner in partners {
-                if let Some(core) = self.table.primary(partner) {
-                    if self.table.free_bytes(core) >= size && self.table.assign(object, size, core)
-                    {
-                        self.stats.assignments += 1;
-                        return;
-                    }
-                }
-            }
-        }
-
-        // 2. Greedy first fit into the per-core budgets, visiting the
-        //    least-loaded core first so objects and the operations that
-        //    follow them stay balanced across cores (Section 3).
-        if packing::place_balanced(&mut self.table, object, size).is_some() {
-            self.stats.assignments += 1;
-            return;
-        }
-
-        // 3. The on-chip budget is full: frequency-based replacement.
-        if self.cfg.enable_replacement {
-            if let Some(adm) = replacement::admit_with_replacement(
-                &mut self.table,
-                &self.registry,
-                object,
-                size,
-                frequency,
-            ) {
-                self.stats.assignments += 1;
-                self.stats.replacement_evictions += adm.evicted.len() as u64;
-                return;
-            }
-        }
-        // 4. No room anywhere, but the object is still assigned:
-        //    unassigned, every core would scan it and the copies would
-        //    evict what steps 1-3 packed.
-        if packing::place_over_budget(&mut self.table, object, size).is_some() {
+        // Greedy first fit into the per-core budgets, visiting the
+        // least-loaded core first so objects and the operations that
+        // follow them stay balanced across cores (Section 3). With no room
+        // anywhere the object is still assigned: unassigned, every core
+        // would scan it and the copies would evict what was packed.
+        if packing::place_balanced(&mut self.table, object, size)
+            .or_else(|| packing::place_over_budget(&mut self.table, object, size))
+            .is_some()
+        {
             self.stats.assignments += 1;
         }
     }
@@ -272,16 +226,10 @@ impl SchedPolicy for O2Policy {
     fn footprint_bytes(&self) -> u64 {
         self.registry.footprint_bytes()
             + self.table.footprint_bytes()
-            + self.clustering.footprint_bytes()
             + self.op_latency.footprint_bytes()
     }
 
     fn on_ct_start(&mut self, ctx: &OpContext<'_>) -> Placement {
-        // Co-access tracking only feeds the clustering heuristic; skip the
-        // pair-table work entirely when that extension is off.
-        if self.cfg.enable_clustering {
-            self.clustering.record(ctx.thread, ctx.object);
-        }
         let serving = self.cfg.serve_from_replicas;
         if serving && ctx.kind == AccessKind::Write {
             // First write to a replicated object: every non-primary copy
@@ -340,12 +288,11 @@ impl SchedPolicy for O2Policy {
             && ctx.kind == AccessKind::Read
             && usable & (1u64 << ctx.core) == 0
             && self.avoid_mask() & (1u64 << ctx.core) == 0
-            && replicas.mask().count_ones() < self.cfg.max_replicas
+            && replicas.mask().count_ones() < self.max_copies
         {
             let qualifies = self.registry.get(ctx.object).is_some_and(|info| {
-                info.ewma_read_fraction >= self.cfg.replica_promote_read_fraction
-                    && info.ops_this_epoch.max(info.ops_last_epoch)
-                        >= self.cfg.replication_hot_ops.max(1)
+                let ops = info.ops_this_epoch.max(info.ops_last_epoch);
+                earns_replicas(info, ops, self.cfg.replication_hot_ops)
             });
             if qualifies && self.table.add_replica(ctx.object, ctx.core) {
                 self.stats.replica_promotions += 1;
@@ -358,15 +305,15 @@ impl SchedPolicy for O2Policy {
         // already holds a copy (the local copy wins), reads at a
         // fault-avoided core (migrate off the degraded core), reads of a
         // cap-saturated object (rotate across its k copies), and — with
-        // serving off — every operation on an assigned object (the
-        // legacy nearest-copy migration path).
+        // serving off — every operation on an assigned object (migrate to
+        // its one home).
         // Invariant: `usable != 0` was checked above, so the bit iterator
         // yields at least one core and both selectors return `Some`.
         debug_assert!(usable != 0);
         let target = if serving && usable.count_ones() > 1 {
-            // Measured serving spreads distance ties across copies with a
-            // rotation counter; the legacy lowest-core-id tie-break would
-            // re-serialize a fully replicated object onto one core.
+            // Serving spreads distance ties across copies with a rotation
+            // counter; a lowest-core-id tie-break would re-serialize a
+            // fully replicated object onto one core.
             let rotor = self.replica_rotor;
             self.replica_rotor = self.replica_rotor.wrapping_add(1);
             replication::select_replica_rotated(
@@ -410,7 +357,6 @@ impl SchedPolicy for O2Policy {
     fn on_epoch(&mut self, view: &EpochView<'_>) -> Vec<PolicyCommand> {
         self.stats.epochs += 1;
         self.registry.roll_epoch();
-        self.clustering.decay();
 
         // Moving an assignment invalidates the cache affinity it has built
         // up, so the reactive mechanisms only act when the epoch carries a
@@ -438,18 +384,25 @@ impl SchedPolicy for O2Policy {
 
         let mut commands = Vec::new();
         if self.cfg.serve_from_replicas {
-            // Measured-read-fraction serving: demote first (a cooled-off
-            // object's copies come back to the budget this epoch), then
-            // promote the hot read-heavy head proportionally to its heat.
-            // Avoided cores never receive new copies, so replica sets stay
-            // on live cores under the fault plane.
-            for object in replication::plan_demotions(&self.cfg, &self.table, &self.registry) {
+            // Demote first (a cooled-off object's copies come back to the
+            // budget this epoch), then promote the hot read-heavy head
+            // proportionally to its heat. Avoided cores never receive new
+            // copies, so replica sets stay on live cores under the fault
+            // plane.
+            for object in replication::plan_demotions(&self.table, &self.registry) {
                 if self.table.drop_replicas(object) > 0 {
                     self.stats.replica_demotions += 1;
                 }
             }
+            let hot_ops = self.cfg.replication_hot_ops;
             let avoid = self.avoid_mask();
-            for r in replication::plan_promotions(&self.cfg, &self.table, &self.registry, avoid) {
+            for r in replication::plan_promotions(
+                hot_ops,
+                self.max_copies,
+                &self.table,
+                &self.registry,
+                avoid,
+            ) {
                 if self.table.add_replica(r.object, r.core) {
                     self.stats.replica_promotions += 1;
                     // Promotion's data-movement half: a copy created at an
@@ -468,17 +421,10 @@ impl SchedPolicy for O2Policy {
             // invalidations re-stream cheaply, and a saturated run never
             // finds a gap so the commands cost nothing there.
             commands.extend(
-                replication::plan_fills(&self.cfg, &self.table, &self.registry, avoid)
+                replication::plan_fills(hot_ops, &self.table, &self.registry, avoid)
                     .into_iter()
                     .map(|(object, core)| PolicyCommand::FillReplica { object, core }),
             );
-        } else {
-            // Replicate hot read-mostly objects (Section 6.2 extension).
-            for r in replication::plan(&self.cfg, &self.table, &self.registry) {
-                if self.table.add_replica(r.object, r.core) {
-                    self.stats.replications += 1;
-                }
-            }
         }
 
         // The pathology detector doubles as the degradation detector: a
@@ -508,8 +454,8 @@ impl SchedPolicy for O2Policy {
         if core < 64 {
             self.offline_mask |= 1u64 << core;
         }
-        // Zero the dead core's packing budget so no packer (balanced,
-        // replacement, over-budget) ever places there again, then re-home
+        // Zero the dead core's packing budget so no packer (balanced or
+        // over-budget) ever places there again, then re-home
         // everything it held onto the surviving cores by the placement
         // rule: first fit, else past the budget of the least-loaded live
         // core. Only an object larger than a surviving core's whole budget
@@ -922,11 +868,11 @@ mod tests {
         assert!(dbg.contains("O2Policy"));
     }
 
-    /// The scale scenarios' serving configuration for one object on the
-    /// quad test machine: every core may hold a copy and two ops per epoch
-    /// make an object hot.
+    /// The scale scenarios' serving configuration for one object: two ops
+    /// per epoch make an object hot, and on the quad test machine every
+    /// one of the four cores may hold a copy.
     fn serving_config() -> CoreTimeConfig {
-        CoreTimeConfig::default().with_serving(1, 4)
+        CoreTimeConfig::default().with_serving(1)
     }
 
     /// Runs one expensive operation on object 0 from `core` with the
@@ -1121,36 +1067,30 @@ mod tests {
     #[test]
     fn cap_saturated_reads_rotate_across_every_copy() {
         let machine = quad_machine();
-        let mut cfg = serving_config();
-        cfg.max_replicas = 2;
-        let mut policy = O2Policy::new(machine.config(), cfg);
-        policy.register_object(0, &ObjectDescriptor::new(0x1000, 0x1000, 32 * 1024));
-        for _ in 0..5 {
-            serving_op(&mut policy, &machine, 0, AccessKind::Read);
-        }
-        let primary = policy.table().primary(0).expect("assigned");
-        // One demand fill reaches the cap of two copies.
-        let second = (primary + 1) % 4;
-        serving_op(&mut policy, &machine, second, AccessKind::Read);
-        assert_eq!(policy.table().replicas(0).len(), 2);
-        // A seeded storm of reads from the two copyless cores: the
-        // rotated selector must spread them across both copies instead of
-        // funnelling every request onto one core.
+        let mut policy = O2Policy::new(machine.config(), serving_config());
+        // Every core holds a copy: the cap of one copy per core is reached.
+        let primary = replicate_everywhere(&mut policy, &machine);
+        let slow = (primary + 1) % 4;
+        // Reads from a core that holds a copy run on it.
+        assert_eq!(
+            serving_op(&mut policy, &machine, slow, AccessKind::Read),
+            Placement::Local
+        );
+        // Once that core is degraded its own copy is off limits and no
+        // new copy can be made: its reads must rotate across the three
+        // usable copies instead of funnelling onto one core.
+        policy.core_degraded(slow, 400);
         let mut per_copy = [0u64; 4];
-        for i in 0..100u32 {
-            let from = [(primary + 2) % 4, (primary + 3) % 4][(i % 2) as usize];
-            match serving_op(&mut policy, &machine, from, AccessKind::Read) {
+        for _ in 0..99 {
+            match serving_op(&mut policy, &machine, slow, AccessKind::Read) {
                 Placement::On(core) => per_copy[core as usize] += 1,
-                Placement::Local => per_copy[from as usize] += 1,
+                Placement::Local => panic!("a degraded core ran a read locally"),
             }
         }
-        assert!(
-            per_copy[primary as usize] > 0 && per_copy[second as usize] > 0,
-            "a copy served zero operations in the storm: {per_copy:?}"
-        );
+        assert_eq!(per_copy[slow as usize], 0, "{per_copy:?}");
+        for core in (0..4).filter(|&c| c != slow) {
+            assert_eq!(per_copy[core as usize], 33, "{per_copy:?}");
+        }
         assert!(policy.stats().replica_served > 0);
-        // Nothing landed on the copyless cores.
-        assert_eq!(per_copy[(primary as usize + 2) % 4], 0);
-        assert_eq!(per_copy[(primary as usize + 3) % 4], 0);
     }
 }

@@ -1,15 +1,15 @@
-//! Read-only object replication (Section 6.2).
+//! Read-only object replication (Section 6.2), as replica serving.
 //!
 //! "Sometimes it is better to replicate read-only objects and other times
-//! it might be better to schedule more distinct objects." When enabled,
-//! CoreTime replicates hot read-mostly objects into additional caches so
-//! that operations on them can run on several cores, trading on-chip
-//! capacity for parallelism.
+//! it might be better to schedule more distinct objects." With serving on,
+//! CoreTime replicates objects whose *measured* traffic is hot and
+//! read-mostly into additional caches, so that reads of them run on
+//! several cores, trading on-chip capacity for parallelism; a write drops
+//! the extra copies.
 
 use o2_runtime::{CoreId, DenseObjectId, ObjectId};
 
-use crate::config::CoreTimeConfig;
-use crate::object::ObjectRegistry;
+use crate::object::{ObjectInfo, ObjectRegistry};
 use crate::table::AssignmentTable;
 
 /// A planned replica creation.
@@ -23,92 +23,49 @@ pub struct Replica {
     pub size: u64,
 }
 
-/// Plans replica creations for one epoch from the static `read_mostly`
-/// hint: hinted objects that were operated on at least
-/// `replication_hot_ops` times last epoch gain **at most one replica per
-/// object per call** (one per epoch), placed on the core with the most
-/// free budget.
-///
-/// `max_replicas` caps the **total copies** of an object, the primary
-/// included: with `max_replicas = 2` an object holding a primary plus one
-/// replica is already at the cap and gains nothing. See
-/// [`plan_promotions`] for the measured-read-fraction planner that
-/// replicates proportionally to heat in a single epoch.
-pub fn plan(
-    cfg: &CoreTimeConfig,
-    table: &AssignmentTable,
-    registry: &ObjectRegistry,
-) -> Vec<Replica> {
-    if !cfg.enable_replication {
-        return Vec::new();
-    }
-    let mut plans = Vec::new();
-    let mut free: Vec<u64> = (0..table.num_cores() as CoreId)
-        .map(|c| table.free_bytes(c))
-        .collect();
+/// Measured read fraction (EWMA) at or above which a hot object is served
+/// from replicas. It sits well below an all-read 1.0 because the per-op
+/// EWMA dips to ~0.67 right after each write even on a 95%-read object:
+/// a lone write then costs one invalidation, not a round of migrations
+/// before the demand fill re-qualifies.
+const PROMOTE_READ_FRACTION: f64 = 0.60;
 
-    // Deterministic order: hottest objects first, ties by external key.
-    // With a positive hot-ops threshold only objects operated on last
-    // epoch can qualify, so the normal path walks the registry's dirty
-    // list instead of scanning every object; a threshold of zero means
-    // "replicate every read-mostly object", which needs the full scan.
-    let collect = |it: &mut dyn Iterator<Item = (DenseObjectId, &crate::object::ObjectInfo)>| {
-        it.filter(|(_, info)| info.desc.read_mostly)
-            .filter(|(_, info)| info.ops_last_epoch >= cfg.replication_hot_ops)
-            .map(|(id, info)| (id, info.ops_last_epoch, info.key()))
-            .collect::<Vec<_>>()
-    };
-    let mut candidates: Vec<(DenseObjectId, u64, ObjectId)> = if cfg.replication_hot_ops == 0 {
-        collect(&mut registry.iter())
-    } else {
-        collect(&mut registry.active_last_epoch())
-    };
-    candidates.sort_by_key(|&(_, ops, key)| (std::cmp::Reverse(ops), key));
+/// Measured read fraction (EWMA) below which a replicated object loses
+/// its extra replicas at the epoch boundary. Kept well under
+/// [`PROMOTE_READ_FRACTION`] so a borderline object does not flap between
+/// promoted and demoted every epoch.
+const DEMOTE_READ_FRACTION: f64 = 0.40;
 
-    for (object, _ops, _key) in candidates {
-        let existing = table.replicas(object);
-        if existing.is_empty() || existing.len() >= cfg.max_replicas as usize {
-            continue;
-        }
-        // Budget with the size each copy is actually charged at in the
-        // table (the assign-time size), not the registry's current size —
-        // the two can diverge after re-registration or estimate growth,
-        // and `add_replica` will charge the former.
-        // Invariant: `object` was taken from the table's assigned set, so
-        // it has a charge.
-        debug_assert!(table.is_assigned(object));
-        let size = table
-            .charged_bytes(object)
-            .expect("assigned object has a charge");
-        // Pick the core with the most free budget that has no copy yet.
-        let target = (0..table.num_cores() as CoreId)
-            .filter(|&c| !existing.contains(c) && free[c as usize] >= size)
-            .max_by_key(|&c| free[c as usize]);
-        if let Some(core) = target {
-            free[core as usize] -= size;
-            plans.push(Replica { object, core, size });
-        }
-    }
-    plans
+/// Whether an object's measured traffic earns it replicas: at least
+/// `hot_ops` operations in `ops` (an epoch's count) and a smoothed read
+/// fraction at or above [`PROMOTE_READ_FRACTION`].
+#[inline]
+pub(crate) fn earns_replicas(info: &ObjectInfo, ops: u64, hot_ops: u64) -> bool {
+    ops >= hot_ops && info.ewma_read_fraction >= PROMOTE_READ_FRACTION
 }
 
-/// Plans replica drops for one epoch under measured-read-fraction serving:
-/// every replicated object that was operated on last epoch and whose
-/// smoothed read fraction fell below `replica_demote_read_fraction` loses
-/// its extra copies. Objects idle last epoch keep their replicas — with no
-/// reads *or* writes there is no evidence the mix changed. The demotion
-/// threshold sits below the promotion threshold, so a borderline object
-/// does not flap between the two every epoch.
-pub fn plan_demotions(
-    cfg: &CoreTimeConfig,
-    table: &AssignmentTable,
-    registry: &ObjectRegistry,
-) -> Vec<DenseObjectId> {
+/// The objects that earned replicas last epoch, hottest first (ties by
+/// external key), with their last-epoch operation counts.
+fn serving_head(hot_ops: u64, registry: &ObjectRegistry) -> Vec<(DenseObjectId, u64)> {
+    let mut head: Vec<(DenseObjectId, u64, ObjectId)> = registry
+        .active_last_epoch()
+        .filter(|(_, info)| earns_replicas(info, info.ops_last_epoch, hot_ops))
+        .map(|(id, info)| (id, info.ops_last_epoch, info.key()))
+        .collect();
+    head.sort_by_key(|&(_, ops, key)| (std::cmp::Reverse(ops), key));
+    head.into_iter().map(|(id, ops, _)| (id, ops)).collect()
+}
+
+/// Plans replica drops for one epoch: every replicated object that was
+/// operated on last epoch and whose smoothed read fraction fell below
+/// `DEMOTE_READ_FRACTION` (0.40) loses its extra copies. Objects idle last
+/// epoch keep their replicas — with no reads *or* writes there is no
+/// evidence the mix changed.
+pub fn plan_demotions(table: &AssignmentTable, registry: &ObjectRegistry) -> Vec<DenseObjectId> {
     let mut drops: Vec<(ObjectId, DenseObjectId)> = registry
         .active_last_epoch()
         .filter(|&(id, info)| {
-            table.replicas(id).len() > 1
-                && info.ewma_read_fraction < cfg.replica_demote_read_fraction
+            table.replicas(id).len() > 1 && info.ewma_read_fraction < DEMOTE_READ_FRACTION
         })
         .map(|(id, info)| (info.key(), id))
         .collect();
@@ -116,49 +73,35 @@ pub fn plan_demotions(
     drops.into_iter().map(|(_, id)| id).collect()
 }
 
-/// Plans replica creations for one epoch under measured-read-fraction
-/// serving. Unlike [`plan`], this planner needs no static hint and is not
-/// limited to one replica per epoch: an object hot enough to deserve `k`
-/// copies gets all `k - existing` new replicas in this call, so a newly
-/// hot head does not take `k` epochs to spread.
+/// Plans replica creations for one epoch. An object hot enough to deserve
+/// `k` copies gets all `k - existing` new replicas in this call, so a
+/// newly hot head does not take `k` epochs to spread.
 ///
-/// Candidates are the objects operated on last epoch with at least
-/// `replication_hot_ops` operations and a smoothed read fraction at or
-/// above `replica_promote_read_fraction`. The copy target scales with
-/// heat — `1 + ops_last_epoch / replication_hot_ops` copies, capped at
-/// `max_replicas` total (primary included). New copies go to the cores
-/// with the most free budget among those holding no copy and not in
-/// `avoid_mask` (offline or degraded cores never receive replicas).
+/// Candidates are the objects that earn replicas on last epoch's counts:
+/// at least `hot_ops` operations and a smoothed read fraction of at least
+/// `PROMOTE_READ_FRACTION` (0.60). The copy target scales with heat — `1 +
+/// ops_last_epoch / hot_ops` copies, capped at `max_copies` (primary
+/// included). New copies go to the cores with the most free budget among
+/// those holding no copy and not in `avoid_mask` (offline or degraded
+/// cores never receive replicas).
 pub fn plan_promotions(
-    cfg: &CoreTimeConfig,
+    hot_ops: u64,
+    max_copies: u32,
     table: &AssignmentTable,
     registry: &ObjectRegistry,
     avoid_mask: u64,
 ) -> Vec<Replica> {
-    if !cfg.enable_replication || !cfg.serve_from_replicas {
-        return Vec::new();
-    }
     let mut free: Vec<u64> = (0..table.num_cores() as CoreId)
         .map(|c| table.free_bytes(c))
         .collect();
-    let mut candidates: Vec<(DenseObjectId, u64, ObjectId)> = registry
-        .active_last_epoch()
-        .filter(|(_, info)| {
-            info.ops_last_epoch >= cfg.replication_hot_ops.max(1)
-                && info.ewma_read_fraction >= cfg.replica_promote_read_fraction
-        })
-        .map(|(id, info)| (id, info.ops_last_epoch, info.key()))
-        .collect();
-    candidates.sort_by_key(|&(_, ops, key)| (std::cmp::Reverse(ops), key));
-
     let mut plans = Vec::new();
-    for (object, ops, _key) in candidates {
+    for (object, ops) in serving_head(hot_ops, registry) {
         let existing = table.replicas(object);
         if existing.is_empty() {
             continue;
         }
-        let heat = 1 + ops / cfg.replication_hot_ops.max(1);
-        let target = heat.min(u64::from(cfg.max_replicas)) as usize;
+        let heat = 1 + ops / hot_ops;
+        let target = heat.min(u64::from(max_copies)) as usize;
         if existing.len() >= target {
             continue;
         }
@@ -186,38 +129,24 @@ pub fn plan_promotions(
     plans
 }
 
-/// Plans idle-time cache fills for one epoch under measured serving:
-/// every copy (primary included) of every object that currently qualifies
-/// for read serving — operated on last epoch, at least
-/// `replication_hot_ops` ops, read fraction at or above the promote
-/// threshold — is re-streamed into its core's caches by the engine the
-/// next time that core has nothing runnable. This is the data-movement
-/// half of promotion: bookkeeping alone leaves the first post-write read
-/// on each core paying the remote refill inline, while a background fill
-/// absorbs it into an arrival gap. Copies on avoided cores are skipped.
+/// Plans idle-time cache fills for one epoch: every copy (primary
+/// included) of every object that earned replicas last epoch is
+/// re-streamed into its core's caches by the engine the next time that
+/// core has nothing runnable. This is the data-movement half of
+/// promotion: bookkeeping alone leaves the first post-write read on each
+/// core paying the remote refill inline, while a background fill absorbs
+/// it into an arrival gap. Copies on avoided cores are skipped.
 ///
 /// Hottest objects first (ties by external key), so a core that finds
 /// only a short idle gap warms the head before the tail.
 pub fn plan_fills(
-    cfg: &CoreTimeConfig,
+    hot_ops: u64,
     table: &AssignmentTable,
     registry: &ObjectRegistry,
     avoid_mask: u64,
 ) -> Vec<(DenseObjectId, CoreId)> {
-    if !cfg.enable_replication || !cfg.serve_from_replicas {
-        return Vec::new();
-    }
-    let mut candidates: Vec<(DenseObjectId, u64, ObjectId)> = registry
-        .active_last_epoch()
-        .filter(|(_, info)| {
-            info.ops_last_epoch >= cfg.replication_hot_ops.max(1)
-                && info.ewma_read_fraction >= cfg.replica_promote_read_fraction
-        })
-        .map(|(id, info)| (id, info.ops_last_epoch, info.key()))
-        .collect();
-    candidates.sort_by_key(|&(_, ops, key)| (std::cmp::Reverse(ops), key));
     let mut fills = Vec::new();
-    for (object, _ops, _key) in candidates {
+    for (object, _ops) in serving_head(hot_ops, registry) {
         let mut bits = table.replicas(object).mask() & !avoid_mask;
         while bits != 0 {
             let core = bits.trailing_zeros();
@@ -300,33 +229,13 @@ mod tests {
     use super::*;
     use o2_runtime::{AccessKind, ObjectDescriptor};
 
-    fn setup(hot_ops: u64, read_mostly: bool) -> (CoreTimeConfig, AssignmentTable, ObjectRegistry) {
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_replication = true;
-        let mut table = AssignmentTable::new(vec![100_000; 4]);
-        let mut registry = ObjectRegistry::new(64);
-        registry.register(
-            1,
-            ObjectDescriptor::new(1, 0x1000, 8_000).read_mostly(read_mostly),
-        );
-        for _ in 0..hot_ops {
-            registry.record_op(1, 1, 4, 0.3, AccessKind::Write);
-        }
-        registry.roll_epoch();
-        table.assign(1, 8_000, 0);
-        (cfg, table, registry)
-    }
+    /// The heat floor of the unit tests: 64 operations per epoch earn a
+    /// second copy.
+    const HOT_OPS: u64 = 64;
 
-    /// Like `setup`, but with measured serving enabled and the object's
-    /// last-epoch ops recorded with the given access kind (no static
-    /// `read_mostly` hint — serving must not need it).
-    fn serving_setup(
-        ops: u64,
-        kind: AccessKind,
-    ) -> (CoreTimeConfig, AssignmentTable, ObjectRegistry) {
-        let mut cfg = CoreTimeConfig::default();
-        cfg.enable_replication = true;
-        cfg.serve_from_replicas = true;
+    /// A four-core table holding one assigned 8 000-byte object (on core
+    /// 0) whose last epoch saw `ops` operations of the given kind.
+    fn setup(ops: u64, kind: AccessKind) -> (AssignmentTable, ObjectRegistry) {
         let mut table = AssignmentTable::new(vec![100_000; 4]);
         let mut registry = ObjectRegistry::new(64);
         registry.register(1, ObjectDescriptor::new(1, 0x1000, 8_000));
@@ -335,53 +244,23 @@ mod tests {
         }
         registry.roll_epoch();
         table.assign(1, 8_000, 0);
-        (cfg, table, registry)
+        (table, registry)
     }
 
     #[test]
     fn hot_read_mostly_objects_gain_replicas() {
-        let (cfg, table, registry) = setup(100, true);
-        let plans = plan(&cfg, &table, &registry);
+        let (table, registry) = setup(100, AccessKind::Read);
+        let plans = plan_promotions(HOT_OPS, 4, &table, &registry, 0);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].object, 1);
         assert_ne!(plans[0].core, 0);
     }
 
     #[test]
-    fn cold_or_writable_objects_are_not_replicated() {
-        let (cfg, table, registry) = setup(10, true);
-        assert!(plan(&cfg, &table, &registry).is_empty());
-        let (cfg, table, registry) = setup(100, false);
-        assert!(plan(&cfg, &table, &registry).is_empty());
-    }
-
-    #[test]
-    fn disabled_replication_plans_nothing() {
-        let (mut cfg, table, registry) = setup(100, true);
-        cfg.enable_replication = false;
-        assert!(plan(&cfg, &table, &registry).is_empty());
-    }
-
-    #[test]
     fn replica_count_is_capped() {
-        let (mut cfg, mut table, registry) = setup(100, true);
-        cfg.max_replicas = 2;
+        let (mut table, registry) = setup(10_000, AccessKind::Read);
         table.add_replica(1, 1);
-        assert!(plan(&cfg, &table, &registry).is_empty());
-    }
-
-    #[test]
-    fn zero_hot_ops_threshold_replicates_idle_read_mostly_objects() {
-        // A threshold of zero means every assigned read-mostly object
-        // qualifies, even one that was idle last epoch — this takes the
-        // full-scan path rather than the dirty-list fast path.
-        let (mut cfg, table, mut registry) = setup(0, true);
-        cfg.replication_hot_ops = 0;
-        registry.roll_epoch(); // object 1 is now idle (no ops last epoch)
-        assert_eq!(registry.get(1).unwrap().ops_last_epoch, 0);
-        let plans = plan(&cfg, &table, &registry);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].object, 1);
+        assert!(plan_promotions(HOT_OPS, 2, &table, &registry, 0).is_empty());
     }
 
     #[test]
@@ -390,78 +269,88 @@ mod tests {
         // shrinks its registry size. The plan must still budget (and
         // report) the charged 8 000, since that is what add_replica will
         // charge.
-        let (cfg, table, mut registry) = setup(100, true);
-        registry.register(1, ObjectDescriptor::new(1, 0x1000, 4_000).read_mostly(true));
-        let plans = plan(&cfg, &table, &registry);
+        let (table, mut registry) = setup(100, AccessKind::Read);
+        registry.register(1, ObjectDescriptor::new(1, 0x1000, 4_000));
+        let plans = plan_promotions(HOT_OPS, 4, &table, &registry, 0);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].size, 8_000);
     }
 
     #[test]
     fn unassigned_objects_are_not_replicated() {
-        let (cfg, mut table, registry) = setup(100, true);
+        let (mut table, registry) = setup(100, AccessKind::Read);
         table.unassign(1);
-        assert!(plan(&cfg, &table, &registry).is_empty());
+        assert!(plan_promotions(HOT_OPS, 4, &table, &registry, 0).is_empty());
     }
 
     #[test]
     fn max_replicas_counts_the_primary_as_a_copy() {
-        // Boundary pin for the cap semantics: `max_replicas = 1` means
-        // "primary only" — even a blazing-hot hinted object gains nothing,
-        // from either planner.
-        let (mut cfg, table, registry) = setup(10_000, true);
-        cfg.max_replicas = 1;
-        assert!(plan(&cfg, &table, &registry).is_empty());
-        let (mut cfg, table, mut registry) = serving_setup(10_000, AccessKind::Read);
-        cfg.max_replicas = 1;
-        assert!(plan_promotions(&cfg, &table, &registry, 0).is_empty());
-        // `max_replicas = 2` admits exactly one extra copy beyond the
-        // primary, however hot the object.
-        cfg.max_replicas = 2;
-        assert_eq!(plan_promotions(&cfg, &table, &registry, 0).len(), 1);
-        // And the hinted planner adds at most one replica per call even
-        // with cap headroom.
-        cfg.max_replicas = 4;
-        registry.get_mut(1).unwrap().desc.read_mostly = true;
-        assert_eq!(plan(&cfg, &table, &registry).len(), 1);
+        // Boundary pin for the cap semantics: a cap of one copy means
+        // "primary only" — even a blazing-hot object gains nothing.
+        let (table, registry) = setup(10_000, AccessKind::Read);
+        assert!(plan_promotions(HOT_OPS, 1, &table, &registry, 0).is_empty());
+        // A cap of two admits exactly one extra copy beyond the primary,
+        // however hot the object.
+        assert_eq!(plan_promotions(HOT_OPS, 2, &table, &registry, 0).len(), 1);
     }
 
     #[test]
     fn promotion_replicates_proportionally_to_heat_in_one_call() {
-        // 300 ops at hot_ops=64 wants 1 + 300/64 = 5 total copies, capped
-        // at max_replicas=4: three new replicas appear in a single epoch,
-        // one per remaining core.
-        let (cfg, table, registry) = serving_setup(300, AccessKind::Read);
-        let plans = plan_promotions(&cfg, &table, &registry, 0);
+        // 300 ops at a floor of 64 wants 1 + 300/64 = 5 total copies,
+        // capped at 4: three new replicas appear in a single epoch, one per
+        // remaining core.
+        let (table, registry) = setup(300, AccessKind::Read);
+        let plans = plan_promotions(HOT_OPS, 4, &table, &registry, 0);
         assert_eq!(plans.len(), 3);
         let mut cores: Vec<CoreId> = plans.iter().map(|p| p.core).collect();
         cores.sort_unstable();
         assert_eq!(cores, vec![1, 2, 3]);
         // Barely hot wants only 1 + 64/64 = 2 total copies.
-        let (cfg, table, registry) = serving_setup(64, AccessKind::Read);
-        assert_eq!(plan_promotions(&cfg, &table, &registry, 0).len(), 1);
+        let (table, registry) = setup(64, AccessKind::Read);
+        assert_eq!(plan_promotions(HOT_OPS, 4, &table, &registry, 0).len(), 1);
+    }
+
+    #[test]
+    fn cold_or_writable_objects_are_not_replicated() {
+        // Too few ops last epoch, or an all-write history (measured read
+        // fraction 0.0 < 0.60): neither planner touches the object.
+        for (ops, kind) in [(10, AccessKind::Read), (300, AccessKind::Write)] {
+            let (mut table, registry) = setup(ops, kind);
+            assert!(plan_promotions(HOT_OPS, 4, &table, &registry, 0).is_empty());
+            table.add_replica(1, 1);
+            assert!(plan_fills(HOT_OPS, &table, &registry, 0).is_empty());
+        }
     }
 
     #[test]
     fn write_heavy_or_gated_objects_are_never_promoted() {
-        // All-write history: measured read fraction 0.0 < promote 0.90.
-        let (cfg, table, registry) = serving_setup(300, AccessKind::Write);
-        assert!(plan_promotions(&cfg, &table, &registry, 0).is_empty());
-        // Serving off (or replication off) plans nothing.
-        let (mut cfg, table, registry) = serving_setup(300, AccessKind::Read);
-        cfg.serve_from_replicas = false;
-        assert!(plan_promotions(&cfg, &table, &registry, 0).is_empty());
-        // Too few ops last epoch.
-        let (cfg, table, registry) = serving_setup(10, AccessKind::Read);
-        assert!(plan_promotions(&cfg, &table, &registry, 0).is_empty());
+        // The gate's boundaries: exactly the floor qualifies, one op less
+        // does not.
+        let (_, registry) = setup(HOT_OPS, AccessKind::Read);
+        let info = registry.get(1).unwrap();
+        assert!(earns_replicas(info, HOT_OPS, HOT_OPS));
+        assert!(!earns_replicas(info, HOT_OPS - 1, HOT_OPS));
+        // Reads after a write history pass the gate only once the smoothed
+        // read fraction has climbed back to the promote threshold.
+        let mut registry = ObjectRegistry::new(64);
+        registry.register(1, ObjectDescriptor::new(1, 0x1000, 8_000));
+        registry.record_op(1, 1, 4, 0.3, AccessKind::Write);
+        let mut reads = 0;
+        while !earns_replicas(registry.get(1).unwrap(), HOT_OPS, HOT_OPS) {
+            registry.record_op(1, 1, 4, 0.3, AccessKind::Read);
+            reads += 1;
+        }
+        // 1 - 0.7^3 = 0.657 is the first fraction at or above 0.60.
+        assert_eq!(reads, 3);
+        assert!(registry.get(1).unwrap().ewma_read_fraction >= PROMOTE_READ_FRACTION);
     }
 
     #[test]
     fn avoided_cores_never_receive_promotions() {
-        let (cfg, table, registry) = serving_setup(10_000, AccessKind::Read);
+        let (table, registry) = setup(10_000, AccessKind::Read);
         // Cores 1 and 2 are avoided (offline/degraded): only core 3 may
         // receive a copy.
-        let plans = plan_promotions(&cfg, &table, &registry, 0b0110);
+        let plans = plan_promotions(HOT_OPS, 4, &table, &registry, 0b0110);
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].core, 3);
     }
@@ -470,45 +359,41 @@ mod tests {
     fn demotion_drops_mixed_objects_but_spares_idle_and_read_heavy_ones() {
         // Mixed history → EWMA read fraction far below the demote
         // threshold → demoted.
-        let (cfg, mut table, mut registry) = serving_setup(100, AccessKind::Write);
+        let (mut table, mut registry) = setup(100, AccessKind::Write);
         table.add_replica(1, 1);
-        assert_eq!(plan_demotions(&cfg, &table, &registry), vec![1]);
+        assert_eq!(plan_demotions(&table, &registry), vec![1]);
         // Idle last epoch: no evidence the mix changed, keep the copies.
         registry.roll_epoch();
-        assert!(plan_demotions(&cfg, &table, &registry).is_empty());
+        assert!(plan_demotions(&table, &registry).is_empty());
         // Read-heavy object above the demote threshold stays promoted.
-        let (cfg, mut table, registry) = serving_setup(100, AccessKind::Read);
+        let (mut table, registry) = setup(100, AccessKind::Read);
         table.add_replica(1, 1);
-        assert!(plan_demotions(&cfg, &table, &registry).is_empty());
+        assert!(plan_demotions(&table, &registry).is_empty());
         // Unreplicated objects are never demotion candidates.
-        let (cfg, table, registry) = serving_setup(100, AccessKind::Write);
-        assert!(plan_demotions(&cfg, &table, &registry).is_empty());
+        let (table, registry) = setup(100, AccessKind::Write);
+        assert!(plan_demotions(&table, &registry).is_empty());
     }
 
     #[test]
     fn fill_plan_lists_every_copy_of_the_serving_head_and_skips_avoided_cores() {
-        let (cfg, mut table, registry) = serving_setup(300, AccessKind::Read);
+        let (mut table, registry) = setup(300, AccessKind::Read);
         table.add_replica(1, 1);
         table.add_replica(1, 3);
         // Every copy, the primary included, in ascending core order.
         assert_eq!(
-            plan_fills(&cfg, &table, &registry, 0),
+            plan_fills(HOT_OPS, &table, &registry, 0),
             vec![(1, 0), (1, 1), (1, 3)]
         );
         // Copies on avoided cores are skipped, not re-targeted.
         assert_eq!(
-            plan_fills(&cfg, &table, &registry, 0b0001),
+            plan_fills(HOT_OPS, &table, &registry, 0b0001),
             vec![(1, 1), (1, 3)]
         );
-        // Serving off plans nothing even for a qualifying object.
-        let mut off = cfg;
-        off.serve_from_replicas = false;
-        assert!(plan_fills(&off, &table, &registry, 0).is_empty());
         // A write-heavy object is below the promote threshold: its copies
         // are never re-streamed.
-        let (cfg, mut table, registry) = serving_setup(300, AccessKind::Write);
+        let (mut table, registry) = setup(300, AccessKind::Write);
         table.add_replica(1, 1);
-        assert!(plan_fills(&cfg, &table, &registry, 0).is_empty());
+        assert!(plan_fills(HOT_OPS, &table, &registry, 0).is_empty());
     }
 
     #[test]

@@ -10,8 +10,6 @@ use o2_sim::MachineConfig;
 pub enum PolicyKind {
     /// CoreTime with the default configuration ("With CoreTime").
     CoreTime,
-    /// CoreTime with every Section-6.2 extension enabled.
-    CoreTimeExtensions,
     /// The traditional thread scheduler ("Without CoreTime").
     ThreadScheduler,
     /// Sharing-aware thread clustering (Tam et al.).
@@ -22,9 +20,8 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Every kind, in comparison order (CoreTime first, baselines after).
-    pub const ALL: [PolicyKind; 5] = [
+    pub const ALL: [PolicyKind; 4] = [
         PolicyKind::CoreTime,
-        PolicyKind::CoreTimeExtensions,
         PolicyKind::ThreadScheduler,
         PolicyKind::ThreadClustering,
         PolicyKind::StaticPartition,
@@ -35,7 +32,6 @@ impl PolicyKind {
     pub fn label(&self) -> &'static str {
         match self {
             PolicyKind::CoreTime => "With CoreTime",
-            PolicyKind::CoreTimeExtensions => "With CoreTime (+extensions)",
             PolicyKind::ThreadScheduler => "Without CoreTime",
             PolicyKind::ThreadClustering => "Thread clustering",
             PolicyKind::StaticPartition => "Static partition",
@@ -46,7 +42,6 @@ impl PolicyKind {
     pub fn build(&self, machine: &MachineConfig) -> Box<dyn SchedPolicy + Send> {
         match self {
             PolicyKind::CoreTime => CoreTime::policy(machine),
-            PolicyKind::CoreTimeExtensions => CoreTime::policy_with_extensions(machine),
             PolicyKind::ThreadScheduler => Box::new(ThreadScheduler::new()),
             PolicyKind::ThreadClustering => {
                 Box::new(ThreadClustering::new(machine.chips, machine.cores_per_chip))
@@ -55,17 +50,15 @@ impl PolicyKind {
         }
     }
 
-    /// Builds a CoreTime policy with an explicit configuration (for
-    /// ablations); other kinds ignore the configuration.
+    /// Builds a CoreTime policy with an explicit configuration (replica
+    /// serving); other kinds ignore the configuration.
     pub fn build_with_coretime_config(
         &self,
         machine: &MachineConfig,
         cfg: CoreTimeConfig,
     ) -> Box<dyn SchedPolicy + Send> {
         match self {
-            PolicyKind::CoreTime | PolicyKind::CoreTimeExtensions => {
-                CoreTime::policy_with(machine, cfg)
-            }
+            PolicyKind::CoreTime => CoreTime::policy_with(machine, cfg),
             other => other.build(machine),
         }
     }

@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use o2_core::CoreTimeConfig;
-use o2_metrics::{crossover, mean_speedup_above, SeriesTable};
+use o2_metrics::{crossover, mean_speedup_above, Series, SeriesTable};
 use o2_sim::{snapshot, AccessKind, AccessOutcome, Machine, MachineConfig, OccupancySnapshot};
 use o2_workloads::{
     run_scale, Experiment, FsMetaExperiment, FsMetaSpec, Measurement, PathLookupGen, Popularity,
@@ -62,6 +62,14 @@ fn policy_of(sc: &Scenario, series: usize) -> PolicyKind {
         .expect("series runs a scheduling policy")
 }
 
+/// The result column of the first series that runs `kind`: summaries
+/// look their columns up by policy, so reordering (or deleting) a series
+/// can never make one policy's numbers stand in for another's.
+fn column<'t>(sc: &Scenario, table: &'t SeriesTable, kind: PolicyKind) -> &'t Series {
+    let i = sc.series_of(kind).expect("scenario runs the policy");
+    &table.series[i]
+}
+
 // ---- fig2 ------------------------------------------------------------
 
 fn fig2_cell(sc: &Scenario, se: usize, _pt: usize, seed: u64) -> CellResult {
@@ -79,6 +87,7 @@ fn fig2_cell(sc: &Scenario, se: usize, _pt: usize, seed: u64) -> CellResult {
         x: 1.0,
         y: snap.distinct_on_chip() as f64,
         lines: describe_occupancy(&snap, &sc.series[se].label),
+        migrations: None,
     }
 }
 
@@ -132,13 +141,14 @@ fn fig2() -> Scenario {
         points: vec![SweepPoint::ordinal(0, 0, "occupancy snapshot")],
         payload: 0,
         run: fig2_cell,
-        summarize: Some(|_, table| {
+        summarize: Some(|sc, table, _| {
             vec![format!(
                 "Paper's claim: the thread scheduler keeps ~half the directories \
                  on-chip (duplicated); the O2 scheduler keeps all of them, \
                  unduplicated. Measured distinct-on-chip: thread scheduler {}, \
                  O2 {}.",
-                table.series[0].points[0].1, table.series[1].points[0].1
+                column(sc, table, PolicyKind::ThreadScheduler).points[0].1,
+                column(sc, table, PolicyKind::CoreTime).points[0].1
             )]
         }),
     }
@@ -209,8 +219,9 @@ fn fig4b_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {
     fig4_cell(sc, se, pt, seed, fig4_spec(sc, pt).oscillating())
 }
 
-fn fig4a_summary(_sc: &Scenario, table: &SeriesTable) -> Vec<String> {
-    let (with, without) = (&table.series[0], &table.series[1]);
+fn fig4a_summary(sc: &Scenario, table: &SeriesTable, _: &[CellResult]) -> Vec<String> {
+    let with = column(sc, table, PolicyKind::CoreTime);
+    let without = column(sc, table, PolicyKind::ThreadScheduler);
     let l3_kb = MachineConfig::amd16().l3.size_bytes / 1024;
     let mut notes = Vec::new();
     if let Some(s) = mean_speedup_above(with, without, (2 * l3_kb) as f64) {
@@ -298,8 +309,10 @@ fn fig4b(quick: bool) -> Scenario {
         points: kb_points(&fig4_sizes_kb(quick)),
         payload,
         run: fig4b_cell,
-        summarize: Some(|_, table| {
-            match mean_speedup_above(&table.series[0], &table.series[1], 2048.0) {
+        summarize: Some(|sc, table, _| {
+            let with = column(sc, table, PolicyKind::CoreTime);
+            let without = column(sc, table, PolicyKind::ThreadScheduler);
+            match mean_speedup_above(with, without, 2048.0) {
                 Some(s) => vec![format!(
                     "mean CoreTime speedup beyond 2 MB: {s:.2}x (paper: more than 2x for most \
                      sizes; CoreTime's idle share above is the open item — in the low phase \
@@ -359,7 +372,7 @@ fn ablation_migration(quick: bool) -> Scenario {
             .collect(),
         payload: 8192,
         run: ablation_migration_cell,
-        summarize: Some(|_, _| {
+        summarize: Some(|_, _, _| {
             vec![
                 "Cheaper migration widens CoreTime's advantage; expensive migration \
                  erodes it, as Section 6.1 argues."
@@ -417,7 +430,7 @@ fn ablation_hardware(quick: bool) -> Scenario {
         points,
         payload: total_kb,
         run: ablation_hardware_cell,
-        summarize: Some(|_, _| {
+        summarize: Some(|_, _, _| {
             vec![
                 "The CoreTime advantage grows with core count and cache capacity, \
                  as Section 6.1 predicts."
@@ -451,16 +464,16 @@ fn ablation_clustering() -> Scenario {
         points: vec![SweepPoint::scalar(8192, "8192 KB")],
         payload: 0,
         run: ablation_clustering_cell,
-        summarize: Some(|_, table| {
-            let y = |i: usize| table.series[i].points[0].1;
+        summarize: Some(|sc, table, _| {
+            let y = |kind| column(sc, table, kind).points[0].1;
             vec![
                 format!(
                     "thread scheduler {:.0}, thread clustering {:.0}, static partition {:.0}, \
                      CoreTime {:.0} kres/s",
-                    y(0),
-                    y(1),
-                    y(2),
-                    y(3)
+                    y(PolicyKind::ThreadScheduler),
+                    y(PolicyKind::ThreadClustering),
+                    y(PolicyKind::StaticPartition),
+                    y(PolicyKind::CoreTime)
                 ),
                 "Thread clustering cannot help because every thread shares the same \
                  working set (Section 2); scheduling objects does."
@@ -482,8 +495,8 @@ fn ablation_replication_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> 
 fn ablation_replication() -> Scenario {
     Scenario {
         name: "ablation_replication",
-        title: "Ablation C: read-only replication on a hotspot workload",
-        description: "Replicating hot read-only directories vs serializing on their owners",
+        title: "Ablation C: CoreTime vs the thread scheduler on a hotspot workload",
+        description: "Serializing hot directories on their owning cores vs duplicating them",
         x_label: "Total data size (KB)",
         params: vec![
             ("total data size".into(), "4096 KB".into()),
@@ -492,22 +505,23 @@ fn ablation_replication() -> Scenario {
         series: vec![
             SeriesDef::policy(PolicyKind::ThreadScheduler),
             SeriesDef::policy(PolicyKind::CoreTime),
-            SeriesDef::labelled(
-                PolicyKind::CoreTimeExtensions,
-                "With CoreTime + replication",
-            ),
         ],
         points: vec![SweepPoint::scalar(4096, "4096 KB")],
         payload: 0,
         run: ablation_replication_cell,
-        summarize: Some(|_, table| {
-            let y = |i: usize| table.series[i].points[0].1;
+        summarize: Some(|sc, table, _| {
+            let thread = column(sc, table, PolicyKind::ThreadScheduler).points[0].1;
+            let coretime = column(sc, table, PolicyKind::CoreTime).points[0].1;
+            let ratio = coretime / thread;
+            let verdict = if ratio >= 1.0 {
+                "homing each hot directory on one core still beats duplicating it in every cache"
+            } else {
+                "the hot directories' owning cores serialize their lookups, which costs more \
+                 than the duplication it avoids"
+            };
             vec![format!(
-                "baseline {:.0}, CoreTime {:.0}, CoreTime+replication {:.0} kres/s — \
-                 replication relieves the serialization at the hot directories' owning cores",
-                y(0),
-                y(1),
-                y(2)
+                "thread scheduler {thread:.0}, CoreTime {coretime:.0} kres/s: CoreTime runs at \
+                 {ratio:.2}x the thread scheduler — {verdict}"
             )]
         }),
     }
@@ -527,8 +541,9 @@ fn ablation_replacement(quick: bool) -> Scenario {
     };
     Scenario {
         name: "ablation_replacement",
-        title: "Ablation E: working sets beyond aggregate on-chip memory (Zipf popularity)",
-        description: "Frequency-based replacement once the working set no longer fits on-chip",
+        title: "Ablation E: CoreTime vs the thread scheduler beyond aggregate on-chip memory \
+                (Zipf popularity)",
+        description: "CoreTime once the working set no longer fits on-chip",
         x_label: "Total data size (KB)",
         params: vec![
             ("popularity".into(), "Zipf, exponent 0.9".into()),
@@ -537,25 +552,18 @@ fn ablation_replacement(quick: bool) -> Scenario {
         series: vec![
             SeriesDef::policy(PolicyKind::ThreadScheduler),
             SeriesDef::policy(PolicyKind::CoreTime),
-            SeriesDef::labelled(
-                PolicyKind::CoreTimeExtensions,
-                "With CoreTime + frequency replacement",
-            ),
         ],
         points: kb_points(&sizes),
         payload: 0,
         run: ablation_replacement_cell,
-        summarize: Some(|_, table| {
-            let (thread, plain, replacing) = (&table.series[0], &table.series[1], &table.series[2]);
-            let vs_thread = mean_speedup_above(plain, thread, 0.0).unwrap_or(f64::NAN);
-            let vs_plain = mean_speedup_above(replacing, plain, 0.0).unwrap_or(f64::NAN);
+        summarize: Some(|sc, table, _| {
+            let thread = column(sc, table, PolicyKind::ThreadScheduler);
+            let coretime = column(sc, table, PolicyKind::CoreTime);
+            let vs_thread = mean_speedup_above(coretime, thread, 0.0).unwrap_or(f64::NAN);
             vec![format!(
                 "Measured: CoreTime places what fits no budget past the budget of the \
                  least-loaded core and runs at {vs_thread:.2}x the thread scheduler (mean over \
-                 the sizes). \
-                 Frequency-based replacement (Section 6.2), which instead evicts colder \
-                 assignments to stay inside the budget, runs at {vs_plain:.2}x plain CoreTime: \
-                 with no object left unplaced it has no throughput left to add here."
+                 the sizes)."
             )]
         }),
     }
@@ -675,7 +683,7 @@ fn table_latency() -> Scenario {
             .collect(),
         payload: 0,
         run: table_latency_cell,
-        summarize: Some(|_, _| {
+        summarize: Some(|_, _, _| {
             vec![
                 "Rows 1-5 are the memory-system latencies quoted in Section 5; row 6 is \
                  the measured cost of migrating a thread to another core and back."
@@ -731,10 +739,11 @@ fn fig_fsmeta(quick: bool) -> Scenario {
             .collect(),
         payload: 0,
         run: fig_fsmeta_cell,
-        summarize: Some(|_, table| {
-            // Series 0 is CoreTime, series 2 the thread scheduler.
+        summarize: Some(|sc, table, _| {
             let mut notes = Vec::new();
-            if let Some(s) = mean_speedup_above(&table.series[0], &table.series[2], 2048.0) {
+            let coretime = column(sc, table, PolicyKind::CoreTime);
+            let thread = column(sc, table, PolicyKind::ThreadScheduler);
+            if let Some(s) = mean_speedup_above(coretime, thread, 2048.0) {
                 let verdict = if s >= 1.0 {
                     "operation migration still pays off when the directories are written"
                 } else {
@@ -820,6 +829,7 @@ fn fig_fault_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult 
             fs.objects_stranded,
             fs.degraded_avoids,
         )],
+        migrations: None,
     }
 }
 
@@ -854,15 +864,16 @@ fn fig_fault(quick: bool) -> Scenario {
             .collect(),
         payload: total_kb,
         run: fig_fault_cell,
-        summarize: Some(|_, table| {
-            // Series 0 is CoreTime, series 2 the thread scheduler.
+        summarize: Some(|sc, table, _| {
             let mut notes = Vec::new();
+            let coretime = column(sc, table, PolicyKind::CoreTime);
+            let thread = column(sc, table, PolicyKind::ThreadScheduler);
             for (pt, label) in ["offline", "slowdown", "interconnect loss"]
                 .iter()
                 .enumerate()
             {
-                let ct = table.series[0].points[pt].1;
-                let ts = table.series[2].points[pt].1;
+                let ct = coretime.points[pt].1;
+                let ts = thread.points[pt].1;
                 notes.push(format!(
                     "{label}: CoreTime retains {ct:.1}%, thread scheduler {ts:.1}%{}",
                     if ct > ts {
@@ -904,15 +915,10 @@ pub fn scale_spec_for(n_objects: u64, seed: u64) -> ScaleSpec {
 
 /// The CoreTime configuration of the replica-serving scenarios
 /// (`fig_scale`, `fig_web` and `benchmark/`'s `scale_zipf`):
-/// [`CoreTimeConfig::with_serving`] on top of the kind's usual extension
-/// set, for the 16-core machine all three run. Non-CoreTime kinds ignore
-/// the configuration.
-pub fn serving_coretime_config(kind: PolicyKind, n_objects: u64) -> CoreTimeConfig {
-    let base = match kind {
-        PolicyKind::CoreTimeExtensions => CoreTimeConfig::with_all_extensions(),
-        _ => CoreTimeConfig::default(),
-    };
-    base.with_serving(n_objects, MachineConfig::amd16().total_cores())
+/// [`CoreTimeConfig::with_serving`] for `n_objects` objects. Non-CoreTime
+/// kinds ignore the configuration.
+pub fn serving_coretime_config(_kind: PolicyKind, n_objects: u64) -> CoreTimeConfig {
+    CoreTimeConfig::default().with_serving(n_objects)
 }
 
 /// A recorded quantile `q` of `count` samples, printed only when at least
@@ -961,6 +967,7 @@ fn fig_scale_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult 
             r.invalidations,
             r.replica_served,
         )],
+        migrations: Some(m.migrations),
     }
 }
 
@@ -1010,69 +1017,80 @@ fn fig_scale(quick: bool) -> Scenario {
             .collect(),
         payload: 0,
         run: fig_scale_cell,
-        summarize: Some(|_, table| {
-            // Series 0 is CoreTime, series 2 the thread scheduler.
-            let mut notes = Vec::new();
-            let ct = &table.series[0].points;
-            if let (Some(first), Some(last)) = (ct.first(), ct.last()) {
-                if first.1 > 0.0 {
-                    notes.push(format!(
-                        "CoreTime retains {:.1}% of its {:.0}-object throughput at {:.0} objects",
-                        100.0 * last.1 / first.1,
-                        first.0,
-                        last.0
-                    ));
-                }
-            }
-            let ts = &table.series[2].points;
-            let ratios: Vec<(f64, f64)> = ct
-                .iter()
-                .zip(ts.iter())
-                .filter(|(_, t)| t.1 > 0.0)
-                .map(|(c, t)| (c.0, c.1 / t.1))
-                .collect();
-            if !ratios.is_empty() {
-                let line = ratios
-                    .iter()
-                    .map(|(x, r)| format!("{r:.2}x at {x:.0}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                notes.push(format!(
-                    "CoreTime vs the thread scheduler across the sweep: {line} objects"
-                ));
-                // The million-object cell is where the pre-replication
-                // policy collapsed to ~0.4x; the verdict keys off it (or
-                // the largest cell the sweep reaches in quick mode).
-                let (x, ratio) = ratios
-                    .iter()
-                    .copied()
-                    .find(|&(x, _)| x >= 1e6)
-                    .unwrap_or(*ratios.last().unwrap());
-                let verdict = if ratio >= 1.0 {
-                    "serving the read-mostly head from replicas keeps the hot \
-                     objects parallel, so migration pays even at this scale"
-                } else {
-                    "migrating every operation on a Zipf head serialises the hot \
-                     objects' home cores — the very limit Sections 6.1/6.2 name, \
-                     which replica serving is meant to lift"
-                };
-                notes.push(format!(
-                    "at {x:.0} objects CoreTime runs at {ratio:.2}x the thread \
-                     scheduler — {verdict}"
-                ));
-            }
-            notes.push(
-                "objects are declared as one region per chip and registered by their first \
-                 ct_start, so every table holds touched objects only. Static partition deals \
-                 objects to cores in registration order, which is therefore first-touch order \
-                 (the Zipf head dealt round-robin), not address order: its column moved from \
-                 the eagerly registered recording (3486/2890/2521/2440 kops/s at 1e4..1e7); \
-                 the other four series are bit-identical to it"
-                    .into(),
-            );
-            notes
-        }),
+        summarize: Some(fig_scale_summary),
     }
+}
+
+fn fig_scale_summary(sc: &Scenario, table: &SeriesTable, cells: &[CellResult]) -> Vec<String> {
+    let mut notes = Vec::new();
+    let ct_series = sc
+        .series_of(PolicyKind::CoreTime)
+        .expect("fig_scale runs CoreTime");
+    let ct = &table.series[ct_series].points;
+    if let (Some(first), Some(last)) = (ct.first(), ct.last()) {
+        if first.1 > 0.0 {
+            notes.push(format!(
+                "CoreTime retains {:.1}% of its {:.0}-object throughput at {:.0} objects",
+                100.0 * last.1 / first.1,
+                first.0,
+                last.0
+            ));
+        }
+    }
+    let ts = &column(sc, table, PolicyKind::ThreadScheduler).points;
+    // (objects, CoreTime / thread scheduler, CoreTime's cell).
+    let ratios: Vec<(f64, f64, &CellResult)> = ct
+        .iter()
+        .zip(ts.iter())
+        .zip(&cells[ct_series * sc.points.len()..])
+        .filter(|((_, t), _)| t.1 > 0.0)
+        .map(|((c, t), cell)| (c.0, c.1 / t.1, cell))
+        .collect();
+    if let Some(&last) = ratios.last() {
+        let line = ratios
+            .iter()
+            .map(|(x, r, _)| format!("{r:.2}x at {x:.0}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        notes.push(format!(
+            "CoreTime vs the thread scheduler across the sweep: {line} objects"
+        ));
+        // The million-object cell is where the pre-replication policy
+        // collapsed to ~0.4x; the verdict keys off it (or the largest cell
+        // the sweep reaches in quick mode), and off what that cell
+        // measured, not what CoreTime is expected to do.
+        let (x, ratio, cell) = ratios
+            .iter()
+            .copied()
+            .find(|&(x, _, _)| x >= 1e6)
+            .unwrap_or(last);
+        let verdict = match cell.migrations.expect("fig_scale cells count migrations") {
+            0 => "it migrated no operation there: replica serving ran every read in place, \
+                  so this compares the thread scheduler with and without replicas"
+                .to_string(),
+            n if ratio >= 1.0 => format!(
+                "{n} migrations, and serving the read-mostly head from replicas keeps the \
+                 hot objects parallel, so migration pays even at this scale"
+            ),
+            n => format!(
+                "{n} migrations serialise the hot objects' home cores — the very limit \
+                 Sections 6.1/6.2 name, which replica serving is meant to lift"
+            ),
+        };
+        notes.push(format!(
+            "at {x:.0} objects CoreTime runs at {ratio:.2}x the thread scheduler — {verdict}"
+        ));
+    }
+    notes.push(format!(
+        "objects are declared as one region per chip and registered by their first \
+         ct_start, so every table holds touched objects only. Static partition deals \
+         objects to cores in registration order, which is therefore first-touch order \
+         (the Zipf head dealt round-robin), not address order: its column moved from \
+         the eagerly registered recording (3486/2890/2521/2440 kops/s at 1e4..1e7); \
+         the other {} series are bit-identical to it",
+        sc.series.len() - 1
+    ));
+    notes
 }
 
 // ---- fig_web ---------------------------------------------------------
@@ -1125,6 +1143,7 @@ fn fig_web_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {
             r.invalidations,
             r.replica_served,
         )],
+        migrations: None,
     }
 }
 
@@ -1164,12 +1183,12 @@ fn fig_web(quick: bool) -> Scenario {
         points: kb_points(&sizes_kb),
         payload: 0,
         run: fig_web_cell,
-        summarize: Some(|_, table| {
-            // Series 0 is CoreTime, series 2 the thread scheduler.
+        summarize: Some(|sc, table, _| {
             let mut notes = Vec::new();
-            if let (Some(ct), Some(ts)) =
-                (table.series[0].points.last(), table.series[2].points.last())
-            {
+            if let (Some(ct), Some(ts)) = (
+                column(sc, table, PolicyKind::CoreTime).points.last(),
+                column(sc, table, PolicyKind::ThreadScheduler).points.last(),
+            ) {
                 if ts.1 > 0.0 {
                     notes.push(format!(
                         "at {:.0} KB CoreTime resolves paths at {:.2}x the thread \
@@ -1248,6 +1267,84 @@ mod tests {
                 "missing scenario {required}"
             );
         }
+    }
+
+    /// Runs `sc`'s summary over synthetic cells: `cell(kind, point)` gives
+    /// the y value and migration count of each policy's cell.
+    fn summarize_synthetic(
+        sc: &Scenario,
+        cell: impl Fn(PolicyKind, usize) -> (f64, u64),
+    ) -> Vec<String> {
+        let cell = &cell;
+        let cells: Vec<CellResult> = sc
+            .series
+            .iter()
+            .flat_map(|def| {
+                let kind = def.policy.expect("policy series");
+                sc.points.iter().enumerate().map(move |(pt, p)| {
+                    let (y, migrations) = cell(kind, pt);
+                    CellResult {
+                        migrations: Some(migrations),
+                        ..CellResult::point(p.x, y)
+                    }
+                })
+            })
+            .collect();
+        let mut table = SeriesTable::new(sc.x_label);
+        for (def, row) in sc.series.iter().zip(cells.chunks(sc.points.len())) {
+            let mut series = Series::new(def.label.clone());
+            for c in row {
+                series.push(c.x, c.y);
+            }
+            table.add(series);
+        }
+        (sc.summarize.expect("summarized"))(sc, &table, &cells)
+    }
+
+    #[test]
+    fn reordering_a_scenarios_series_leaves_its_notes_unchanged() {
+        // Cell values depend on the policy and the point only, so
+        // reversing the series reverses the table and the cells with them:
+        // a summary that read columns by position would print another
+        // policy's numbers.
+        let notes = |sc: &Scenario| {
+            summarize_synthetic(sc, |kind, pt| {
+                let k = PolicyKind::ALL.iter().position(|&k| k == kind).unwrap() as u64;
+                ((1000 + 100 * k + 7 * pt as u64) as f64, k * pt as u64)
+            })
+        };
+        let mut checked = 0;
+        for mut sc in registry(true).into_iter().chain(registry(false)) {
+            if sc.summarize.is_none() || sc.series.iter().any(|s| s.policy.is_none()) {
+                continue;
+            }
+            let before = notes(&sc);
+            sc.series.reverse();
+            assert_eq!(notes(&sc), before, "{}", sc.name);
+            checked += 1;
+        }
+        // Every scenario but the latency table compares policies.
+        assert_eq!(checked, 2 * (registry(true).len() - 1));
+    }
+
+    #[test]
+    fn fig_scale_verdict_follows_the_migrations_its_cell_measured() {
+        // CoreTime at 0.9x the thread scheduler at every point.
+        let verdict = |migrations: u64| {
+            summarize_synthetic(&fig_scale(true), |kind, _| {
+                let y = if kind == PolicyKind::CoreTime {
+                    900.0
+                } else {
+                    1000.0
+                };
+                (y, migrations)
+            })
+            .into_iter()
+            .find(|n| n.contains("CoreTime runs at 0.90x"))
+            .expect("a verdict")
+        };
+        assert!(verdict(0).contains("it migrated no operation there"));
+        assert!(verdict(123).contains("123 migrations serialise"));
     }
 
     #[test]

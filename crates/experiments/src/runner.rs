@@ -104,20 +104,23 @@ pub fn run_matrix(scenarios: &[Scenario], jobs: usize) -> MatrixRun {
         .map(|m| m.into_inner().expect("result slot poisoned"));
     let mut out = Vec::with_capacity(scenarios.len());
     for s in scenarios {
-        let mut series = Vec::with_capacity(s.series.len());
-        let mut notes = Vec::new();
-        for def in &s.series {
-            let mut points = Vec::with_capacity(s.points.len());
-            for _ in &s.points {
-                let cell = flat.next().flatten().expect("every cell ran exactly once");
-                points.push((cell.x, cell.y));
-                notes.extend(cell.lines);
-            }
-            series.push(SeriesResult {
+        let cells: Vec<CellResult> = (0..s.cell_count())
+            .map(|_| flat.next().flatten().expect("every cell ran exactly once"))
+            .collect();
+        let n = s.points.len();
+        let series = s
+            .series
+            .iter()
+            .enumerate()
+            .map(|(se, def)| SeriesResult {
                 label: def.label.clone(),
-                points,
-            });
-        }
+                points: cells[se * n..(se + 1) * n]
+                    .iter()
+                    .map(|cell| (cell.x, cell.y))
+                    .collect(),
+            })
+            .collect();
+        let notes = cells.iter().flat_map(|cell| cell.lines.clone()).collect();
         let mut result = ScenarioResult {
             name: s.name.to_string(),
             title: s.title.to_string(),
@@ -128,7 +131,7 @@ pub fn run_matrix(scenarios: &[Scenario], jobs: usize) -> MatrixRun {
         };
         if let Some(summarize) = s.summarize {
             let table = result.table();
-            result.notes.extend(summarize(s, &table));
+            result.notes.extend(summarize(s, &table, &cells));
         }
         out.push(result);
     }
@@ -160,7 +163,7 @@ mod tests {
                     .push(format!("{}[{se}][{pt}] seed={seed:#x}", sc.name));
                 r
             },
-            summarize: Some(|_, table| vec![format!("{} series", table.series.len())]),
+            summarize: Some(|_, table, _| vec![format!("{} series", table.series.len())]),
         }
     }
 

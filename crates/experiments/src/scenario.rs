@@ -22,14 +22,6 @@ impl SeriesDef {
         }
     }
 
-    /// A policy series with a custom label.
-    pub fn labelled(kind: PolicyKind, label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            policy: Some(kind),
-        }
-    }
-
     /// A series that is not a policy run (fixed reference values).
     pub fn fixed(label: impl Into<String>) -> Self {
         Self {
@@ -81,6 +73,9 @@ pub struct CellResult {
     pub y: f64,
     /// Free-form detail lines (e.g. Figure 2's per-cache occupancy).
     pub lines: Vec<String>,
+    /// Operations the cell's policy migrated in its measured window, for
+    /// a summary that judges migration (`fig_scale`'s); `None` elsewhere.
+    pub migrations: Option<u64>,
 }
 
 impl CellResult {
@@ -90,6 +85,7 @@ impl CellResult {
             x,
             y,
             lines: Vec::new(),
+            migrations: None,
         }
     }
 }
@@ -101,8 +97,9 @@ impl CellResult {
 pub type CellFn = fn(&Scenario, usize, usize, u64) -> CellResult;
 
 /// Derives summary notes once every cell of the scenario has run (e.g.
-/// Figure 4's crossover point). Must be deterministic.
-pub type SummarizeFn = fn(&Scenario, &o2_metrics::SeriesTable) -> Vec<String>;
+/// Figure 4's crossover point), from the assembled table and the cells
+/// themselves in cell order (series-major). Must be deterministic.
+pub type SummarizeFn = fn(&Scenario, &o2_metrics::SeriesTable, &[CellResult]) -> Vec<String>;
 
 /// One experiment of the matrix: a set of series swept over an axis,
 /// with a cell function that runs any single `(series, point)` pair.
@@ -134,6 +131,12 @@ impl Scenario {
     /// Number of matrix cells (series × points).
     pub fn cell_count(&self) -> usize {
         self.series.len() * self.points.len()
+    }
+
+    /// The index of the first series that runs `kind`. Summaries find
+    /// their columns through it, never by position.
+    pub fn series_of(&self, kind: PolicyKind) -> Option<usize> {
+        self.series.iter().position(|s| s.policy == Some(kind))
     }
 
     /// Runs one cell with its derived seed.

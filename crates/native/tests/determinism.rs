@@ -4,7 +4,7 @@
 //! and occupancy are free to vary.
 
 use o2_baseline::{StaticPartition, ThreadClustering, ThreadScheduler};
-use o2_core::CoreTime;
+use o2_core::{CoreTime, CoreTimeConfig};
 use o2_native::{
     run_native, NativeConfig, NativeLookup, NativeLookupSpec, NativeMeasurement, NativeWorkload,
 };
@@ -116,7 +116,10 @@ fn every_policy(workers: usize) -> Vec<(&'static str, Box<dyn SchedPolicy + Send
     let m = o2_native::native_machine_config(workers);
     vec![
         ("coretime", CoreTime::policy(&m)),
-        ("coretime-extensions", CoreTime::policy_with_extensions(&m)),
+        (
+            "coretime-serving",
+            CoreTime::policy_with(&m, CoreTimeConfig::default().with_serving(64)),
+        ),
         ("thread-scheduler", Box::new(ThreadScheduler::new())),
         (
             "thread-clustering",
@@ -155,6 +158,11 @@ fn every_policy_leaves_the_same_state_and_only_coretime_migrates_lookups() {
             match policy {
                 "coretime" => assert!(m.migrations > 0, "CoreTime never migrated"),
                 "thread-scheduler" => assert_eq!(m.migrations, 0),
+                // Read-mostly traffic earns replicas, and their fills run
+                // on the workers before the digest is taken.
+                "coretime-serving" if write_fraction < 0.5 => {
+                    assert!(m.fills_completed > 0, "serving never filled a replica")
+                }
                 _ => {}
             }
         }

@@ -4,14 +4,17 @@
 //! policy — one driven directly, exactly as the simulator's engine
 //! calls it (`on_ct_start` / `on_ct_end` / `on_epoch` against a
 //! `Machine` view), and one through the native runtime's [`PolicyHost`]
-//! shim. Placement decisions must be identical call for call; anything
-//! else would mean the native runtime feeds policies different contexts
-//! than the simulator does.
+//! shim. Placement decisions and epoch commands must be identical call
+//! for call; anything else would mean the native runtime feeds policies
+//! different contexts than the simulator does.
 
-use o2_core::CoreTime;
+use o2_core::{CoreTime, CoreTimeConfig};
 use o2_native::host::OpIdentity;
 use o2_native::{synthetic_delta, NativeLookup, NativeLookupSpec, NativeWorkload, PolicyHost};
-use o2_runtime::{CounterDelta, EpochView, Machine, OpContext, Placement, SchedPolicy};
+use o2_runtime::{
+    CounterDelta, EpochView, Machine, OpContext, Placement, PolicyCommand, PolicyReplicationStats,
+    SchedPolicy,
+};
 
 const WORKERS: usize = 4;
 const OPS: u64 = 2_000;
@@ -50,6 +53,17 @@ fn record_trace() -> Vec<TraceOp> {
         .collect()
 }
 
+/// What one driver saw the policy do.
+#[derive(Debug, PartialEq)]
+struct Driven {
+    /// Every `ct_start` placement, in trace order.
+    placements: Vec<Placement>,
+    /// Every epoch command, in epoch order.
+    commands: Vec<PolicyCommand>,
+    /// The policy's replica-serving counters at the end.
+    replication: PolicyReplicationStats,
+}
+
 fn add(acc: &mut CounterDelta, d: &CounterDelta) {
     acc.busy_cycles += d.busy_cycles;
     acc.idle_cycles += d.idle_cycles;
@@ -64,10 +78,11 @@ fn add(acc: &mut CounterDelta, d: &CounterDelta) {
 }
 
 /// Drives the policy the way the simulator's engine does.
-fn drive_directly(mut policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) -> Vec<Placement> {
+fn drive_directly(mut policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) -> Driven {
     let machine = Machine::new(o2_native::native_machine_config(WORKERS));
     let mut deltas = vec![CounterDelta::default(); WORKERS];
     let mut placements = Vec::with_capacity(trace.len());
+    let mut commands = Vec::new();
     for (i, t) in trace.iter().enumerate() {
         let mut ctx = OpContext {
             thread: t.submitter,
@@ -90,23 +105,28 @@ fn drive_directly(mut policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) ->
         policy.on_ct_end(&ctx, &delta);
         add(&mut deltas[executed], &delta);
         if (i as u64 + 1) % EPOCH_EVERY == 0 {
-            policy.on_epoch(&EpochView {
+            commands.extend(policy.on_epoch(&EpochView {
                 now: t.now,
                 machine: &machine,
                 deltas: &deltas,
-            });
+            }));
             deltas = vec![CounterDelta::default(); WORKERS];
         }
     }
-    placements
+    Driven {
+        placements,
+        commands,
+        replication: policy.replication_stats(),
+    }
 }
 
 /// Drives an identical policy through the native runtime's shim.
-fn drive_through_host(policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) -> Vec<Placement> {
+fn drive_through_host(policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) -> Driven {
     let cfg = o2_native::native_machine_config(WORKERS);
     let mut host = PolicyHost::new(policy, &cfg);
     let mut deltas = vec![CounterDelta::default(); WORKERS];
     let mut placements = Vec::with_capacity(trace.len());
+    let mut commands = Vec::new();
     for (i, t) in trace.iter().enumerate() {
         let identity = OpIdentity {
             worker: t.submitter,
@@ -125,11 +145,15 @@ fn drive_through_host(policy: Box<dyn SchedPolicy + Send>, trace: &[TraceOp]) ->
         host.ct_end(&identity, executed, &delta);
         add(&mut deltas[executed], &delta);
         if (i as u64 + 1) % EPOCH_EVERY == 0 {
-            host.epoch(t.now, &deltas);
+            commands.extend(host.epoch(t.now, &deltas));
             deltas = vec![CounterDelta::default(); WORKERS];
         }
     }
-    placements
+    Driven {
+        placements,
+        commands,
+        replication: host.replication_stats(),
+    }
 }
 
 fn register_all(policy: &mut dyn SchedPolicy) {
@@ -143,9 +167,7 @@ fn register_all(policy: &mut dyn SchedPolicy) {
     }
 }
 
-fn lockstep_for(
-    make: impl Fn() -> Box<dyn SchedPolicy + Send>,
-) -> (Vec<Placement>, Vec<Placement>) {
+fn lockstep_for(make: impl Fn() -> Box<dyn SchedPolicy + Send>) -> (Driven, Driven) {
     let trace = record_trace();
     let mut direct = make();
     register_all(direct.as_mut());
@@ -161,21 +183,39 @@ fn lockstep_for(
 fn coretime_places_identically_under_sim_and_native_drivers() {
     let machine = o2_native::native_machine_config(WORKERS);
     let (direct, hosted) = lockstep_for(|| CoreTime::policy(&machine));
-    assert_eq!(direct.len(), hosted.len());
+    assert_eq!(direct.placements.len(), hosted.placements.len());
     assert_eq!(direct, hosted);
     // The trace must actually exercise migration for the test to mean
     // anything.
     assert!(
-        direct.iter().any(|p| matches!(p, Placement::On(_))),
+        direct
+            .placements
+            .iter()
+            .any(|p| matches!(p, Placement::On(_))),
         "CoreTime never migrated on this trace"
     );
 }
 
 #[test]
-fn coretime_extensions_place_identically_under_both_drivers() {
+fn coretime_serving_places_identically_under_both_drivers() {
     let machine = o2_native::native_machine_config(WORKERS);
-    let (direct, hosted) = lockstep_for(|| CoreTime::policy_with_extensions(&machine));
+    let cfg = CoreTimeConfig::default().with_serving(12);
+    let (direct, hosted) = lockstep_for(|| CoreTime::policy_with(&machine, cfg));
     assert_eq!(direct, hosted);
+    // Serving must actually act on this trace: copies promoted and fills
+    // asked of the runtime, which `run_native` executes.
+    assert!(
+        direct.replication.promotions > 0,
+        "{:?}",
+        direct.replication
+    );
+    assert!(
+        direct
+            .commands
+            .iter()
+            .any(|c| matches!(c, PolicyCommand::FillReplica { .. })),
+        "serving never asked for a fill on this trace"
+    );
 }
 
 #[test]
@@ -184,5 +224,8 @@ fn static_partition_places_identically_under_both_drivers() {
     let (direct, hosted) =
         lockstep_for(|| Box::new(o2_baseline::StaticPartition::new(machine.total_cores())));
     assert_eq!(direct, hosted);
-    assert!(direct.iter().any(|p| matches!(p, Placement::On(_))));
+    assert!(direct
+        .placements
+        .iter()
+        .any(|p| matches!(p, Placement::On(_))));
 }

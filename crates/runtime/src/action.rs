@@ -78,8 +78,8 @@ pub struct ObjectDescriptor {
     pub addr: Addr,
     /// Size of the object's data in bytes.
     pub size: u64,
-    /// Hint: the object is read-mostly and could be replicated instead of
-    /// partitioned (Section 6.2).
+    /// Hint: the object is read-mostly. No scheduling policy reads it;
+    /// replica serving measures each object's read fraction instead.
     pub read_mostly: bool,
     /// The spin lock guarding the object, if any.
     pub lock: Option<LockId>,

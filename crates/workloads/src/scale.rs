@@ -661,14 +661,9 @@ mod tests {
         const N_OBJECTS: u64 = 20_000;
         type Build = fn(&MachineConfig) -> Box<dyn SchedPolicy>;
         let policies: [(&str, Build); 4] = [
-            ("coretime", |m| {
-                let cfg = CoreTimeConfig::default().with_serving(N_OBJECTS, m.total_cores());
-                CoreTime::policy_with(m, cfg)
-            }),
-            ("coretime +extensions", |m| {
-                let cfg =
-                    CoreTimeConfig::with_all_extensions().with_serving(N_OBJECTS, m.total_cores());
-                CoreTime::policy_with(m, cfg)
+            ("coretime", |m| CoreTime::policy(m)),
+            ("coretime serving", |m| {
+                CoreTime::policy_with(m, CoreTimeConfig::default().with_serving(N_OBJECTS))
             }),
             ("thread scheduler", |_| Box::new(ThreadScheduler::new())),
             ("thread clustering", |m| {

@@ -19,8 +19,8 @@ pub enum Popularity {
         /// Shrink factor of the low phase (16 in the paper).
         shrink_factor: u32,
     },
-    /// Zipfian popularity with the given exponent (skewed workloads,
-    /// Section 6.2 replacement ablation).
+    /// Zipfian popularity with the given exponent (skewed workloads, the
+    /// beyond-on-chip-capacity ablation).
     Zipf {
         /// The Zipf exponent (larger = more skew).
         exponent: f64,

@@ -6,9 +6,8 @@
 //! several directory lookups in sequence. This generator models that:
 //! each "request" resolves a path of several components, walking from a
 //! small set of hot top-level directories into a large set of leaf
-//! directories. Consecutive lookups within one request touch different
-//! objects, which is exactly the access pattern that benefits from the
-//! object-clustering extension (Section 6.2).
+//! directories. Every request reads one of the few hot roots, which makes
+//! them the read-mostly head that replica serving (Section 6.2) copies.
 
 use std::rc::Rc;
 

@@ -66,14 +66,14 @@ fn main() {
     let machine_cfg = MachineConfig::amd16();
     let without = serve("Without CoreTime:", Box::new(ThreadScheduler::new()));
     let with = serve("With CoreTime:", CoreTime::policy(&machine_cfg));
-    let with_ext = serve(
-        "CoreTime+extensions:",
-        CoreTime::policy_with_extensions(&machine_cfg),
+    let serving = serve(
+        "CoreTime + serving:",
+        CoreTime::policy_with(&machine_cfg, CoreTimeConfig::default().with_serving(256)),
     );
     println!(
-        "\nSpeedup over the thread scheduler: {:.2}x (CoreTime), {:.2}x (with §6.2 extensions: \
-         clustering + replication of the hot roots)",
+        "\nSpeedup over the thread scheduler: {:.2}x (CoreTime), {:.2}x (serving reads of the \
+         hot roots from replicas, §6.2)",
         with / without.max(1e-9),
-        with_ext / without.max(1e-9)
+        serving / without.max(1e-9)
     );
 }

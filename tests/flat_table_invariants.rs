@@ -1,7 +1,7 @@
 //! Randomised invariant checks for `o2_collections::FlatTable`, the one
 //! shared open-addressed table (Fibonacci hash, linear probe,
-//! backward-shift deletion) behind the object interner, the co-access
-//! pair table and the fs name index.
+//! backward-shift deletion) behind the object interner and the fs name
+//! index.
 //!
 //! A `std::collections::HashMap` is the oracle: after **any** interleaved
 //! sequence of insert / entry / remove / lookup operations the table must
