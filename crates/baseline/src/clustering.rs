@@ -121,14 +121,18 @@ impl SchedPolicy for ThreadClustering {
             return Vec::new();
         }
         let clusters = self.cluster();
-        // Assign clusters to chips round-robin, and threads within a
-        // cluster to that chip's cores round-robin.
+        // Assign clusters to chips round-robin, and threads to the chip's
+        // cores round-robin. The per-chip cursor carries on where the
+        // chip's previous cluster stopped, so small clusters sharing a
+        // chip spread over its cores instead of stacking on the first.
         let mut placement: HashMap<ThreadId, CoreId> = HashMap::new();
+        let mut next_core = vec![0u32; self.chips as usize];
         for (i, cluster) in clusters.iter().enumerate() {
             let chip = (i as u32) % self.chips;
-            for (j, &thread) in cluster.iter().enumerate() {
-                let core = chip * self.cores_per_chip + (j as u32) % self.cores_per_chip;
-                placement.insert(thread, core);
+            let cursor = &mut next_core[chip as usize];
+            for &thread in cluster {
+                placement.insert(thread, chip * self.cores_per_chip + *cursor);
+                *cursor = (*cursor + 1) % self.cores_per_chip;
             }
         }
         // Emit in thread order: HashMap iteration order is randomized per
@@ -231,6 +235,32 @@ mod tests {
             deltas: &deltas,
         };
         assert!(p.on_epoch(&view).is_empty());
+    }
+
+    #[test]
+    fn singleton_clusters_spread_over_every_core() {
+        // Sixteen threads with disjoint working sets form sixteen
+        // one-thread clusters: four per chip, one per core. No core may
+        // run two of them while another core runs none.
+        let machine = Machine::new(MachineConfig::amd16());
+        let mut p = ThreadClustering::new(4, 4);
+        for t in 0..16usize {
+            p.access_sets
+                .insert(t, [t as DenseObjectId].into_iter().collect());
+        }
+        let deltas = vec![CounterDelta::default(); 16];
+        let cmds = p.on_epoch(&EpochView {
+            now: 0,
+            machine: &machine,
+            deltas: &deltas,
+        });
+        let mut per_core = [0u32; 16];
+        for c in &cmds {
+            if let PolicyCommand::RehomeThread { core, .. } = c {
+                per_core[*core as usize] += 1;
+            }
+        }
+        assert_eq!(per_core, [1; 16], "threads per core: {per_core:?}");
     }
 
     #[test]

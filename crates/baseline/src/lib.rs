@@ -13,8 +13,7 @@
 //!   used to substantiate the claim that clustering does not help when all
 //!   threads share one working set.
 //! * [`StaticPartition`] — objects assigned round-robin at registration and
-//!   never moved; isolates the value of CoreTime's dynamic monitoring and
-//!   rebalancing.
+//!   never moved; isolates the value of CoreTime's dynamic monitoring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

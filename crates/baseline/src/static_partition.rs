@@ -2,7 +2,8 @@
 //!
 //! Objects are assigned to cores round-robin at registration time and never
 //! move. This isolates the value of CoreTime's *dynamic* machinery
-//! (event-counter monitoring, rebalancing): on the uniform workload
+//! (event-counter monitoring that places an object by its first expensive
+//! operation): on the uniform workload
 //! static partitioning performs like CoreTime, but on shifting workloads
 //! (Figure 4b) it cannot adapt.
 

@@ -234,13 +234,6 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
         }
     }
 
-    /// Mutable access to the value of `key`, inserting the default if
-    /// absent (the equivalent of `entry(..).or_default()`).
-    #[inline]
-    pub fn entry(&mut self, key: K) -> &mut V {
-        self.or_insert_with(key, V::default).0
-    }
-
     /// Inserts or overwrites, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let (slot, inserted) = self.or_insert_with(key, || value);
@@ -300,15 +293,6 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
             .iter()
             .filter(|s| s.key != K::EMPTY)
             .map(|s| (s.key, &s.value))
-    }
-
-    /// Iterates mutably over every stored pair in slot order (keys stay
-    /// fixed; only values may change).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> + '_ {
-        self.slots
-            .iter_mut()
-            .filter(|s| s.key != K::EMPTY)
-            .map(|s| (s.key, &mut s.value))
     }
 
     fn grow(&mut self) {
@@ -554,7 +538,7 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut t: FlatTable<u64, u64> = FlatTable::default();
-        *t.entry(42) = 7;
+        t.insert(42, 7);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(42), Some(&7));
         assert_eq!(t.get(43), None);
@@ -578,7 +562,7 @@ mod tests {
     fn grows_past_initial_capacity() {
         let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
         for k in 0..1000u64 {
-            *t.entry(k) = k;
+            t.insert(k, k);
         }
         assert_eq!(t.len(), 1000);
         assert!(t.capacity() >= 1024);
@@ -594,7 +578,7 @@ mod tests {
         let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
         let keys: Vec<u64> = (0..6).map(|i| i * 8).collect();
         for &k in &keys {
-            *t.entry(k) = k + 1;
+            t.insert(k, k + 1);
         }
         for (n, &k) in keys.iter().enumerate() {
             assert_eq!(t.remove(k), Some(k + 1), "key {k}");
@@ -609,7 +593,7 @@ mod tests {
     #[test]
     fn probes_accumulate_but_peek_does_not_count() {
         let mut t: FlatTable<u64, u64> = FlatTable::default();
-        t.entry(9);
+        t.insert(9, 0);
         let after_insert = t.probes();
         assert!(after_insert > 0);
         t.peek(9);
@@ -623,27 +607,13 @@ mod tests {
     fn clear_empties_but_keeps_capacity() {
         let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
         for k in 0..100u64 {
-            t.entry(k);
+            t.insert(k, 0);
         }
         let cap = t.capacity();
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.capacity(), cap);
         assert_eq!(t.get(5), None);
-    }
-
-    #[test]
-    fn iter_mut_edits_values_in_place() {
-        let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
-        for k in 1..=5u64 {
-            *t.entry(k) = k * 10;
-        }
-        for (k, v) in t.iter_mut() {
-            *v += k;
-        }
-        let mut pairs: Vec<(u64, u64)> = t.iter().map(|(k, &v)| (k, v)).collect();
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(1, 11), (2, 22), (3, 33), (4, 44), (5, 55)]);
     }
 
     #[test]
@@ -698,7 +668,7 @@ mod tests {
         let cap = t.capacity();
         assert!(cap >= 1024 + 512, "7/8 load headroom: {cap}");
         for k in 0..1000u64 {
-            *t.entry(k) = k;
+            t.insert(k, k);
         }
         assert_eq!(t.capacity(), cap, "pre-sized inserts must not grow");
         assert_eq!(t.len(), 1000);

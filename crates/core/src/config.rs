@@ -5,10 +5,9 @@
 //! that grows with the object count) for the scale and web scenarios. The
 //! thresholds and cost estimates no caller varies are named constants
 //! next to the one module that reads each: the benefit test in
-//! [`crate::monitor`], the load classes in [`crate::rebalance`], the
-//! hot-spot factor in [`crate::pathology`], the promote/demote read
-//! fractions in [`crate::replication`], and the smoothing factor, packing
-//! share and epoch signal floor in [`crate::policy`].
+//! [`crate::monitor`], the promote/demote read fractions in
+//! [`crate::replication`], and the smoothing factor, packing share and
+//! slowdown factor in [`crate::policy`].
 
 /// Tunable parameters of the CoreTime O2 scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

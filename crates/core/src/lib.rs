@@ -14,9 +14,14 @@
 //! | `ct_start`/`ct_end` lookup     | [`policy`] (`O2Policy::on_ct_start`) + [`table`] |
 //! | greedy first-fit cache packing | [`packing`] |
 //! | event-counter monitoring       | [`monitor`] + [`object`] |
-//! | idle/DRAM/L2-load rebalancing  | [`rebalance`] |
-//! | pathology detection            | [`pathology`] |
 //! | §6.2 read-only replication     | [`replication`] (replica serving) |
+//! | slow-core detection (fault plane) | [`policy`] (`O2Policy::on_epoch`) |
+//!
+//! Section 4's two epoch movers — moving objects off cores that are rarely
+//! idle or load often from DRAM, and spreading migration hot-spots — are
+//! not implemented: both were built, measured on paired seeds, and deleted
+//! because neither moved a result (DESIGN.md, "Deleted: the §4 epoch
+//! movers").
 //!
 //! [`CoreTimeConfig`] switches replica serving and sets its heat floor;
 //! the Section 4 thresholds and cost estimates are constants in the module
@@ -56,9 +61,7 @@ pub mod config;
 pub mod monitor;
 pub mod object;
 pub mod packing;
-pub mod pathology;
 pub mod policy;
-pub mod rebalance;
 pub mod replication;
 pub mod table;
 

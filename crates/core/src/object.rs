@@ -27,8 +27,8 @@ pub struct ObjectInfo {
     pub ops_total: u64,
     /// Operations observed during the current epoch.
     pub ops_this_epoch: u64,
-    /// Operations observed during the previous epoch (used by replication
-    /// and pathology heuristics).
+    /// Operations observed during the previous epoch (read by replica
+    /// serving's heat test).
     pub ops_last_epoch: u64,
     /// Whether the size in `desc` was estimated from misses rather than
     /// registered.
@@ -170,12 +170,6 @@ impl ObjectRegistry {
     #[inline]
     pub fn get(&self, id: DenseObjectId) -> Option<&ObjectInfo> {
         self.slots.get(id as usize).filter(|info| info.present)
-    }
-
-    /// The external key of an object (zero if unknown).
-    #[inline]
-    pub fn key_of(&self, id: DenseObjectId) -> ObjectId {
-        self.get(id).map(|info| info.desc.id).unwrap_or(0)
     }
 
     /// Records one completed operation on an object, updating its smoothed

@@ -24,9 +24,9 @@ use crate::table::AssignmentTable;
 /// ascending assigned bytes (ties broken by core id).
 ///
 /// Plain first fit in core-index order (the literal reading of the paper's
-/// algorithm) concentrates the first objects on the first
-/// cores and relies entirely on the runtime rebalancer to spread them —
-/// which shows up as a migration hot-spot exactly as Section 4 predicts.
+/// algorithm) concentrates the first objects on the first cores, and
+/// nothing spreads them afterwards (CoreTime has no epoch mover) — which
+/// shows up as a migration hot-spot exactly as Section 4 predicts.
 /// Visiting the least-loaded core first keeps the same greedy structure
 /// while also satisfying the Section 3 requirement that the scheduler
 /// "balance both objects and operations across caches and cores"; it is

@@ -8,19 +8,20 @@
 //!   assigns the object to a cache when it is expensive to fetch
 //!   (Section 4, "Runtime monitoring" + the greedy cache-packing
 //!   algorithm);
-//! * at every epoch the policy rebalances objects away from saturated
-//!   cores, spreads migration hot-spots, and — with replica serving on
-//!   (Section 6.2) — replicates the hot read-mostly head and asks the
-//!   engine to warm its copies in idle time.
+//! * at every epoch the policy rolls the registry's per-epoch counts,
+//!   and — with replica serving on (Section 6.2) — replicates the hot
+//!   read-mostly head and asks the engine to warm its copies in idle
+//!   time; once the fault plane has signalled, it also re-runs the
+//!   counter detector that flags slow cores.
 //!
 //! As in the paper, an assigned object is never un-assigned for being
-//! idle: only rebalancing, pathology spreading and the fault plane move or
-//! release it.
+//! idle, and no epoch pass moves it for load: only the fault plane moves
+//! or releases it.
 
 use o2_metrics::{LatencyRecorder, LatencySummary};
 use o2_runtime::{
-    AccessKind, DenseObjectId, EpochView, ObjectDescriptor, OpContext, Placement, PolicyCommand,
-    PolicyReplicationStats, SchedPolicy,
+    AccessKind, CoreId, DenseObjectId, EpochView, ObjectDescriptor, OpContext, Placement,
+    PolicyCommand, PolicyReplicationStats, SchedPolicy,
 };
 use o2_sim::{CounterDelta, MachineConfig};
 
@@ -28,8 +29,6 @@ use crate::config::CoreTimeConfig;
 use crate::monitor::{verdict, MonitorVerdict};
 use crate::object::ObjectRegistry;
 use crate::packing;
-use crate::pathology::{self, PATHOLOGY_FACTOR};
-use crate::rebalance;
 use crate::replication::{self, earns_replicas};
 use crate::table::AssignmentTable;
 
@@ -38,20 +37,17 @@ const EWMA_ALPHA: f64 = 0.3;
 /// Fraction of each core's cache budget (L2 + its share of the L3) that
 /// placement is allowed to fill.
 const CAPACITY_FRACTION: f64 = 0.90;
-/// Minimum operations per core per epoch before the rebalancer and the
-/// pathology detector act: with fewer samples the per-core counters are
-/// noise and reacting to them just churns the caches.
-const MIN_EPOCH_OPS_PER_CORE: u64 = 16;
+/// How much slower than its peers a core must run before CoreTime stops
+/// migrating operations to it: an announced slowdown of this factor or
+/// more marks a core degraded, and the counter detector flags a core whose
+/// operations-per-busy-cycle rate falls below the mean divided by it.
+const SLOWDOWN_FACTOR: f64 = 3.0;
 
 /// Counters describing what the policy has done, for reports and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct O2Stats {
     /// Objects assigned to caches by the monitor + packer.
     pub assignments: u64,
-    /// Object moves planned by the counter-driven rebalancer.
-    pub rebalance_moves: u64,
-    /// Object moves planned by the pathology detector.
-    pub pathology_moves: u64,
     /// Operations the policy asked to migrate.
     pub migrations_requested: u64,
     /// Operations that ran where the thread already was.
@@ -86,7 +82,7 @@ pub struct O2Stats {
 
 /// Iterates the set bits of a core bitmask in ascending core order,
 /// without allocating — used on the `ct_start` hot path.
-fn mask_bits(mut mask: u64) -> impl Iterator<Item = o2_runtime::CoreId> {
+fn mask_bits(mut mask: u64) -> impl Iterator<Item = CoreId> {
     std::iter::from_fn(move || {
         if mask == 0 {
             return None;
@@ -95,6 +91,34 @@ fn mask_bits(mut mask: u64) -> impl Iterator<Item = o2_runtime::CoreId> {
         mask &= mask - 1;
         Some(core)
     })
+}
+
+/// The fault plane's counter detector: cores that were busy this epoch
+/// but completed operations at less than `1 / SLOWDOWN_FACTOR` of the mean
+/// ops-per-busy-cycle rate. A core the fault plan slowed down burns
+/// `slowdown × cost` cycles per operation, so its rate collapses relative
+/// to its peers and CoreTime stops migrating operations to it (data moves
+/// instead). Idle cores are excluded: completing nothing while doing
+/// nothing is not degradation.
+fn slow_cores(deltas: &[CounterDelta]) -> Vec<CoreId> {
+    let rates: Vec<Option<f64>> = deltas
+        .iter()
+        .map(|d| (d.busy_cycles > 0).then(|| d.operations_completed as f64 / d.busy_cycles as f64))
+        .collect();
+    let live: Vec<f64> = rates.iter().flatten().copied().collect();
+    if live.is_empty() {
+        return Vec::new();
+    }
+    let mean = live.iter().sum::<f64>() / live.len() as f64;
+    if mean <= 0.0 {
+        return Vec::new();
+    }
+    rates
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| matches!(r, Some(rate) if *rate < mean / SLOWDOWN_FACTOR))
+        .map(|(i, _)| i as CoreId)
+        .collect()
 }
 
 /// The CoreTime O2 scheduling policy.
@@ -109,9 +133,9 @@ pub struct O2Policy {
     /// Cores the fault plane took permanently offline.
     offline_mask: u64,
     /// Cores whose announced slowdown crossed the degradation threshold
-    /// ([`PATHOLOGY_FACTOR`] as a percentage of nominal cost).
+    /// ([`SLOWDOWN_FACTOR`] as a percentage of nominal cost).
     degraded_mask: u64,
-    /// Cores the pathology detector flagged as slow from counters alone,
+    /// Cores the counter detector ([`slow_cores`]) flagged as slow,
     /// recomputed every epoch — the detector half of the fault plane.
     detected_mask: u64,
     /// Set (stickily) the first time the fault plane signals anything.
@@ -358,30 +382,6 @@ impl SchedPolicy for O2Policy {
         self.stats.epochs += 1;
         self.registry.roll_epoch();
 
-        // Moving an assignment invalidates the cache affinity it has built
-        // up, so the reactive mechanisms only act when the epoch carries a
-        // meaningful number of samples per core.
-        let epoch_ops: u64 = view.deltas.iter().map(|d| d.operations_completed).sum();
-        let enough_signal = epoch_ops >= MIN_EPOCH_OPS_PER_CORE * view.deltas.len().max(1) as u64;
-
-        if enough_signal {
-            // Counter-driven rebalancing away from saturated cores.
-            let moves = rebalance::plan(&self.table, &self.registry, view.deltas);
-            for m in moves {
-                if self.table.reassign(m.object, m.size, m.to) {
-                    self.stats.rebalance_moves += 1;
-                }
-            }
-
-            // Spread migration hot-spots.
-            let moves = pathology::plan(&self.table, &self.registry, view.deltas);
-            for m in moves {
-                if self.table.reassign(m.object, m.size, m.to) {
-                    self.stats.pathology_moves += 1;
-                }
-            }
-        }
-
         let mut commands = Vec::new();
         if self.cfg.serve_from_replicas {
             // Demote first (a cooled-off object's copies come back to the
@@ -427,18 +427,16 @@ impl SchedPolicy for O2Policy {
             );
         }
 
-        // The pathology detector doubles as the degradation detector: a
-        // core completing operations at a fraction of its peers' rate per
-        // busy cycle is treated exactly like a core with an announced
+        // A core completing operations at a fraction of its peers' rate
+        // per busy cycle is treated exactly like a core with an announced
         // slowdown — `ct_start` stops migrating there until the counters
         // recover. Recomputed from scratch each epoch so the flag clears
         // itself. Only armed runs pay for it: until the fault plane
         // signals something, placement must be bit-identical to a run
-        // with no fault plane at all (the existing pathology machinery
-        // already handles fault-free imbalance by moving objects).
+        // with no fault plane at all.
         if self.fault_plane_armed {
             self.detected_mask = 0;
-            for core in pathology::slow_cores(view.deltas) {
+            for core in slow_cores(view.deltas) {
                 if core < 64 {
                     self.detected_mask |= 1u64 << core;
                 }
@@ -448,7 +446,7 @@ impl SchedPolicy for O2Policy {
         commands
     }
 
-    fn core_down(&mut self, core: o2_runtime::CoreId) {
+    fn core_down(&mut self, core: CoreId) {
         self.fault_plane_armed = true;
         self.stats.core_down_events += 1;
         if core < 64 {
@@ -479,15 +477,14 @@ impl SchedPolicy for O2Policy {
         }
     }
 
-    fn core_degraded(&mut self, core: o2_runtime::CoreId, slowdown_percent: u32) {
+    fn core_degraded(&mut self, core: CoreId, slowdown_percent: u32) {
         self.fault_plane_armed = true;
         if core >= 64 {
             return;
         }
-        // The degradation threshold reuses the pathology factor: a core
-        // announced at `PATHOLOGY_FACTOR`× nominal cost (or worse) is no
-        // longer a profitable migration target.
-        let threshold = (PATHOLOGY_FACTOR * 100.0) as u32;
+        // A core announced at `SLOWDOWN_FACTOR`× nominal cost (or worse)
+        // is no longer a profitable migration target.
+        let threshold = (SLOWDOWN_FACTOR * 100.0) as u32;
         if slowdown_percent >= threshold {
             self.degraded_mask |= 1u64 << core;
         } else {
@@ -808,6 +805,29 @@ mod tests {
         policy.core_degraded(home, 400);
         policy.core_degraded(home, 100);
         assert_eq!(policy.on_ct_start(&ctx), Placement::On(home));
+    }
+
+    #[test]
+    fn slow_core_detection_compares_ops_per_busy_cycle() {
+        let rate = |ops, busy| CounterDelta {
+            busy_cycles: busy,
+            operations_completed: ops,
+            ..Default::default()
+        };
+        // Core 2 completes ops at 1/8 the rate of its peers: degraded.
+        let deltas = vec![
+            rate(800, 100_000),
+            rate(800, 100_000),
+            rate(100, 100_000),
+            rate(800, 100_000),
+        ];
+        assert_eq!(slow_cores(&deltas), vec![2]);
+        // An idle core (busy = 0) is parked, not degraded.
+        let deltas = vec![rate(800, 100_000), rate(0, 0), rate(800, 100_000)];
+        assert!(slow_cores(&deltas).is_empty());
+        // Uniform rates: nothing is slow.
+        assert!(slow_cores(&vec![rate(500, 100_000); 4]).is_empty());
+        assert!(slow_cores(&[]).is_empty());
     }
 
     #[test]

@@ -317,20 +317,6 @@ impl AssignmentTable {
         true
     }
 
-    /// Moves an object's primary copy from one core to another (dropping
-    /// replicas), re-charging it at `size`. Returns `false` if the
-    /// destination lacks space.
-    pub fn reassign(&mut self, object: DenseObjectId, size: u64, to: CoreId) -> bool {
-        if !self.is_assigned(object) {
-            return false;
-        }
-        if self.free_bytes(to) < size && !self.replicas(object).contains(to) {
-            return false;
-        }
-        self.unassign(object);
-        self.assign(object, size, to)
-    }
-
     /// Total bytes assigned across all cores (replicas counted).
     pub fn total_assigned_bytes(&self) -> u64 {
         self.used_bytes.iter().sum()
@@ -369,23 +355,6 @@ mod tests {
         assert!(!t.assign(2, 300, 0));
         assert_eq!(t.primary(2), None);
         assert_eq!(t.used_bytes(0), 800);
-    }
-
-    #[test]
-    fn reassigning_moves_bytes() {
-        let mut t = table();
-        t.assign(1, 500, 0);
-        assert!(t.reassign(1, 500, 3));
-        assert_eq!(t.primary(1), Some(3));
-        assert_eq!(t.used_bytes(0), 0);
-        assert_eq!(t.used_bytes(3), 500);
-        assert!(t.objects_on(0).is_empty());
-    }
-
-    #[test]
-    fn reassign_unknown_object_fails() {
-        let mut t = table();
-        assert!(!t.reassign(9, 100, 1));
     }
 
     #[test]

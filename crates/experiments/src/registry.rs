@@ -141,17 +141,52 @@ fn fig2() -> Scenario {
         points: vec![SweepPoint::ordinal(0, 0, "occupancy snapshot")],
         payload: 0,
         run: fig2_cell,
-        summarize: Some(|sc, table, _| {
-            vec![format!(
-                "Paper's claim: the thread scheduler keeps ~half the directories \
-                 on-chip (duplicated); the O2 scheduler keeps all of them, \
-                 unduplicated. Measured distinct-on-chip: thread scheduler {}, \
-                 O2 {}.",
-                column(sc, table, PolicyKind::ThreadScheduler).points[0].1,
-                column(sc, table, PolicyKind::CoreTime).points[0].1
-            )]
-        }),
+        summarize: Some(fig2_summary),
     }
+}
+
+/// The duplication factor a `fig2` cell printed in its detail lines.
+fn duplication_factor(cell: &CellResult) -> Option<f64> {
+    cell.lines.iter().find_map(|line| {
+        line.split("duplication factor ")
+            .nth(1)
+            .and_then(|v| v.trim().parse().ok())
+    })
+}
+
+fn fig2_summary(sc: &Scenario, table: &SeriesTable, cells: &[CellResult]) -> Vec<String> {
+    let measured = |kind: PolicyKind| {
+        let series = sc.series_of(kind).expect("fig2 runs the policy");
+        let distinct = table.series[series].points[0].1;
+        let dup = duplication_factor(&cells[series * sc.points.len()]);
+        let text = match dup {
+            Some(d) => format!("{distinct:.0} of 20 on-chip, duplication factor {d:.2}"),
+            None => format!("{distinct:.0} of 20 on-chip"),
+        };
+        (distinct, dup, text)
+    };
+    let (ts_distinct, ts_dup, ts_text) = measured(PolicyKind::ThreadScheduler);
+    let (o2_distinct, o2_dup, o2_text) = measured(PolicyKind::CoreTime);
+    let verdict = if ts_distinct < o2_distinct {
+        format!(
+            "the thread scheduler loses {:.0} directories off-chip, as the paper says",
+            o2_distinct - ts_distinct
+        )
+    } else {
+        match (ts_dup, o2_dup) {
+            (Some(t), Some(o)) => format!(
+                "the thread scheduler loses no directory off-chip here; what it pays \
+                 instead is {t:.2} on-chip copies of each line against the O2 \
+                 scheduler's {o:.2}"
+            ),
+            _ => "the thread scheduler loses no directory off-chip here".to_string(),
+        }
+    };
+    vec![format!(
+        "Paper's claim: the thread scheduler keeps ~half the directories on-chip \
+         (duplicated); the O2 scheduler keeps all of them, unduplicated. Measured: \
+         thread scheduler {ts_text}; O2 {o2_text} — {verdict}."
+    )]
 }
 
 // ---- fig4a / fig4b ---------------------------------------------------
@@ -430,14 +465,55 @@ fn ablation_hardware(quick: bool) -> Scenario {
         points,
         payload: total_kb,
         run: ablation_hardware_cell,
-        summarize: Some(|_, _, _| {
-            vec![
-                "The CoreTime advantage grows with core count and cache capacity, \
-                 as Section 6.1 predicts."
-                    .into(),
-            ]
-        }),
+        summarize: Some(ablation_hardware_summary),
     }
+}
+
+fn ablation_hardware_summary(sc: &Scenario, table: &SeriesTable, _: &[CellResult]) -> Vec<String> {
+    let ct = &column(sc, table, PolicyKind::CoreTime).points;
+    let ts = &column(sc, table, PolicyKind::ThreadScheduler).points;
+    let ratios: Vec<f64> = ct
+        .iter()
+        .zip(ts)
+        .map(|(c, t)| c.1 / t.1.max(1e-9))
+        .collect();
+    let per_machine = sc
+        .points
+        .iter()
+        .zip(&ratios)
+        .enumerate()
+        .map(|(i, (p, r))| format!("[{}] {} {r:.2}x", i + 1, p.label))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let mut notes = vec![format!(
+        "CoreTime vs the thread scheduler per machine: {per_machine}"
+    )];
+    if let Some((&base, rest)) = ratios.split_first() {
+        let above: Vec<String> = rest
+            .iter()
+            .enumerate()
+            .filter(|(_, &r)| r > base)
+            .map(|(i, _)| format!("[{}]", i + 2))
+            .collect();
+        let verdict = if above.len() == rest.len() {
+            "every larger machine exceeds it, as Section 6.1 predicts".to_string()
+        } else if above.is_empty() {
+            "no larger machine exceeds it, against Section 6.1's prediction".to_string()
+        } else {
+            format!(
+                "only {} of {} larger machines exceed it ({}), so the advantage does not \
+                 grow uniformly with core count and cache capacity as Section 6.1 predicts",
+                above.len(),
+                rest.len(),
+                above.join(", ")
+            )
+        };
+        notes.push(format!(
+            "against [1] {}'s {base:.2}x, {verdict}",
+            sc.points[0].label
+        ));
+    }
+    notes
 }
 
 fn ablation_clustering_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {

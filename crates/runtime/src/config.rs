@@ -27,7 +27,8 @@ pub struct RuntimeConfig {
     /// destination saves one migration per operation, so this defaults to
     /// `false`.
     pub return_home_after_op: bool,
-    /// Interval between policy epochs (rebalancing opportunities).
+    /// Interval between policy epochs, where a policy sees the machine-wide
+    /// counters and may issue commands.
     pub epoch_cycles: Cycles,
     /// Round-robin quantum for threads sharing a core.
     pub quantum_cycles: Cycles,

@@ -3,8 +3,8 @@
 //! The engine is policy-agnostic: at every `ct_start` it asks the installed
 //! [`SchedPolicy`] where the operation should run, at every `ct_end` it
 //! reports the event-counter delta observed during the operation, and at
-//! every epoch boundary it hands the policy a machine-wide counter view so
-//! the policy can rebalance. CoreTime (`o2-core`) and the baselines
+//! every epoch boundary it hands the policy a machine-wide counter view and
+//! applies the commands it returns (replica fills, thread rehomings). CoreTime (`o2-core`) and the baselines
 //! (`o2-baseline`) are both implementations of this trait, so any measured
 //! difference between them is purely the scheduling policy — exactly the
 //! comparison the paper makes.

@@ -161,26 +161,6 @@ impl CounterDelta {
     pub fn off_chip_loads(&self) -> u64 {
         self.remote_cache_loads + self.dram_loads
     }
-
-    /// Fraction of elapsed cycles that were idle.
-    pub fn idle_fraction(&self) -> f64 {
-        let total = self.busy_cycles + self.idle_cycles;
-        if total == 0 {
-            0.0
-        } else {
-            self.idle_cycles as f64 / total as f64
-        }
-    }
-
-    /// DRAM loads per thousand busy cycles (a load-pressure metric used by
-    /// the rebalancer).
-    pub fn dram_load_rate(&self) -> f64 {
-        if self.busy_cycles == 0 {
-            0.0
-        } else {
-            self.dram_loads as f64 * 1000.0 / self.busy_cycles as f64
-        }
-    }
 }
 
 /// Machine-wide memory-system totals, exposed by `Machine::mem_stats()`
@@ -337,7 +317,6 @@ mod tests {
         };
         assert_eq!(d.object_fetch_misses(), 10);
         assert_eq!(d.off_chip_loads(), 7);
-        assert!((d.dram_load_rate() - 4.0).abs() < 1e-12);
     }
 
     #[test]

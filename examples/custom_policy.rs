@@ -59,7 +59,7 @@ fn main() {
     println!(
         "\nHash placement gets {:.2}x over the baseline just by partitioning objects;\n\
          CoreTime gets {:.2}x and additionally only migrates operations whose objects\n\
-         are actually expensive to fetch (and rebalances when load shifts).",
+         are actually expensive to fetch.",
         hashed / without.max(1e-9),
         with / without.max(1e-9)
     );

@@ -4,7 +4,7 @@
 //! index.
 //!
 //! A `std::collections::HashMap` is the oracle: after **any** interleaved
-//! sequence of insert / entry / remove / lookup operations the table must
+//! sequence of insert / upsert / remove / lookup operations the table must
 //! agree with it on every key, on `len()`, and on the full iterated
 //! contents — including under sustained deletion churn at high load
 //! factor, where backward-shifting does the most work.
@@ -61,8 +61,12 @@ fn random_op_sequences_agree_with_the_hashmap_oracle() {
                     assert_eq!(a, b, "case {case} step {step}: insert");
                 }
                 5 => {
+                    // Upsert: add to the value, starting from zero.
                     let add = rng.gen_range(1u64..100);
-                    *table.entry(key) += add;
+                    match table.get_mut(key) {
+                        Some(v) => *v += add,
+                        None => assert_eq!(table.insert(key, add), None),
+                    }
                     *oracle.entry(key).or_insert(0) += add;
                 }
                 6 => {

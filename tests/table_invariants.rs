@@ -106,7 +106,7 @@ fn random_op_sequences_preserve_all_invariants() {
             let object = rng.gen_range(0u32..OBJECTS);
             let size = sizes[object as usize];
             let core = rng.gen_range(0u32..cores as u32);
-            match rng.gen_range(0u8..5) {
+            match rng.gen_range(0u8..4) {
                 0 => {
                     let _ = table.assign(object, size, core);
                 }
@@ -114,9 +114,6 @@ fn random_op_sequences_preserve_all_invariants() {
                     let _ = table.unassign(object);
                 }
                 2 => {
-                    let _ = table.reassign(object, size, core);
-                }
-                3 => {
                     let _ = table.add_replica(object, core);
                 }
                 _ => {
@@ -134,8 +131,9 @@ fn random_op_sequences_preserve_all_invariants() {
 #[test]
 fn replicate_then_move_then_release_never_leaks_bytes() {
     // A directed sequence covering the exact interleaving the policy
-    // performs: assign → replicate widely → reassign (drops replicas) →
-    // unassign (releases everything).
+    // performs: assign → replicate widely → re-home (what `core_down`
+    // does: release every copy, place the primary elsewhere) → unassign
+    // (releases everything).
     let mut table = AssignmentTable::new(vec![10_000; 4]);
     let sizes: Vec<u64> = (0..OBJECTS).map(|_| 1_000).collect();
     assert!(table.assign(1, 1_000, 0));
@@ -143,8 +141,9 @@ fn replicate_then_move_then_release_never_leaks_bytes() {
     assert!(table.add_replica(1, 2));
     check_invariants(&table, &sizes);
     assert_eq!(table.total_assigned_bytes(), 3_000);
-    // Moving the primary drops every replica.
-    assert!(table.reassign(1, 1_000, 3));
+    // Re-homing the primary drops every replica.
+    assert!(table.unassign(1));
+    assert!(table.assign(1, 1_000, 3));
     check_invariants(&table, &sizes);
     assert_eq!(table.total_assigned_bytes(), 1_000);
     assert_eq!(table.replicas(1).len(), 1);
