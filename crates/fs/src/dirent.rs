@@ -5,8 +5,6 @@
 //! uses 32 bytes of memory." This module implements the classic 32-byte
 //! FAT directory entry with 8.3 names.
 
-use o2_collections::{FlatKey, FIB_MULT};
-
 /// Size of one directory entry in bytes.
 pub const DIRENT_SIZE: usize = 32;
 
@@ -124,11 +122,9 @@ impl DirEntry {
     }
 }
 
-/// An 8.3 name as a flat-table key: the 11 canonical bytes (space-padded,
-/// upper-cased name then extension, the exact bytes stored in a
-/// [`DirEntry`]), so two names are equal exactly when [`DirEntry::matches`]
-/// would say so. The vacant-slot sentinel is all `0xFF` bytes, which can
-/// never appear in a canonicalised name (they are ASCII or spaces).
+/// An 8.3 name in canonical form: the 11 bytes (space-padded, upper-cased
+/// name then extension) stored in a [`DirEntry`], so two names are equal
+/// exactly when [`DirEntry::matches`] would say so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NameKey([u8; 11]);
 
@@ -163,6 +159,11 @@ impl NameKey {
         Self(bytes)
     }
 
+    /// The 11 canonical bytes, as stored at the start of an entry.
+    pub(crate) fn bytes(&self) -> &[u8; 11] {
+        &self.0
+    }
+
     /// The serial `i` whose [`NameKey::synthetic`] this key is, if it is
     /// one: `F`, seven digits, `DAT`.
     pub(crate) fn synthetic_serial(self) -> Option<u32> {
@@ -172,20 +173,6 @@ impl NameKey {
         digits.iter().try_fold(0u32, |n, &b| {
             b.is_ascii_digit().then(|| n * 10 + u32::from(b - b'0'))
         })
-    }
-}
-
-impl FlatKey for NameKey {
-    const EMPTY: Self = NameKey([0xFF; 11]);
-
-    /// FNV-1a over the 11 name bytes, finished with the shared Fibonacci
-    /// multiply so the high bits (which the table indexes by) are mixed.
-    fn hash(self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.0 {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h.wrapping_mul(FIB_MULT)
     }
 }
 
@@ -283,8 +270,6 @@ mod tests {
         assert_ne!(NameKey::new("FILE.DAT"), NameKey::new("OTHER.DAT"));
         let e = DirEntry::file("File.Dat", 0, 0);
         assert_eq!(NameKey::from(&e), NameKey::new("FILE.DAT"));
-        // The sentinel never equals a real name.
-        assert_ne!(NameKey::new("FILE.DAT"), NameKey::EMPTY);
     }
 
     #[test]

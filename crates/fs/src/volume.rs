@@ -14,14 +14,15 @@
 //! cycles the simulated machine pays in `lookup.rs`, exactly the paper's
 //! Figure-3 inner loop — is untouched. The **host-side** bookkeeping
 //! (which entry does this name live in? is this name taken? which slot is
-//! free?) used to be the same linear scan run natively; for a directory
-//! that has been mutated it now goes through a per-directory flat name
-//! index (an
-//! [`o2_collections::FlatTable`] from canonical 8.3 [`NameKey`]s to entry
-//! slots), so create / rename / unlink churn probes and backward-shifts a
-//! flat table instead of rescanning the image. The old linear scan
-//! survives only in this module's tests, as the oracle `search` is
-//! checked against after seeded create / unlink / rename churn.
+//! free?) of a mutated directory reads its own entry bytes and a bitmap
+//! of its live slots: a name resolves by comparing its 11 canonical 8.3
+//! bytes ([`NameKey`]) against the live slots only, and first-fit takes
+//! the lowest clear bit. Liveness comes from the bitmap, never from the
+//! bytes: an unlinked slot keeps its name behind the `0xE5` deleted
+//! marker, and a live name may itself begin with `0xE5`. A linear scan
+//! of every entry survives only in this module's tests, as the oracle
+//! `search` is checked against after seeded create / unlink / rename
+//! churn.
 //!
 //! ## Synthetic and materialized directories
 //!
@@ -30,17 +31,21 @@
 //! [`Volume::rename`], whether or not it succeeds): its handle, its live
 //! count and its capacity describe it completely — slots `0..live` hold
 //! the synthetic entries [`NameKey::synthetic`]`(i)` and every other
-//! slot is zero — so nothing of it is written to the image and it has
-//! no index. [`Volume::read_entry`] builds the entry asked for, a
-//! search decodes the name back to its serial
+//! slot is zero — so it owns no bytes. [`Volume::read_entry`] builds the
+//! entry asked for, a search decodes the name back to its serial
 //! (`NameKey::synthetic_serial`), and `live_entries`, `free_slots` and
-//! `remove_directory` answer from the counts. The first mutation *materializes* the directory in one step:
-//! it zeroes the directory's byte range, writes the synthetic entries and
-//! builds the index; from then on the image and the index are the truth.
-//! Either way every reader sees the same bytes. Lookup workloads pick
-//! entries by index and read only [`DirectoryHandle`] addresses, so a
-//! lookup volume writes no image byte and builds no index, and its
-//! zeroed image pages are never touched.
+//! `remove_directory` answer from the counts. The first mutation
+//! *materializes* the directory in one step: it allocates exactly the
+//! directory's `byte_len` bytes holding the synthetic entries, and a
+//! bitmap with bits `0..live` set; from then on those bytes and the
+//! bitmap are the truth, and removing the directory frees them. Either
+//! way every reader sees the same bytes.
+//!
+//! There is no volume-wide image to hold them. A directory's
+//! `image_offset` — its first cluster's place in the data area — still
+//! defines the FAT layout and the logical image the tests fingerprint,
+//! but simulated addresses come from [`Volume::map_into`], so a volume
+//! costs its FAT, its handles and the bytes of its mutated directories.
 //!
 //! ## The handle table
 //!
@@ -48,17 +53,16 @@
 //! lowest-free-first. Since [`Volume::remove_directory`] reclaims ids
 //! (and FAT clusters), the id space is no longer append-only: the live
 //! set is a [`FlatTable`] from `DirId` to a storage slot in a slab of
-//! handles — the workspace's fourth deletion-bearing flat-table user,
-//! alongside the coherence directory, the CoreTime pair table and the
-//! per-directory name indexes. Ids and storage slots are allocated from
-//! separate free pools (ids lowest-first so reuse is deterministic,
-//! slots LIFO), so after interleaved removals the id → slot map is not
-//! the identity and the table genuinely resolves it.
+//! handles — the workspace's one flat-table user that deletes keys (the
+//! `Interner` only adds them). Ids and storage slots are allocated from
+//! separate free pools (ids lowest-first so reuse is deterministic, slots
+//! LIFO), so after interleaved removals the id → slot map is not the
+//! identity and the table genuinely resolves it.
 
 use o2_collections::FlatTable;
 use o2_sim::{Addr, SimMemory};
 
-use crate::dirent::{split_8_3, DirEntry, NameKey, DIRENT_SIZE, SYNTHETIC_SERIALS};
+use crate::dirent::{DirEntry, NameKey, DIRENT_SIZE, SYNTHETIC_SERIALS};
 use crate::fat::{Fat, FatError, MAX_DATA_CLUSTERS};
 
 /// Dense directory identifier: the creation-order index of the directory
@@ -146,71 +150,96 @@ impl From<FatError> for VolumeError {
     }
 }
 
-/// Host-side bookkeeping of one directory: the flat name index plus the
-/// free-slot pool.
+/// A materialized directory's storage: its entry bytes and which of its
+/// slots hold a name.
 #[derive(Debug, Clone)]
-struct DirIndex {
-    /// Canonical 8.3 name → entry slot.
-    names: FlatTable<NameKey, u32>,
-    /// Free entry slots, kept sorted descending so `pop()` yields the
-    /// lowest slot — first-fit, exactly where a linear scan for a free
-    /// entry would land.
-    free: Vec<u32>,
+struct Entries {
+    /// Exactly the directory's `byte_len` bytes; slot `i` starts at byte
+    /// `i * DIRENT_SIZE`.
+    bytes: Box<[u8]>,
+    /// Bit `i % 64` of word `i / 64` is set iff slot `i` holds a name.
+    live: Box<[u64]>,
 }
 
-impl DirIndex {
-    /// The index of a directory exactly as created: synthetic entries in
-    /// slots `0..live`, every other slot free.
-    fn created(live: u32, capacity: u32) -> Self {
-        let mut names = FlatTable::with_capacity(capacity as usize * 8 / 7 + 1);
-        for i in 0..live {
-            names.insert(NameKey::synthetic(i), i);
+impl Entries {
+    /// The storage of a synthetic directory: synthetic entries in slots
+    /// `0..live`, every other slot zero.
+    fn synthetic(handle: &DirectoryHandle, live: u32) -> Self {
+        let mut bytes = vec![0u8; handle.byte_len].into_boxed_slice();
+        for (i, entry) in (0..live).zip(bytes.chunks_exact_mut(DIRENT_SIZE)) {
+            entry.copy_from_slice(&synthetic_entry(handle, i).encode());
         }
-        Self {
-            names,
-            free: (live..capacity).rev().collect(),
-        }
+        let words = (handle.entry_count as usize).div_ceil(64);
+        let mut entries = Self {
+            bytes,
+            live: vec![0; words].into_boxed_slice(),
+        };
+        (0..live).for_each(|i| entries.flip(i));
+        entries
     }
 
-    /// Returns a free slot to the pool, keeping it sorted descending.
-    fn release_slot(&mut self, slot: u32) {
-        let at = self.free.partition_point(|&s| s > slot);
-        self.free.insert(at, slot);
+    fn entry(&self, slot: u32) -> &[u8] {
+        let at = slot as usize * DIRENT_SIZE;
+        &self.bytes[at..at + DIRENT_SIZE]
+    }
+
+    fn entry_mut(&mut self, slot: u32) -> &mut [u8] {
+        let at = slot as usize * DIRENT_SIZE;
+        &mut self.bytes[at..at + DIRENT_SIZE]
+    }
+
+    /// Turns a free slot live or a live one free.
+    fn flip(&mut self, slot: u32) {
+        self.live[slot as usize / 64] ^= 1 << (slot % 64);
+    }
+
+    /// The live slot named `key`; free slots are never compared.
+    fn find(&self, key: NameKey) -> Option<u32> {
+        let key = key.bytes();
+        for (base, &word) in (0u32..).step_by(64).zip(self.live.iter()) {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = base + bits.trailing_zeros();
+                bits &= bits - 1;
+                if self.entry(slot)[..key.len()] == key[..] {
+                    return Some(slot);
+                }
+            }
+        }
+        None
+    }
+
+    /// The lowest free slot: first-fit, exactly where a linear scan for a
+    /// free entry would land.
+    fn first_free(&self) -> Option<u32> {
+        let slots = (self.bytes.len() / DIRENT_SIZE) as u32;
+        (0u32..)
+            .step_by(64)
+            .zip(self.live.iter())
+            .find(|&(_, &word)| word != u64::MAX)
+            .map(|(base, word)| base + word.trailing_ones())
+            .filter(|&slot| slot < slots)
     }
 }
 
 /// One live directory's storage: the handle, its live-entry count and,
-/// once it is materialized, its host-side index.
+/// once it is materialized, its entries.
 #[derive(Debug, Clone)]
 struct DirSlot {
     handle: DirectoryHandle,
     /// Slots holding a name; the other `entry_count - live` are free.
     live: u32,
     /// `None` while the directory is synthetic (see the module docs);
-    /// `Some` once it is materialized, when its bytes are in the image.
-    index: Option<DirIndex>,
+    /// `Some` once it is materialized.
+    entries: Option<Entries>,
 }
 
 impl DirSlot {
-    /// The directory's index, materializing the directory first if it is
-    /// still synthetic.
-    fn materialize(&mut self, image: &mut [u8]) -> &mut DirIndex {
-        if self.index.is_none() {
-            write_synthetic(image, &self.handle, self.live);
-        }
-        self.index
-            .get_or_insert_with(|| DirIndex::created(self.live, self.handle.entry_count))
-    }
-}
-
-/// Writes a synthetic directory's bytes into `image`: its whole range
-/// zeroed (the clusters may have belonged to a removed directory), then
-/// synthetic entries in slots `0..live`.
-fn write_synthetic(image: &mut [u8], handle: &DirectoryHandle, live: u32) {
-    let range = &mut image[handle.image_offset..handle.image_offset + handle.byte_len];
-    range.fill(0);
-    for (i, bytes) in (0..live).zip(range.chunks_exact_mut(DIRENT_SIZE)) {
-        bytes.copy_from_slice(&synthetic_entry(handle, i).encode());
+    /// The directory's entries, materializing the directory first if it
+    /// is still synthetic.
+    fn materialize(&mut self) -> &mut Entries {
+        self.entries
+            .get_or_insert_with(|| Entries::synthetic(&self.handle, self.live))
     }
 }
 
@@ -224,8 +253,6 @@ fn synthetic_entry(handle: &DirectoryHandle, i: u32) -> DirEntry {
 pub struct Volume {
     geometry: VolumeGeometry,
     fat: Fat,
-    /// The data area (cluster 2 starts at offset 0).
-    image: Vec<u8>,
     /// Live [`DirId`] → storage slot in `slots` (see "The handle table"
     /// in the module docs).
     ids: FlatTable<u64, u32>,
@@ -249,7 +276,6 @@ impl Volume {
         Self {
             geometry,
             fat: Fat::new(clusters),
-            image: vec![0u8; geometry.data_clusters as usize * geometry.bytes_per_cluster as usize],
             ids: FlatTable::default(),
             slots: Vec::new(),
             spare_slots: Vec::new(),
@@ -304,13 +330,9 @@ impl Volume {
         Ok(self.slots[slot].as_ref().expect("live slot"))
     }
 
-    /// A live directory's storage together with the image, for mutations.
-    fn dir_slot_mut(&mut self, dir: DirId) -> Result<(&mut DirSlot, &mut [u8]), VolumeError> {
+    fn dir_slot_mut(&mut self, dir: DirId) -> Result<&mut DirSlot, VolumeError> {
         let slot = self.slot_of(dir)?;
-        Ok((
-            self.slots[slot].as_mut().expect("live slot"),
-            &mut self.image,
-        ))
+        Ok(self.slots[slot].as_mut().expect("live slot"))
     }
 
     /// The live directories, in id order.
@@ -355,7 +377,7 @@ impl Volume {
     /// Creates a directory with `capacity` entry slots of which the first
     /// `live` hold synthetic entries; the rest are free for
     /// [`Volume::create_entry`]. The directory starts synthetic: it takes
-    /// its FAT chain and a handle and writes nothing to the image (see the
+    /// its FAT chain and a handle and allocates no entry bytes (see the
     /// module docs). Returns the dense id — the lowest
     /// reclaimed id if any directory was removed, the next fresh one
     /// otherwise.
@@ -383,8 +405,8 @@ impl Volume {
         let chain = self.fat.chain(first_cluster)?;
         let image_offset = self.cluster_offset(chain[0]);
         // Chains from a fresh FAT are contiguous, so the directory occupies
-        // a contiguous byte range of the image; assert that invariant
-        // because the lookup path relies on it.
+        // a contiguous range of the data area; assert that invariant
+        // because `image_offset` and `byte_len` describe it as one range.
         for (i, w) in chain.windows(2).enumerate() {
             debug_assert_eq!(w[1], w[0] + 1, "cluster chain not contiguous at {i}");
         }
@@ -412,7 +434,7 @@ impl Volume {
                 lock_addr: 0,
             },
             live,
-            index: None,
+            entries: None,
         });
         self.ids.insert(u64::from(id), slot as u32);
         Ok(id)
@@ -440,7 +462,7 @@ impl Volume {
         Ok(())
     }
 
-    /// Reads entry `i` of directory `dir`: from the image once the
+    /// Reads entry `i` of directory `dir`: from its bytes once the
     /// directory is materialized, built from its description while it is
     /// synthetic. Errors with [`VolumeError::NoSuchEntry`] if `i` is not
     /// one of the directory's slots.
@@ -450,25 +472,21 @@ impl Volume {
         if i >= d.entry_count {
             return Err(VolumeError::NoSuchEntry);
         }
-        if s.index.is_none() {
-            return Ok(if i < s.live {
-                synthetic_entry(d, i)
-            } else {
-                DirEntry::decode(&[0; DIRENT_SIZE]).expect("a whole entry")
-            });
-        }
-        let off = d.image_offset + i as usize * DIRENT_SIZE;
-        Ok(DirEntry::decode(&self.image[off..off + DIRENT_SIZE]).expect("entry in bounds"))
+        Ok(match &s.entries {
+            Some(entries) => DirEntry::decode(entries.entry(i)).expect("a whole entry"),
+            None if i < s.live => synthetic_entry(d, i),
+            None => DirEntry::decode(&[0; DIRENT_SIZE]).expect("a whole entry"),
+        })
     }
 
-    /// Entry slot holding `name` in directory `dir` (host-side, O(1)
-    /// expected: a decoded serial while the directory is synthetic, a flat
-    /// name-index probe once it is materialized).
+    /// Entry slot holding `name` in directory `dir` (host-side: a decoded
+    /// serial while the directory is synthetic, a scan of its live slots
+    /// once it is materialized).
     pub fn find_entry(&self, dir: DirId, name: &str) -> Result<Option<u32>, VolumeError> {
         let s = self.dir_slot(dir)?;
         let key = NameKey::new(name);
-        Ok(match &s.index {
-            Some(index) => index.names.peek(key).copied(),
+        Ok(match &s.entries {
+            Some(entries) => entries.find(key),
             None => key.synthetic_serial().filter(|&i| i < s.live),
         })
     }
@@ -490,18 +508,16 @@ impl Volume {
     /// exists and [`VolumeError::DirectoryFull`] if no slot is free.
     pub fn create_entry(&mut self, dir: DirId, name: &str, size: u32) -> Result<u32, VolumeError> {
         let key = NameKey::new(name);
-        let (s, image) = self.dir_slot_mut(dir)?;
-        let (image_offset, first_cluster) = (s.handle.image_offset, s.handle.first_cluster);
-        let index = s.materialize(image);
-        if index.names.peek(key).is_some() {
+        let s = self.dir_slot_mut(dir)?;
+        let entry = DirEntry::with_key(key, s.handle.first_cluster, size);
+        let entries = s.materialize();
+        if entries.find(key).is_some() {
             return Err(VolumeError::DuplicateName);
         }
-        let slot = index.free.pop().ok_or(VolumeError::DirectoryFull)?;
-        index.names.insert(key, slot);
+        let slot = entries.first_free().ok_or(VolumeError::DirectoryFull)?;
+        entries.flip(slot);
+        entries.entry_mut(slot).copy_from_slice(&entry.encode());
         s.live += 1;
-        let entry = DirEntry::file(name, first_cluster, size);
-        let off = image_offset + slot as usize * DIRENT_SIZE;
-        image[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
         Ok(slot)
     }
 
@@ -510,16 +526,14 @@ impl Volume {
     /// the free pool. Errors with [`VolumeError::NoSuchEntry`] if the name
     /// is not present.
     pub fn unlink(&mut self, dir: DirId, name: &str) -> Result<u32, VolumeError> {
-        let (s, image) = self.dir_slot_mut(dir)?;
-        let image_offset = s.handle.image_offset;
-        let index = s.materialize(image);
-        let slot = index
-            .names
-            .remove(NameKey::new(name))
+        let s = self.dir_slot_mut(dir)?;
+        let entries = s.materialize();
+        let slot = entries
+            .find(NameKey::new(name))
             .ok_or(VolumeError::NoSuchEntry)?;
-        index.release_slot(slot);
+        entries.flip(slot);
+        entries.entry_mut(slot)[0] = DELETED_MARKER;
         s.live -= 1;
-        image[image_offset + slot as usize * DIRENT_SIZE] = DELETED_MARKER;
         Ok(slot)
     }
 
@@ -531,25 +545,17 @@ impl Volume {
     /// as on a real FAT volume.
     pub fn rename(&mut self, dir: DirId, old: &str, new: &str) -> Result<u32, VolumeError> {
         let (old_key, new_key) = (NameKey::new(old), NameKey::new(new));
-        let (s, image) = self.dir_slot_mut(dir)?;
-        let image_offset = s.handle.image_offset;
-        let names = &mut s.materialize(image).names;
-        let Some(&slot) = names.peek(old_key) else {
-            return Err(VolumeError::NoSuchEntry);
-        };
+        let entries = self.dir_slot_mut(dir)?.materialize();
+        let slot = entries.find(old_key).ok_or(VolumeError::NoSuchEntry)?;
         if old_key == new_key {
             // Canonically the same name: the stored bytes already match.
             return Ok(slot);
         }
-        if names.peek(new_key).is_some() {
+        if entries.find(new_key).is_some() {
             return Err(VolumeError::DuplicateName);
         }
-        let slot = names.remove(old_key).expect("checked above");
-        names.insert(new_key, slot);
-        let (n, e) = split_8_3(new);
-        let off = image_offset + slot as usize * DIRENT_SIZE;
-        image[off..off + 8].copy_from_slice(&n);
-        image[off + 8..off + 11].copy_from_slice(&e);
+        let name = new_key.bytes();
+        entries.entry_mut(slot)[..name.len()].copy_from_slice(name);
         Ok(slot)
     }
 
@@ -608,12 +614,19 @@ mod tests {
             .map(|i| (i, i + 1))
     }
 
-    /// The image every reader sees: materialized directories' bytes as
-    /// stored, synthetic directories' bytes as they would be written.
+    /// The data area every reader sees: each live directory's bytes at
+    /// its `image_offset` (a synthetic directory's as materializing would
+    /// build them), zero everywhere else.
     fn logical_image(v: &Volume) -> Vec<u8> {
-        let mut image = v.image.clone();
-        for s in v.slots.iter().flatten().filter(|s| s.index.is_none()) {
-            write_synthetic(&mut image, &s.handle, s.live);
+        let g = v.geometry;
+        let mut image = vec![0u8; g.data_clusters as usize * g.bytes_per_cluster as usize];
+        for s in v.slots.iter().flatten() {
+            let entries = s
+                .entries
+                .clone()
+                .unwrap_or_else(|| Entries::synthetic(&s.handle, s.live));
+            let at = s.handle.image_offset;
+            image[at..at + s.handle.byte_len].copy_from_slice(&entries.bytes);
         }
         image
     }
@@ -621,7 +634,7 @@ mod tests {
     /// Materializes every directory of `v`, as a first mutation would.
     fn materialize_all(v: &mut Volume) {
         for s in v.slots.iter_mut().flatten() {
-            s.materialize(&mut v.image);
+            s.materialize();
         }
     }
 
@@ -631,7 +644,7 @@ mod tests {
             .slots
             .iter()
             .flatten()
-            .filter(|s| s.index.is_some())
+            .filter(|s| s.entries.is_some())
             .map(|s| s.handle.index)
             .collect();
         ids.sort_unstable();
@@ -700,7 +713,7 @@ mod tests {
         let (mut synthetic, mut written) = (build(), build());
         materialize_all(&mut written);
         assert_eq!(materialized(&written), vec![0, 1, 2]);
-        assert_eq!(logical_image(&synthetic), written.image);
+        assert_eq!(logical_image(&synthetic), logical_image(&written));
         for (d, (live, capacity)) in (0..).zip(shapes) {
             for i in 0..=capacity {
                 assert_eq!(
@@ -1072,7 +1085,7 @@ mod tests {
         assert_eq!(v.live_entries(d).unwrap(), 1);
         // The freed slot carries the FAT deleted marker in the image.
         let off = v.directory(d).unwrap().image_offset + DIRENT_SIZE;
-        assert_eq!(v.image[off], DELETED_MARKER);
+        assert_eq!(logical_image(&v)[off], DELETED_MARKER);
         // Out-of-range directories error the same way as elsewhere.
         assert_eq!(v.unlink(99, "X.TXT"), Err(VolumeError::NoSuchDirectory));
     }
@@ -1094,6 +1107,31 @@ mod tests {
             v.create_entry(d, "C.TXT", 1),
             Err(VolumeError::DirectoryFull)
         );
+    }
+
+    #[test]
+    fn liveness_comes_from_the_bitmap_not_the_bytes() {
+        let mut v = Volume::new(VolumeGeometry::default());
+        let d = v.create_directory_with_capacity(2, 8).unwrap();
+        // `好` is E5 A5 BD in UTF-8: the name's canonical first byte is
+        // FAT's deleted marker, and unlinking leaves its bytes unchanged.
+        let han = "好.TXT";
+        assert_eq!(v.create_entry(d, han, 1), Ok(2));
+        assert_eq!(v.find_entry(d, han).unwrap(), Some(2));
+        assert_eq!(v.unlink(d, han), Ok(2));
+        // What `tests/fsmeta_golden.rs` asks: the display name of every
+        // slot, free ones included, is found only in a live slot. Slot 7
+        // is zero, slot 2 deleted and still spelling `han`.
+        for slot in [7, 2] {
+            let name = v.read_entry(d, slot).unwrap().display_name();
+            assert_eq!(v.find_entry(d, &name).unwrap(), None, "slot {slot}");
+        }
+        let off = v.directory(d).unwrap().image_offset + 2 * DIRENT_SIZE;
+        assert_eq!(logical_image(&v)[off], DELETED_MARKER);
+        assert_eq!(v.unlink(d, han), Err(VolumeError::NoSuchEntry));
+        assert_eq!(v.create_entry(d, han, 1), Ok(2));
+        assert_eq!(v.search(d, han).unwrap(), search_linear(&v, d, han));
+        assert_eq!(v.live_entries(d).unwrap(), 3);
     }
 
     #[test]
@@ -1164,29 +1202,28 @@ mod tests {
         drain(&mut v, a, 400);
         assert_eq!(materialized(&v), vec![a]);
         v.remove_directory(a).unwrap();
-        let stale = v.image.clone();
+        // The removed directory's bytes, deleted entries and all, went
+        // with it.
+        assert!(logical_image(&v).iter().all(|&b| b == 0));
         // Both the clusters and the DirId come back; the freed clusters
         // are the lowest free ones, so the image range is reused too.
         let b = v.create_directory_with_capacity(2, 400).unwrap();
         assert_eq!(b, a);
         assert_eq!(v.directory(b).unwrap().image_offset, offset_a);
         assert_eq!(v.live_entries(b).unwrap(), 2);
-        // The new directory is synthetic: its creation wrote nothing, so
-        // the removed one's deleted entries are still in the image, yet
-        // every read answers from the new directory's description.
+        // The new directory is synthetic, and every read answers from its
+        // description, before and after its first mutation.
         assert!(materialized(&v).is_empty());
-        assert_eq!(v.image, stale);
         let mut fresh = Volume::new(v.geometry());
         fresh.create_directory_with_capacity(2, 400).unwrap();
         let entries = |v: &Volume| -> Vec<DirEntry> {
             (0..400).map(|i| v.read_entry(0, i).unwrap()).collect()
         };
         assert_eq!(entries(&v), entries(&fresh));
-        // Materializing wipes the range before writing the entries.
         assert_eq!(v.create_entry(b, "NEW.TXT", 1), Ok(2));
         assert_eq!(fresh.create_entry(0, "NEW.TXT", 1), Ok(2));
         assert_eq!(entries(&v), entries(&fresh));
-        assert_eq!(v.image, fresh.image);
+        assert_eq!(logical_image(&v), logical_image(&fresh));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl CoreCounters {
         *self = Self::default();
     }
 
-    /// Total cycles (busy plus idle) accounted on this core.
-    pub fn total_cycles(&self) -> u64 {
-        self.busy_cycles + self.idle_cycles
-    }
-
     /// Total cache misses visible to software: accesses that left the
     /// core's private caches (the signal CoreTime attributes to objects).
     pub fn private_cache_misses(&self) -> u64 {
@@ -67,17 +62,6 @@ impl CoreCounters {
     /// Loads that left the chip entirely (remote caches or DRAM).
     pub fn off_chip_loads(&self) -> u64 {
         self.remote_cache_loads + self.dram_loads
-    }
-
-    /// Fraction of accounted cycles that were idle; zero when nothing has
-    /// been accounted yet.
-    pub fn idle_fraction(&self) -> f64 {
-        let total = self.total_cycles();
-        if total == 0 {
-            0.0
-        } else {
-            self.idle_cycles as f64 / total as f64
-        }
     }
 
     /// Computes the per-field difference `self - earlier`, saturating at
@@ -272,15 +256,6 @@ mod tests {
         let d = now.delta_since(&before);
         assert_eq!(d.busy_cycles, 0);
         assert_eq!(d.dram_loads, 0);
-    }
-
-    #[test]
-    fn idle_fraction_handles_zero_total() {
-        let c = CoreCounters::default();
-        assert_eq!(c.idle_fraction(), 0.0);
-        let c = sample();
-        let expect = 250.0 / 1250.0;
-        assert!((c.idle_fraction() - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -658,17 +658,6 @@ impl Machine {
         (from_chip + 1) % self.cfg.chips
     }
 
-    /// Clears the exclusivity hint of every core in `cores_mask`: they are
-    /// about to share the line with the requester.
-    fn clear_excl_holders(&mut self, cores_mask: u64, line: LineAddr) {
-        let mut bits = cores_mask;
-        while bits != 0 {
-            let other = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.l1[other].clear_excl(line);
-        }
-    }
-
     /// Finds where a line lives, moves it into the requesting core's private
     /// caches, and returns the access outcome. Precondition: the line is not
     /// in the requesting core's L1 (every caller has already probed it), so
@@ -730,8 +719,11 @@ impl Machine {
         // Every other private holder now shares the line; if there is no
         // other holder at all (a fresh DRAM fill, or the chip's own victim
         // coming back) the requester starts exclusive, so a following
-        // write skips the directory.
-        self.clear_excl_holders(holders.cores, line);
+        // write skips the directory. A hint means a sole holder, so only
+        // a line with exactly one other holder can carry one.
+        if holders.cores.is_power_of_two() {
+            self.l1[holders.cores.trailing_zeros() as usize].clear_excl(line);
+        }
         self.fill_private(core, chip, line, dirty);
         if holders.cores == 0 && holders.chips & !chip_bit == 0 {
             self.l1[c].set_excl(line);

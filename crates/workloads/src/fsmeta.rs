@@ -3,14 +3,14 @@
 //!
 //! The paper's benchmark only *reads* directories. Real file servers also
 //! create, rename and unlink entries, and those operations are exactly
-//! what exercises the deletion paths of the volume's flat name index
-//! (backward-shift removal on unlink and rename). This workload drives
+//! what materializes the volume's directories and frees their slots
+//! (a cleared live bit and the `0xE5` marker on unlink). This workload drives
 //! that churn end-to-end through the engine: each thread repeatedly picks
 //! a directory and performs a create / unlink / rename / lookup — or,
 //! with a small probability, retires the *whole directory* and recreates
 //! it empty (exercising [`o2_fs::Volume::remove_directory`] and `DirId`
 //! reuse) — with the host-side bookkeeping going through
-//! [`o2_fs::Volume`]'s flat index and the *modeled* cost staying the
+//! [`o2_fs::Volume`]'s live-slot scan and the *modeled* cost staying the
 //! paper's Figure-3 shape — take the directory lock, scan entries up to
 //! the touched slot, write the 32-byte entry (for mutations), unlock,
 //! all inside `ct_start`/`ct_end`.

@@ -13,8 +13,9 @@
 //! * [`webserver`] — multi-component path resolution, the workload the
 //!   paper's introduction motivates;
 //! * [`fsmeta`] — file-metadata churn (create / rename / unlink across
-//!   many small directories), exercising the volume's flat name index
-//!   and its deletion paths end-to-end;
+//!   many small directories), exercising the volume's materialized
+//!   directories, their live-slot bookkeeping and directory removal
+//!   end-to-end;
 //! * [`open_loop`] — a Poisson arrival process that wraps any generator,
 //!   so latency includes queueing delay instead of just service time;
 //! * [`scale`] — the million-object tier: computed object layout, O(1)

@@ -2,14 +2,14 @@
 //!
 //! `fsmeta` drives create / rename / unlink churn — plus occasional
 //! whole-directory retirement through `Volume::remove_directory` and
-//! `DirId` reuse — through the engine with the volume's host-side
-//! bookkeeping on the flat name index, so this run pins, end-to-end:
-//! the engine's virtual-time interleaving, the modeled costs of the
-//! metadata operations, and the final state of every directory's name
-//! index (live entries, free slots, per-slot names). Any change to the
-//! churn mix, the volume's slot-allocation order (first-fit), the
-//! handle table's id reuse, the flat table's behaviour under deletion,
-//! or the engine's scheduling changes the fingerprint.
+//! `DirId` reuse — through the engine, with the volume's host-side
+//! bookkeeping on each directory's entry bytes and live-slot bitmap, so
+//! this run pins, end-to-end: the engine's virtual-time interleaving,
+//! the modeled costs of the metadata operations, and the final state of
+//! every directory (live entries, free slots, per-slot names). Any change
+//! to the churn mix, the volume's slot-allocation order (first-fit), the
+//! handle table's id reuse, which slots a name lookup treats as live, or
+//! the engine's scheduling changes the fingerprint.
 //!
 //! To re-capture after an *intentional* behaviour change:
 //! `O2_PRINT_FINGERPRINTS=1 cargo test --test fsmeta_golden -- --nocapture`
@@ -65,8 +65,9 @@ fn run_fingerprint() -> u64 {
         f.u64(u64::from(n));
     }
     // The final contents of every directory, slot by slot: which slots
-    // are live, and under which (canonicalised) names — the observable
-    // state of the flat name index after all the churn.
+    // are live, and under which (canonicalised) names. Every slot's
+    // display name is asked for, free ones included, so a lookup that
+    // compared free slots' stale bytes would change the fingerprint.
     exp.with_volume(|v| {
         for dir in 0..v.dir_count() as u32 {
             let d = v.directory(dir).unwrap();
@@ -93,7 +94,7 @@ fn run_fingerprint() -> u64 {
 /// Captured when the directory-retirement arm entered the churn mix
 /// (PR 5, alongside `Volume::remove_directory`). The workload, the
 /// volume's first-fit slot allocation, the handle table's id reuse and
-/// the flat name index must keep reproducing it bit-for-bit.
+/// the live-slot name lookup must keep reproducing it bit-for-bit.
 const GOLDEN_FINGERPRINT: u64 = 0xea93_785b_40a7_b663;
 
 #[test]
