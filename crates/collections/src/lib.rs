@@ -39,7 +39,9 @@
 use std::ops::{Index, IndexMut};
 
 /// The Fibonacci hashing multiplier (the golden ratio in 0.64 fixed
-/// point), shared by every table in the workspace.
+/// point), shared by every table built on this crate. `o2-sim`'s
+/// coherence directory keeps its own copy, since that crate depends on
+/// no other workspace crate.
 pub const FIB_MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A key storable in a [`FlatTable`].

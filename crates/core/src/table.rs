@@ -96,8 +96,9 @@ pub struct AssignmentTable {
     /// Per-core capacity budgets in bytes.
     capacities: Vec<u64>,
     /// Objects assigned to each core (primary or replica), in assignment
-    /// order. Kept for the epoch planners; the per-operation path never
-    /// reads it.
+    /// order. Its one production reader is `O2Policy::core_down`, which
+    /// re-homes a dead core's objects in this order; the per-operation
+    /// path never reads it.
     per_core: Vec<Vec<DenseObjectId>>,
     /// Number of currently assigned objects.
     assigned: usize,
@@ -216,8 +217,8 @@ impl AssignmentTable {
     }
 
     /// Objects assigned (primary or replica) to a core, in assignment
-    /// order. Consumers that care about a specific order must sort with a
-    /// total key — see the epoch planners.
+    /// order — the order in which `O2Policy::core_down` re-homes them, so
+    /// changing it moves the placements of runs that take a core offline.
     pub fn objects_on(&self, core: CoreId) -> &[DenseObjectId] {
         &self.per_core[core as usize]
     }

@@ -176,15 +176,6 @@ impl NameKey {
     }
 }
 
-impl From<&DirEntry> for NameKey {
-    fn from(e: &DirEntry) -> Self {
-        let mut bytes = [0u8; 11];
-        bytes[..8].copy_from_slice(&e.name);
-        bytes[8..].copy_from_slice(&e.ext);
-        Self(bytes)
-    }
-}
-
 /// Splits a `NAME.EXT` string into space-padded, upper-cased 8.3 fields,
 /// truncating over-long components.
 pub fn split_8_3(name: &str) -> ([u8; 8], [u8; 3]) {
@@ -268,8 +259,6 @@ mod tests {
         // Two spellings that `matches` treats as equal map to one key.
         assert_eq!(NameKey::new("file.dat"), NameKey::new("FILE.DAT"));
         assert_ne!(NameKey::new("FILE.DAT"), NameKey::new("OTHER.DAT"));
-        let e = DirEntry::file("File.Dat", 0, 0);
-        assert_eq!(NameKey::from(&e), NameKey::new("FILE.DAT"));
     }
 
     #[test]

@@ -1,4 +1,13 @@
 //! The file allocation table: cluster chains.
+//!
+//! Allocation is first-fit: a chain of `count` clusters is the lowest
+//! `count` free clusters, linked in ascending order. The table keeps a
+//! low-water mark, the lowest cluster that may still be free; every data
+//! cluster below it is allocated. [`Fat::alloc_chain`] scans from the
+//! mark and moves it past the last cluster it takes, and
+//! [`Fat::free_chain`] lowers it to the lowest cluster it frees, so the
+//! choice is the one a scan from cluster 2 makes, in time linear in the
+//! clusters handed out rather than in the clusters already taken.
 
 /// Marker for a free cluster.
 pub const FAT_FREE: u16 = 0x0000;
@@ -15,6 +24,8 @@ pub const MAX_DATA_CLUSTERS: usize = (FAT_EOC - FIRST_DATA_CLUSTER) as usize;
 #[derive(Debug, Clone)]
 pub struct Fat {
     entries: Vec<u16>,
+    /// The low-water mark: no data cluster below it is free.
+    low_water: usize,
 }
 
 /// Errors from FAT operations.
@@ -36,7 +47,10 @@ impl Fat {
         // Reserved clusters carry media/EOC markers, as on a real volume.
         entries[0] = 0xFFF8;
         entries[1] = FAT_EOC;
-        Self { entries }
+        Self {
+            entries,
+            low_water: reserved,
+        }
     }
 
     /// Total clusters in the table.
@@ -52,16 +66,18 @@ impl Fat {
             .count()
     }
 
-    /// Allocates a chain of `count` clusters and returns the first cluster.
-    /// The clusters are linked in allocation order and terminated with an
-    /// end-of-chain marker.
+    /// Allocates a chain of the lowest `count` free clusters and returns
+    /// the first. The clusters are linked in ascending order and
+    /// terminated with an end-of-chain marker. The scan starts at the
+    /// low-water mark, below which nothing is free.
     pub fn alloc_chain(&mut self, count: usize) -> Result<u16, FatError> {
         if count == 0 {
             return Err(FatError::InvalidCluster);
         }
-        let free: Vec<u16> = (FIRST_DATA_CLUSTER..self.entries.len() as u16)
-            .filter(|&c| self.entries[c as usize] == FAT_FREE)
+        let free: Vec<u16> = (self.low_water..self.entries.len())
+            .filter(|&c| self.entries[c] == FAT_FREE)
             .take(count)
+            .map(|c| c as u16)
             .collect();
         if free.len() < count {
             return Err(FatError::OutOfSpace);
@@ -69,20 +85,26 @@ impl Fat {
         for w in free.windows(2) {
             self.entries[w[0] as usize] = w[1];
         }
-        self.entries[*free.last().expect("non-empty") as usize] = FAT_EOC;
+        let last = *free.last().expect("non-empty");
+        self.entries[last as usize] = FAT_EOC;
+        // Every free cluster from the mark up to `last` was just taken.
+        self.low_water = usize::from(last) + 1;
         Ok(free[0])
     }
 
     /// Follows a chain from `first`, returning every cluster in order.
     pub fn chain(&self, first: u16) -> Result<Vec<u16>, FatError> {
+        let data_clusters = self.entries.len() - usize::from(FIRST_DATA_CLUSTER);
         let mut out = Vec::new();
         let mut cur = first;
         loop {
             if cur < FIRST_DATA_CLUSTER || (cur as usize) >= self.entries.len() {
                 return Err(FatError::InvalidCluster);
             }
-            if out.contains(&cur) {
-                // A cycle indicates corruption; report it as invalid.
+            if out.len() == data_clusters {
+                // A chain with more links than the table has data
+                // clusters revisits one: a cycle, which only corruption
+                // makes; report it as invalid.
                 return Err(FatError::InvalidCluster);
             }
             out.push(cur);
@@ -98,14 +120,15 @@ impl Fat {
         Ok(out)
     }
 
-    /// Frees an entire chain starting at `first`.
+    /// Frees an entire chain starting at `first`, lowering the low-water
+    /// mark to the lowest cluster freed.
     pub fn free_chain(&mut self, first: u16) -> Result<usize, FatError> {
         let chain = self.chain(first)?;
-        let n = chain.len();
-        for c in chain {
+        for &c in &chain {
             self.entries[c as usize] = FAT_FREE;
+            self.low_water = self.low_water.min(c.into());
         }
-        Ok(n)
+        Ok(chain.len())
     }
 
     /// Raw FAT entry for a cluster (for tests and image serialization).
@@ -117,6 +140,121 @@ impl Fat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocator before the low-water mark, kept as the oracle: the
+    /// lowest `count` free clusters, found by a scan from cluster 2 on
+    /// every call.
+    fn alloc_scanning_from_cluster_2(fat: &mut Fat, count: usize) -> Result<u16, FatError> {
+        if count == 0 {
+            return Err(FatError::InvalidCluster);
+        }
+        let free: Vec<u16> = (FIRST_DATA_CLUSTER..fat.entries.len() as u16)
+            .filter(|&c| fat.entries[c as usize] == FAT_FREE)
+            .take(count)
+            .collect();
+        if free.len() < count {
+            return Err(FatError::OutOfSpace);
+        }
+        for w in free.windows(2) {
+            fat.entries[w[0] as usize] = w[1];
+        }
+        fat.entries[*free.last().expect("non-empty") as usize] = FAT_EOC;
+        Ok(free[0])
+    }
+
+    #[test]
+    fn seeded_churn_allocates_what_a_scan_from_cluster_2_allocates() {
+        // Chains of 1–16 clusters, frees of random live chains and runs to
+        // exhaustion, on a table small enough to fill and fragment. Both
+        // allocators must return the same first cluster or refuse on the
+        // same call, the tables must agree entry for entry after every
+        // step, and the mark must have nothing free below it.
+        let mut fat = Fat::new(258);
+        let mut oracle = fat.clone();
+        let mut live: Vec<u16> = Vec::new();
+        let mut rng: u64 = 0xFA7_0045;
+        let mut next = || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let (mut refusals, mut exhaustions, mut frees) = (0, 0, 0);
+        for step in 0..20_000 {
+            let roll = next() % 100;
+            if roll < 45 && !live.is_empty() {
+                let first = live.swap_remove((next() % live.len() as u64) as usize);
+                assert_eq!(
+                    fat.free_chain(first),
+                    oracle.free_chain(first),
+                    "step {step}"
+                );
+                frees += 1;
+            } else {
+                // One allocation, or (5 %) allocations until a single
+                // cluster is refused.
+                let exhaust = roll >= 95;
+                loop {
+                    let count = 1 + (next() % 16) as usize;
+                    let got = fat.alloc_chain(count);
+                    assert_eq!(
+                        got,
+                        alloc_scanning_from_cluster_2(&mut oracle, count),
+                        "step {step}: {count} clusters"
+                    );
+                    match got {
+                        Ok(first) => live.push(first),
+                        Err(_) => refusals += 1,
+                    }
+                    if !exhaust || (got.is_err() && count == 1) {
+                        break;
+                    }
+                }
+                exhaustions += usize::from(exhaust);
+            }
+            assert_eq!(fat.entries, oracle.entries, "step {step}");
+            let below = &fat.entries[FIRST_DATA_CLUSTER as usize..fat.low_water];
+            assert!(
+                !below.contains(&FAT_FREE),
+                "step {step}: free below the mark"
+            );
+        }
+        assert!(refusals > 100 && exhaustions > 100 && frees > 1000);
+    }
+
+    #[test]
+    fn a_freed_cluster_is_handed_out_first_again() {
+        // fsmeta's retire path: a one-cluster directory is freed below the
+        // mark and the next directory created takes its cluster back.
+        let mut fat = Fat::new(16);
+        let dirs: Vec<u16> = (0..5).map(|_| fat.alloc_chain(1).unwrap()).collect();
+        assert_eq!(dirs, [2, 3, 4, 5, 6]);
+        fat.free_chain(dirs[3]).unwrap();
+        fat.free_chain(dirs[1]).unwrap();
+        assert_eq!(fat.alloc_chain(1), Ok(3));
+        // A longer chain fills the remaining hole, then goes on past the
+        // clusters handed out so far.
+        let first = fat.alloc_chain(2).unwrap();
+        assert_eq!(fat.chain(first), Ok(vec![5, 7]));
+        assert_eq!(fat.alloc_chain(1), Ok(8));
+    }
+
+    #[test]
+    fn a_chain_pointing_back_into_itself_is_invalid() {
+        // A chain over every data cluster is as long as a chain can be and
+        // reads back whole; rewriting its last entry to point back into it
+        // makes it a cycle, which must not read back at all.
+        let mut fat = Fat::new(10);
+        let first = fat.alloc_chain(8).unwrap();
+        let chain = fat.chain(first).unwrap();
+        assert_eq!(chain.len(), 8);
+        let last = *chain.last().unwrap();
+        fat.entries[last as usize] = chain[3];
+        assert_eq!(fat.chain(first), Err(FatError::InvalidCluster));
+        assert_eq!(fat.free_chain(first), Err(FatError::InvalidCluster));
+        fat.entries[first as usize] = first;
+        assert_eq!(fat.chain(first), Err(FatError::InvalidCluster));
+    }
 
     #[test]
     fn new_table_reserves_two_clusters() {

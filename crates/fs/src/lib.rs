@@ -6,7 +6,8 @@
 //! per-directory spin locks. This crate rebuilds that substrate:
 //!
 //! * classic 32-byte FAT directory entries with 8.3 names ([`dirent`]),
-//! * a FAT16-style allocation table with cluster chains ([`fat`]),
+//! * a FAT16-style allocation table with cluster chains, allocated
+//!   first-fit from a low-water mark ([`fat`]),
 //! * an in-memory volume whose benchmark directories (1,000 entries of
 //!   32 bytes each, as in the paper) can be mapped into the simulated
 //!   physical address space ([`volume`]),

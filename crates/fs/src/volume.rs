@@ -402,14 +402,16 @@ impl Volume {
             .div_ceil(self.geometry.bytes_per_cluster as usize)
             .max(1);
         let first_cluster = self.fat.alloc_chain(clusters)?;
-        let chain = self.fat.chain(first_cluster)?;
-        let image_offset = self.cluster_offset(chain[0]);
+        let image_offset = self.cluster_offset(first_cluster);
         // Chains from a fresh FAT are contiguous, so the directory occupies
         // a contiguous range of the data area; assert that invariant
         // because `image_offset` and `byte_len` describe it as one range.
-        for (i, w) in chain.windows(2).enumerate() {
-            debug_assert_eq!(w[1], w[0] + 1, "cluster chain not contiguous at {i}");
-        }
+        debug_assert!(
+            self.fat
+                .chain(first_cluster)
+                .is_ok_and(|c| c.windows(2).all(|w| w[1] == w[0] + 1)),
+            "cluster chain from {first_cluster} not contiguous"
+        );
 
         let id = self.spare_ids.pop().unwrap_or_else(|| {
             let id = self.next_id;

@@ -85,7 +85,8 @@ use crate::memory::SimMemory;
 /// `log2` of the lines that share one run of adjacent home slots.
 const GROUP_BITS: u32 = 3;
 
-/// The Fibonacci hashing multiplier (the golden ratio in 0.64 fixed point).
+/// The Fibonacci hashing multiplier (the golden ratio in 0.64 fixed point);
+/// a copy of `o2_collections::FIB_MULT`, which this crate does not depend on.
 const FIB_MULT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Line addresses occupy the low 48 bits of a slot's first word; the chip
