@@ -14,12 +14,10 @@
 //!   bits that the mask would otherwise discard. Collisions probe
 //!   linearly, which is sequential in memory.
 //! * **Inline slots.** A slot is the key plus the value, in one flat
-//!   allocation; a probe touches at most a cache line or two, and nothing
-//!   on the lookup/insert/remove path allocates.
-//! * **Tombstone-free deletion.** [`FlatTable::remove`] backward-shifts
-//!   the following cluster instead of leaving tombstones, so probe chains
-//!   never grow from churn. Users that never remove (the interner) are
-//!   tombstone-free by construction and simply never call it.
+//!   allocation; a probe touches at most a cache line or two, and
+//!   nothing on the lookup path allocates.
+//! * **Insert-only.** There is no single-key removal, so no slot ever
+//!   holds a tombstone; [`FlatTable::clear`] empties the whole table.
 //! * **Probe counting.** Every slot inspection on the counting paths is
 //!   tallied so hot-path users can report pressure;
 //!   [`FlatTable::peek`] is the non-counting lookup for
@@ -202,12 +200,6 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
         }
     }
 
-    /// Mutable access to the value of `key`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        self.find(key).map(move |i| &mut self.slots[i].value)
-    }
-
     /// Mutable access to the value of `key`, inserting `make()` if the
     /// key is absent. Returns the value and whether an insertion
     /// happened.
@@ -244,40 +236,6 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
         } else {
             Some(std::mem::replace(slot, value))
         }
-    }
-
-    /// Removes a key, returning its value if it was present. Deletion
-    /// backward-shifts the following cluster — no tombstones.
-    pub fn remove(&mut self, key: K) -> Option<V> {
-        let mut hole = self.find(key)?;
-        let removed = self.slots[hole].value;
-        self.len -= 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & self.mask;
-            self.probes += 1;
-            let k = self.slots[i].key;
-            if k == K::EMPTY {
-                break;
-            }
-            // The entry at `i` may move into the hole only if the hole lies
-            // on its probe path, i.e. cyclically within [home(k), i).
-            let h = self.home(k);
-            let on_path = if h <= i {
-                h <= hole && hole < i
-            } else {
-                hole >= h || hole < i
-            };
-            if on_path {
-                self.slots[hole] = self.slots[i];
-                hole = i;
-            }
-        }
-        self.slots[hole] = Slot {
-            key: K::EMPTY,
-            value: V::default(),
-        };
-        Some(removed)
     }
 
     /// Drops every entry (capacity is retained).
@@ -538,15 +496,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
+    fn insert_get_roundtrip() {
         let mut t: FlatTable<u64, u64> = FlatTable::default();
         t.insert(42, 7);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(42), Some(&7));
         assert_eq!(t.get(43), None);
-        assert_eq!(t.remove(42), Some(7));
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.get(42), None);
     }
 
     #[test]
@@ -571,25 +526,6 @@ mod tests {
         for k in 0..1000u64 {
             assert_eq!(t.get(k), Some(&k), "key {k}");
         }
-    }
-
-    #[test]
-    fn backward_shift_keeps_colliding_keys_reachable() {
-        // Small table, many keys that collide in the low bits: every
-        // cluster shape gets exercised.
-        let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
-        let keys: Vec<u64> = (0..6).map(|i| i * 8).collect();
-        for &k in &keys {
-            t.insert(k, k + 1);
-        }
-        for (n, &k) in keys.iter().enumerate() {
-            assert_eq!(t.remove(k), Some(k + 1), "key {k}");
-            assert_eq!(t.remove(k), None);
-            for &rest in &keys[n + 1..] {
-                assert_eq!(t.get(rest), Some(&(rest + 1)), "key {rest}");
-            }
-        }
-        assert!(t.is_empty());
     }
 
     #[test]

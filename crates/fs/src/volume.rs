@@ -1,11 +1,11 @@
-//! The in-memory FAT volume used by the benchmarks.
+//! The in-memory volume used by the benchmarks.
 //!
 //! The paper modified EFSL "to use an in-memory image rather than disk
 //! operations, to not use a buffer cache, and to have a higher-performance
-//! inner loop for file name lookup". This module builds exactly that: a
-//! byte-for-byte FAT-style volume held in memory, whose directories can be
-//! mapped into the simulated physical address space so that searches
-//! generate cache traffic on the simulated machine.
+//! inner loop for file name lookup". This module keeps what that
+//! benchmark measures: directories of 32-byte FAT entries held in memory,
+//! which can be mapped into the simulated physical address space so that
+//! searches generate cache traffic on the simulated machine.
 //!
 //! ## Host-side bookkeeping vs. modeled cost
 //!
@@ -41,67 +41,40 @@
 //! bitmap are the truth, and removing the directory frees them. Either
 //! way every reader sees the same bytes.
 //!
-//! There is no volume-wide image to hold them. A directory's
-//! `image_offset` — its first cluster's place in the data area — still
-//! defines the FAT layout and the logical image the tests fingerprint,
-//! but simulated addresses come from [`Volume::map_into`], so a volume
-//! costs its FAT, its handles and the bytes of its mutated directories.
+//! There is no volume-wide image and no cluster table: simulated
+//! addresses come from [`Volume::map_into`], one region per directory,
+//! so a volume costs its handles and the bytes of its mutated
+//! directories. The one trace of a disk layout is each entry's
+//! first-cluster field, a pure function of the directory's id and
+//! capacity (see [`Volume::create_directory_with_capacity`]).
 //!
 //! ## The handle table
 //!
 //! Directories are identified by dense [`DirId`]s handed out
-//! lowest-free-first. Since [`Volume::remove_directory`] reclaims ids
-//! (and FAT clusters), the id space is no longer append-only: the live
-//! set is a [`FlatTable`] from `DirId` to a storage slot in a slab of
-//! handles — the workspace's one flat-table user that deletes keys (the
-//! `Interner` only adds them). Ids and storage slots are allocated from
-//! separate free pools (ids lowest-first so reuse is deterministic, slots
-//! LIFO), so after interleaved removals the id → slot map is not the
-//! identity and the table genuinely resolves it.
+//! lowest-free-first, and a directory's id is its index in the volume's
+//! table of handles. [`Volume::remove_directory`] empties that place and
+//! reclaims the id, and the next directory created takes the lowest
+//! reclaimed id, so reuse is deterministic and the table never holds
+//! more places than the most directories ever live at once.
 
-use o2_collections::FlatTable;
 use o2_sim::{Addr, SimMemory};
 
 use crate::dirent::{DirEntry, NameKey, DIRENT_SIZE, SYNTHETIC_SERIALS};
-use crate::fat::{Fat, FatError, MAX_DATA_CLUSTERS};
 
-/// Dense directory identifier: the creation-order index of the directory
-/// in its volume's handle slab.
+/// Dense directory identifier: the directory's index in its volume's
+/// handle table.
 pub type DirId = u32;
 
 /// FAT's deleted-entry marker: the first name byte of an unlinked entry.
 pub const DELETED_MARKER: u8 = 0xE5;
 
-/// Geometry of the volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VolumeGeometry {
-    /// Bytes per cluster.
-    pub bytes_per_cluster: u32,
-    /// Total data clusters available; [`Volume::new`] clamps it to
-    /// FAT16's [`MAX_DATA_CLUSTERS`].
-    pub data_clusters: u32,
-}
-
-impl Default for VolumeGeometry {
-    fn default() -> Self {
-        Self {
-            bytes_per_cluster: 4096,
-            data_clusters: 16_384, // 64 MB of data clusters by default
-        }
-    }
-}
-
 /// A directory created on the volume.
 #[derive(Debug, Clone)]
 pub struct DirectoryHandle {
-    /// Dense id of the directory (0-based creation order).
+    /// Dense id of the directory.
     pub index: DirId,
-    /// First cluster of the directory's entry data.
-    pub first_cluster: u16,
     /// Number of 32-byte entry slots (live entries plus free slots).
     pub entry_count: u32,
-    /// Offset of the directory's first byte within the volume image.
-    pub image_offset: usize,
     /// Bytes occupied by the directory's entry slots.
     pub byte_len: usize,
     /// Simulated address of the directory data (set by
@@ -124,13 +97,20 @@ impl DirectoryHandle {
     pub fn entry_addr(&self, i: u32) -> Addr {
         self.sim_addr + u64::from(i) * DIRENT_SIZE as u64
     }
+
+    /// The first-cluster field (bytes 26–27) of every entry the
+    /// directory holds; see [`Volume::create_directory_with_capacity`].
+    fn entry_cluster(&self) -> u16 {
+        let clusters = (u64::from(self.entry_count) * DIRENT_SIZE as u64)
+            .div_ceil(4096)
+            .max(1);
+        (2 + u64::from(self.index) * clusters) as u16
+    }
 }
 
-/// Errors from volume construction, lookups and metadata operations.
+/// Errors from lookups and metadata operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VolumeError {
-    /// The FAT ran out of clusters.
-    Fat(FatError),
     /// A directory index was out of range.
     NoSuchDirectory,
     /// An entry with the same (canonicalised 8.3) name already exists in
@@ -142,12 +122,6 @@ pub enum VolumeError {
     DirectoryFull,
     /// The directory still holds live entries and cannot be removed.
     DirectoryNotEmpty,
-}
-
-impl From<FatError> for VolumeError {
-    fn from(e: FatError) -> Self {
-        VolumeError::Fat(e)
-    }
 }
 
 /// A materialized directory's storage: its entry bytes and which of its
@@ -245,111 +219,56 @@ impl DirSlot {
 
 /// Synthetic entry `i` of the directory `handle` describes.
 fn synthetic_entry(handle: &DirectoryHandle, i: u32) -> DirEntry {
-    DirEntry::with_key(NameKey::synthetic(i), handle.first_cluster, 64)
+    DirEntry::with_key(NameKey::synthetic(i), handle.entry_cluster(), 64)
 }
 
 /// The in-memory volume.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Volume {
-    geometry: VolumeGeometry,
-    fat: Fat,
-    /// Live [`DirId`] → storage slot in `slots` (see "The handle table"
-    /// in the module docs).
-    ids: FlatTable<u64, u32>,
-    /// Handle storage; retired slots are `None` until reused.
-    slots: Vec<Option<DirSlot>>,
-    /// Retired storage slots, reused LIFO.
-    spare_slots: Vec<u32>,
+    /// The handle table, indexed by [`DirId`]; a removed directory's
+    /// place is `None` until its id is reused.
+    dirs: Vec<Option<DirSlot>>,
     /// Reclaimed directory ids, kept sorted descending so `pop()` hands
     /// out the lowest id first (deterministic reuse).
     spare_ids: Vec<DirId>,
-    /// The first id never handed out yet.
-    next_id: DirId,
 }
 
 impl Volume {
-    /// Creates an empty volume of at most [`MAX_DATA_CLUSTERS`] data
-    /// clusters.
-    pub fn new(mut geometry: VolumeGeometry) -> Self {
-        geometry.data_clusters = geometry.data_clusters.min(MAX_DATA_CLUSTERS as u32);
-        let clusters = geometry.data_clusters as usize + 2;
-        Self {
-            geometry,
-            fat: Fat::new(clusters),
-            ids: FlatTable::default(),
-            slots: Vec::new(),
-            spare_slots: Vec::new(),
-            spare_ids: Vec::new(),
-            next_id: 0,
-        }
-    }
-
     /// Builds the paper's benchmark volume: `n_dirs` directories with
-    /// `files_per_dir` 32-byte entries each (1,000 in the paper). Errors
-    /// with [`FatError::OutOfSpace`], before building anything, if the
-    /// layout needs more than FAT16's [`MAX_DATA_CLUSTERS`].
+    /// `files_per_dir` 32-byte entries each (1,000 in the paper). Nothing
+    /// in it can fail; it returns a `Result` like the volume's other
+    /// operations.
     pub fn build_benchmark(n_dirs: u32, files_per_dir: u32) -> Result<Self, VolumeError> {
-        let mut v = Self::new(Self::benchmark_geometry(n_dirs, files_per_dir)?);
+        let mut v = Self::default();
+        v.dirs.reserve(n_dirs as usize);
         for _ in 0..n_dirs {
-            v.create_directory(files_per_dir)?;
+            v.create_directory(files_per_dir);
         }
         Ok(v)
     }
 
-    /// The default geometry, grown (with a little slack) to hold `n_dirs`
-    /// directories of `files_per_dir` entries.
-    fn benchmark_geometry(n_dirs: u32, files_per_dir: u32) -> Result<VolumeGeometry, VolumeError> {
-        let mut geometry = VolumeGeometry::default();
-        let clusters_per_dir = (files_per_dir as usize * DIRENT_SIZE)
-            .div_ceil(geometry.bytes_per_cluster as usize)
-            .max(1);
-        let needed = n_dirs as usize * clusters_per_dir;
-        if needed > MAX_DATA_CLUSTERS {
-            return Err(FatError::OutOfSpace.into());
-        }
-        let wanted = (needed + 8).min(MAX_DATA_CLUSTERS) as u32;
-        geometry.data_clusters = geometry.data_clusters.max(wanted);
-        Ok(geometry)
-    }
-
-    /// The volume geometry.
-    pub fn geometry(&self) -> VolumeGeometry {
-        self.geometry
-    }
-
-    /// Storage slot of a live directory id.
-    fn slot_of(&self, dir: DirId) -> Result<usize, VolumeError> {
-        self.ids
-            .peek(u64::from(dir))
-            .map(|&s| s as usize)
+    fn dir_slot(&self, dir: DirId) -> Result<&DirSlot, VolumeError> {
+        self.dirs
+            .get(dir as usize)
+            .and_then(Option::as_ref)
             .ok_or(VolumeError::NoSuchDirectory)
     }
 
-    fn dir_slot(&self, dir: DirId) -> Result<&DirSlot, VolumeError> {
-        let slot = self.slot_of(dir)?;
-        Ok(self.slots[slot].as_ref().expect("live slot"))
-    }
-
     fn dir_slot_mut(&mut self, dir: DirId) -> Result<&mut DirSlot, VolumeError> {
-        let slot = self.slot_of(dir)?;
-        Ok(self.slots[slot].as_mut().expect("live slot"))
+        self.dirs
+            .get_mut(dir as usize)
+            .and_then(Option::as_mut)
+            .ok_or(VolumeError::NoSuchDirectory)
     }
 
     /// The live directories, in id order.
     pub fn directories(&self) -> impl Iterator<Item = &DirectoryHandle> + '_ {
-        (0..self.next_id).filter_map(move |id| {
-            self.ids.peek(u64::from(id)).map(|&slot| {
-                &self.slots[slot as usize]
-                    .as_ref()
-                    .expect("live slot")
-                    .handle
-            })
-        })
+        self.dirs.iter().flatten().map(|s| &s.handle)
     }
 
     /// Number of live directories.
     pub fn dir_count(&self) -> usize {
-        self.ids.len()
+        self.dirs.len() - self.spare_ids.len()
     }
 
     /// A directory by dense id.
@@ -359,108 +278,74 @@ impl Volume {
 
     /// Total bytes of directory data (the paper's "total data size" x-axis).
     pub fn total_directory_bytes(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| s.handle.byte_len as u64)
-            .sum()
+        self.directories().map(|d| d.byte_len as u64).sum()
     }
 
     /// Creates a directory populated with `files` synthetic entries and
     /// returns its dense id. Every slot is live; use
     /// [`Volume::create_directory_with_capacity`] for churn workloads
     /// that need headroom.
-    pub fn create_directory(&mut self, files: u32) -> Result<DirId, VolumeError> {
+    pub fn create_directory(&mut self, files: u32) -> DirId {
         self.create_directory_with_capacity(files, files)
     }
 
     /// Creates a directory with `capacity` entry slots of which the first
     /// `live` hold synthetic entries; the rest are free for
     /// [`Volume::create_entry`]. The directory starts synthetic: it takes
-    /// its FAT chain and a handle and allocates no entry bytes (see the
-    /// module docs). Returns the dense id — the lowest
-    /// reclaimed id if any directory was removed, the next fresh one
-    /// otherwise.
+    /// a handle and allocates no entry bytes (see the module docs).
+    /// Returns the dense id — the lowest reclaimed id if any directory
+    /// was removed, the next fresh one otherwise.
+    ///
+    /// Every entry of directory `id` carries the first-cluster field
+    /// `2 + id · max(1, ⌈32 · capacity / 4096⌉)`: where a FAT16 volume of
+    /// 4 KB clusters, handing each directory the clusters after the
+    /// previous one's, would start it. That is the lookup benchmark's
+    /// layout and fsmeta's, and a retired directory recreated with its
+    /// id and capacity gets its value back. Nothing follows the field;
+    /// past 16 bits, where FAT16 has no clusters left, it keeps the low
+    /// 16 bits.
     ///
     /// # Panics
     ///
     /// Panics if `live` exceeds [`SYNTHETIC_SERIALS`]: beyond it
-    /// synthetic names alias. (At 4 KB clusters FAT16 caps a directory
-    /// below 8.4M entries, so only larger clusters can get there.)
-    pub fn create_directory_with_capacity(
-        &mut self,
-        live: u32,
-        capacity: u32,
-    ) -> Result<DirId, VolumeError> {
+    /// synthetic names alias.
+    pub fn create_directory_with_capacity(&mut self, live: u32, capacity: u32) -> DirId {
         let live = live.min(capacity);
         assert!(
             live <= SYNTHETIC_SERIALS,
             "{live} synthetic entries need serials of more than seven digits"
         );
-        let bytes = capacity as usize * DIRENT_SIZE;
-        let clusters = bytes
-            .div_ceil(self.geometry.bytes_per_cluster as usize)
-            .max(1);
-        let first_cluster = self.fat.alloc_chain(clusters)?;
-        let image_offset = self.cluster_offset(first_cluster);
-        // Chains from a fresh FAT are contiguous, so the directory occupies
-        // a contiguous range of the data area; assert that invariant
-        // because `image_offset` and `byte_len` describe it as one range.
-        debug_assert!(
-            self.fat
-                .chain(first_cluster)
-                .is_ok_and(|c| c.windows(2).all(|w| w[1] == w[0] + 1)),
-            "cluster chain from {first_cluster} not contiguous"
-        );
-
-        let id = self.spare_ids.pop().unwrap_or_else(|| {
-            let id = self.next_id;
-            self.next_id += 1;
-            id
-        });
-        let slot = match self.spare_slots.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        self.slots[slot] = Some(DirSlot {
+        let id = self.spare_ids.pop().unwrap_or(self.dirs.len() as DirId);
+        let dir = Some(DirSlot {
             handle: DirectoryHandle {
                 index: id,
-                first_cluster,
                 entry_count: capacity,
-                image_offset,
-                byte_len: bytes,
+                byte_len: capacity as usize * DIRENT_SIZE,
                 sim_addr: 0,
                 lock_addr: 0,
             },
             live,
             entries: None,
         });
-        self.ids.insert(u64::from(id), slot as u32);
-        Ok(id)
+        match self.dirs.get_mut(id as usize) {
+            Some(place) => *place = dir,
+            None => self.dirs.push(dir),
+        }
+        id
     }
 
-    /// Removes an *empty* directory: frees its FAT cluster chain and
-    /// reclaims its [`DirId`] for the next [`Volume::create_directory`].
-    /// Errors with [`VolumeError::DirectoryNotEmpty`] while any live
-    /// entry remains (unlink them first) and
-    /// [`VolumeError::NoSuchDirectory`] for unknown or already-removed
-    /// ids.
+    /// Removes an *empty* directory: frees its bytes and reclaims its
+    /// [`DirId`] for the next [`Volume::create_directory`]. Errors with
+    /// [`VolumeError::DirectoryNotEmpty`] while any live entry remains
+    /// (unlink them first) and [`VolumeError::NoSuchDirectory`] for
+    /// unknown or already-removed ids.
     pub fn remove_directory(&mut self, dir: DirId) -> Result<(), VolumeError> {
-        let slot = self.slot_of(dir)?;
-        if self.slots[slot].as_ref().expect("live slot").live > 0 {
+        if self.dir_slot(dir)?.live > 0 {
             return Err(VolumeError::DirectoryNotEmpty);
         }
-        let s = self.slots[slot].take().expect("live slot");
-        self.fat
-            .free_chain(s.handle.first_cluster)
-            .expect("live directory has a valid chain");
-        self.ids.remove(u64::from(dir));
+        self.dirs[dir as usize] = None;
         let at = self.spare_ids.partition_point(|&i| i > dir);
         self.spare_ids.insert(at, dir);
-        self.spare_slots.push(slot as u32);
         Ok(())
     }
 
@@ -511,7 +396,7 @@ impl Volume {
     pub fn create_entry(&mut self, dir: DirId, name: &str, size: u32) -> Result<u32, VolumeError> {
         let key = NameKey::new(name);
         let s = self.dir_slot_mut(dir)?;
-        let entry = DirEntry::with_key(key, s.handle.first_cluster, size);
+        let entry = DirEntry::with_key(key, s.handle.entry_cluster(), size);
         let entries = s.materialize();
         if entries.find(key).is_some() {
             return Err(VolumeError::DuplicateName);
@@ -574,16 +459,9 @@ impl Volume {
     /// labelled with the directory index, with DRAM homes spread round-robin
     /// across chips — the natural layout for interleaved shared data.
     pub fn map_into(&mut self, memory: &mut SimMemory) {
-        // Iterate in id order (not slot order) so region allocation stays
-        // a pure function of the directory set.
-        for id in 0..self.next_id {
-            let Some(&slot) = self.ids.peek(u64::from(id)) else {
-                continue;
-            };
-            let d = &mut self.slots[slot as usize]
-                .as_mut()
-                .expect("live slot")
-                .handle;
+        // In id order, so region allocation is a pure function of the
+        // directory set.
+        for d in self.dirs.iter_mut().flatten().map(|s| &mut s.handle) {
             let region = memory.alloc(d.byte_len as u64, u64::from(d.index));
             d.sim_addr = region.addr;
             let lock_region = memory.alloc(64, 0xF000_0000 + u64::from(d.index));
@@ -594,10 +472,6 @@ impl Volume {
     /// Whether [`Volume::map_into`] has been called.
     pub fn is_mapped(&self) -> bool {
         self.directories().all(|d| d.sim_addr != 0)
-    }
-
-    fn cluster_offset(&self, cluster: u16) -> usize {
-        (cluster as usize - 2) * self.geometry.bytes_per_cluster as usize
     }
 }
 
@@ -616,59 +490,50 @@ mod tests {
             .map(|i| (i, i + 1))
     }
 
-    /// The data area every reader sees: each live directory's bytes at
-    /// its `image_offset` (a synthetic directory's as materializing would
-    /// build them), zero everywhere else.
-    fn logical_image(v: &Volume) -> Vec<u8> {
-        let g = v.geometry;
-        let mut image = vec![0u8; g.data_clusters as usize * g.bytes_per_cluster as usize];
-        for s in v.slots.iter().flatten() {
-            let entries = s
-                .entries
-                .clone()
-                .unwrap_or_else(|| Entries::synthetic(&s.handle, s.live));
-            let at = s.handle.image_offset;
-            image[at..at + s.handle.byte_len].copy_from_slice(&entries.bytes);
+    /// Directory `d`'s bytes as every reader sees them (a synthetic
+    /// directory's as materializing would build them).
+    fn bytes_of(v: &Volume, d: DirId) -> Box<[u8]> {
+        let s = v.dir_slot(d).unwrap();
+        match &s.entries {
+            Some(entries) => entries.bytes.clone(),
+            None => Entries::synthetic(&s.handle, s.live).bytes,
         }
-        image
+    }
+
+    /// Every live directory's bytes, in id order.
+    fn all_bytes(v: &Volume) -> Vec<Box<[u8]>> {
+        v.directories().map(|d| bytes_of(v, d.index)).collect()
     }
 
     /// Materializes every directory of `v`, as a first mutation would.
     fn materialize_all(v: &mut Volume) {
-        for s in v.slots.iter_mut().flatten() {
+        for s in v.dirs.iter_mut().flatten() {
             s.materialize();
         }
     }
 
     /// Ids of the materialized directories of `v`.
     fn materialized(v: &Volume) -> Vec<DirId> {
-        let mut ids: Vec<DirId> = v
-            .slots
+        v.dirs
             .iter()
             .flatten()
             .filter(|s| s.entries.is_some())
             .map(|s| s.handle.index)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .collect()
     }
 
-    /// FNV-1a, eight bytes at a time, over the geometry, every directory
-    /// handle and the whole logical image.
+    /// FNV-1a, eight bytes at a time, over every directory's handle and
+    /// bytes.
     fn volume_fingerprint(v: &Volume) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
-        mix(u64::from(v.geometry.bytes_per_cluster));
-        mix(u64::from(v.geometry.data_clusters));
         for d in v.directories() {
             mix(u64::from(d.index));
-            mix(u64::from(d.first_cluster));
             mix(u64::from(d.entry_count));
-            mix(d.image_offset as u64);
             mix(d.byte_len as u64);
-        }
-        for w in logical_image(v).chunks_exact(8) {
-            mix(u64::from_le_bytes(w.try_into().unwrap()));
+            for w in bytes_of(v, d.index).chunks_exact(8) {
+                mix(u64::from_le_bytes(w.try_into().unwrap()));
+            }
         }
         h
     }
@@ -678,9 +543,9 @@ mod tests {
         // The lookup volumes at two sizes and fsmeta's 4096 half-full
         // 64-slot directories, pinned byte for byte.
         let fsmeta = {
-            let mut v = Volume::new(VolumeGeometry::default());
+            let mut v = Volume::default();
             for _ in 0..4096 {
-                v.create_directory_with_capacity(32, 64).unwrap();
+                v.create_directory_with_capacity(32, 64);
             }
             v
         };
@@ -692,9 +557,9 @@ mod tests {
         assert_eq!(
             got,
             [
-                0x762c_7a89_1822_9d76,
-                0x51f4_4d69_102f_3bed,
-                0xf2fd_28f1_0861_bfed
+                0x1ad3_0556_6c99_0538,
+                0x5278_1ed6_9573_0925,
+                0x22e7_1df4_0760_9325
             ],
             "{got:#018x?}"
         );
@@ -706,16 +571,16 @@ mod tests {
         // materialized, `synthetic` none.
         let shapes = [(1000, 1000), (3, 8), (0, 8)];
         let build = || {
-            let mut v = Volume::new(VolumeGeometry::default());
+            let mut v = Volume::default();
             for (live, capacity) in shapes {
-                v.create_directory_with_capacity(live, capacity).unwrap();
+                v.create_directory_with_capacity(live, capacity);
             }
             v
         };
         let (mut synthetic, mut written) = (build(), build());
         materialize_all(&mut written);
         assert_eq!(materialized(&written), vec![0, 1, 2]);
-        assert_eq!(logical_image(&synthetic), logical_image(&written));
+        assert_eq!(all_bytes(&synthetic), all_bytes(&written));
         for (d, (live, capacity)) in (0..).zip(shapes) {
             for i in 0..=capacity {
                 assert_eq!(
@@ -792,9 +657,9 @@ mod tests {
         assert_eq!(materialized(&v), vec![7]);
 
         // One create in a directory with headroom materializes exactly it.
-        let mut v = Volume::new(VolumeGeometry::default());
+        let mut v = Volume::default();
         for _ in 0..8 {
-            v.create_directory_with_capacity(3, 8).unwrap();
+            v.create_directory_with_capacity(3, 8);
         }
         assert_eq!(v.create_entry(5, "NEW.TXT", 1), Ok(3));
         assert_eq!(materialized(&v), vec![5]);
@@ -803,46 +668,29 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_layouts_beyond_fat16_are_refused_up_front() {
-        // One-cluster directories: 65,533 fit exactly, one more does not.
-        let at_limit = Volume::benchmark_geometry(65_533, 128).unwrap();
-        assert_eq!(at_limit.data_clusters as usize, MAX_DATA_CLUSTERS);
-        let refused = Err(VolumeError::Fat(FatError::OutOfSpace));
-        assert_eq!(Volume::benchmark_geometry(65_534, 128), refused);
-        // A 256 MB lookup volume: 8,192 directories of 8 clusters.
-        assert!(matches!(
-            Volume::build_benchmark(8_192, 1000),
-            Err(VolumeError::Fat(FatError::OutOfSpace))
-        ));
-    }
-
-    #[test]
-    fn volumes_fill_every_cluster_fat16_allows() {
-        // 32-byte clusters keep the image small: one entry per cluster.
-        for requested in [65_533, 65_534, 70_000] {
-            let mut v = Volume::new(VolumeGeometry {
-                bytes_per_cluster: 32,
-                data_clusters: requested,
-            });
-            assert_eq!(v.geometry().data_clusters as usize, MAX_DATA_CLUSTERS);
-            let sizes = (0..MAX_DATA_CLUSTERS as u32)
-                .step_by(1000)
-                .map(|at| 1000.min(MAX_DATA_CLUSTERS as u32 - at));
-            for capacity in sizes {
-                let d = v.create_directory_with_capacity(1, capacity).unwrap();
-                let first = v.directory(d).unwrap().first_cluster;
-                assert_eq!(
-                    v.fat.chain(first).unwrap().len(),
-                    capacity as usize,
-                    "{requested} clusters"
-                );
-                assert_eq!(v.search(d, &synthetic_name(0)).unwrap(), Some((0, 1)));
-            }
-            assert_eq!(
-                v.create_directory(1),
-                Err(VolumeError::Fat(FatError::OutOfSpace))
-            );
+    fn first_cluster_fields_follow_id_and_capacity_and_wrap_past_16_bits() {
+        let field = |v: &Volume, d: DirId| v.read_entry(d, 0).unwrap().first_cluster;
+        // 1,000 entries take eight 4 KB clusters, 64 take one.
+        let v = Volume::build_benchmark(3, 1000).unwrap();
+        assert_eq!([field(&v, 0), field(&v, 1), field(&v, 2)], [2, 10, 18]);
+        let mut v = Volume::default();
+        for _ in 0..3 {
+            v.create_directory_with_capacity(1, 64);
         }
+        assert_eq!([field(&v, 0), field(&v, 1), field(&v, 2)], [2, 3, 4]);
+        // Written entries carry it too, and a retired directory recreated
+        // with its id and capacity gets it back.
+        assert_eq!(v.create_entry(1, "NEW.TXT", 1), Ok(1));
+        assert_eq!(v.read_entry(1, 1).unwrap().first_cluster, 3);
+        v.unlink(1, "NEW.TXT").unwrap();
+        v.unlink(1, &synthetic_name(0)).unwrap();
+        v.remove_directory(1).unwrap();
+        assert_eq!(v.create_directory_with_capacity(1, 64), 1);
+        assert_eq!(field(&v, 1), 3);
+        // 16-cluster directories: id 4,095 starts at 65,522, and id 4,096
+        // at 65,538, which keeps its low 16 bits.
+        let v = Volume::build_benchmark(4_097, 2048).unwrap();
+        assert_eq!((field(&v, 4_095), field(&v, 4_096)), (65_522, 2));
     }
 
     #[test]
@@ -906,10 +754,10 @@ mod tests {
         const DIRS: u32 = 8;
         const CAPACITY: u32 = 64;
         const LIVE: u32 = 32;
-        let mut v = Volume::new(VolumeGeometry::default());
+        let mut v = Volume::default();
         let mut model: Vec<Vec<Option<u32>>> = Vec::new();
         for _ in 0..DIRS {
-            v.create_directory_with_capacity(LIVE, CAPACITY).unwrap();
+            v.create_directory_with_capacity(LIVE, CAPACITY);
             model.push((0..CAPACITY).map(|i| (i < LIVE).then_some(i)).collect());
         }
         let mut next = vec![LIVE; DIRS as usize];
@@ -980,22 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn directories_occupy_disjoint_image_ranges() {
-        let v = Volume::build_benchmark(4, 1000).unwrap();
-        let dirs: Vec<&DirectoryHandle> = v.directories().collect();
-        for a in 0..dirs.len() {
-            for b in (a + 1)..dirs.len() {
-                let (da, db) = (&dirs[a], &dirs[b]);
-                let a_range = da.image_offset..da.image_offset + da.byte_len;
-                assert!(
-                    !a_range.contains(&db.image_offset),
-                    "directories {a} and {b} overlap"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn map_into_assigns_simulated_addresses_and_locks() {
         let mut v = Volume::build_benchmark(4, 100).unwrap();
         assert!(!v.is_mapped());
@@ -1024,22 +856,9 @@ mod tests {
     }
 
     #[test]
-    fn create_directory_errors_when_full() {
-        let mut v = Volume::new(VolumeGeometry {
-            bytes_per_cluster: 4096,
-            data_clusters: 4,
-        });
-        v.create_directory(400).unwrap();
-        assert!(matches!(
-            v.create_directory(400),
-            Err(VolumeError::Fat(FatError::OutOfSpace))
-        ));
-    }
-
-    #[test]
     fn capacity_directories_start_with_free_slots() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory_with_capacity(3, 8).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory_with_capacity(3, 8);
         assert_eq!(v.live_entries(d).unwrap(), 3);
         assert_eq!(v.free_slots(d).unwrap(), 5);
         assert_eq!(v.directory(d).unwrap().entry_count, 8);
@@ -1050,8 +869,8 @@ mod tests {
 
     #[test]
     fn duplicate_name_create_is_rejected() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory_with_capacity(2, 8).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory_with_capacity(2, 8);
         // Synthetic entry 0 exists; creating it again (in any case
         // spelling) is a duplicate, and the volume is unchanged.
         assert_eq!(
@@ -1074,8 +893,8 @@ mod tests {
 
     #[test]
     fn unlink_of_missing_entry_is_rejected() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory_with_capacity(2, 4).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory_with_capacity(2, 4);
         assert_eq!(v.unlink(d, "GHOST.TXT"), Err(VolumeError::NoSuchEntry));
         // Unlinking twice: the first succeeds, the second is missing.
         let slot = v.unlink(d, &synthetic_name(1)).unwrap();
@@ -1085,17 +904,16 @@ mod tests {
             Err(VolumeError::NoSuchEntry)
         );
         assert_eq!(v.live_entries(d).unwrap(), 1);
-        // The freed slot carries the FAT deleted marker in the image.
-        let off = v.directory(d).unwrap().image_offset + DIRENT_SIZE;
-        assert_eq!(logical_image(&v)[off], DELETED_MARKER);
+        // The freed slot carries the FAT deleted marker in the bytes.
+        assert_eq!(bytes_of(&v, d)[DIRENT_SIZE], DELETED_MARKER);
         // Out-of-range directories error the same way as elsewhere.
         assert_eq!(v.unlink(99, "X.TXT"), Err(VolumeError::NoSuchDirectory));
     }
 
     #[test]
     fn unlinked_slots_are_reused_first_fit() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory(6).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory(6);
         assert_eq!(
             v.create_entry(d, "FULL.TXT", 1),
             Err(VolumeError::DirectoryFull)
@@ -1113,8 +931,8 @@ mod tests {
 
     #[test]
     fn liveness_comes_from_the_bitmap_not_the_bytes() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory_with_capacity(2, 8).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory_with_capacity(2, 8);
         // `好` is E5 A5 BD in UTF-8: the name's canonical first byte is
         // FAT's deleted marker, and unlinking leaves its bytes unchanged.
         let han = "好.TXT";
@@ -1128,8 +946,7 @@ mod tests {
             let name = v.read_entry(d, slot).unwrap().display_name();
             assert_eq!(v.find_entry(d, &name).unwrap(), None, "slot {slot}");
         }
-        let off = v.directory(d).unwrap().image_offset + 2 * DIRENT_SIZE;
-        assert_eq!(logical_image(&v)[off], DELETED_MARKER);
+        assert_eq!(bytes_of(&v, d)[2 * DIRENT_SIZE], DELETED_MARKER);
         assert_eq!(v.unlink(d, han), Err(VolumeError::NoSuchEntry));
         assert_eq!(v.create_entry(d, han, 1), Ok(2));
         assert_eq!(v.search(d, han).unwrap(), search_linear(&v, d, han));
@@ -1138,8 +955,8 @@ mod tests {
 
     #[test]
     fn rename_moves_the_name_but_keeps_the_slot() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory(4).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory(4);
         let slot = v.rename(d, &synthetic_name(2), "NEW.DAT").unwrap();
         assert_eq!(slot, 2);
         assert_eq!(v.find_entry(d, "NEW.DAT").unwrap(), Some(2));
@@ -1171,8 +988,8 @@ mod tests {
 
     #[test]
     fn remove_directory_rejects_non_empty_and_missing() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        let d = v.create_directory(3).unwrap();
+        let mut v = Volume::default();
+        let d = v.create_directory(3);
         assert_eq!(v.remove_directory(d), Err(VolumeError::DirectoryNotEmpty));
         assert_eq!(v.remove_directory(99), Err(VolumeError::NoSuchDirectory));
         drain(&mut v, d, 3);
@@ -1190,34 +1007,25 @@ mod tests {
     }
 
     #[test]
-    fn remove_directory_reclaims_clusters_and_the_id() {
-        let mut v = Volume::new(VolumeGeometry {
-            bytes_per_cluster: 4096,
-            data_clusters: 4,
-        });
-        let a = v.create_directory(400).unwrap(); // 12.5 KB -> 4 clusters
-        let offset_a = v.directory(a).unwrap().image_offset;
-        assert!(matches!(
-            v.create_directory(400),
-            Err(VolumeError::Fat(FatError::OutOfSpace))
-        ));
+    fn remove_directory_reclaims_the_bytes_and_the_id() {
+        let mut v = Volume::default();
+        let a = v.create_directory(400);
         drain(&mut v, a, 400);
         assert_eq!(materialized(&v), vec![a]);
         v.remove_directory(a).unwrap();
         // The removed directory's bytes, deleted entries and all, went
         // with it.
-        assert!(logical_image(&v).iter().all(|&b| b == 0));
-        // Both the clusters and the DirId come back; the freed clusters
-        // are the lowest free ones, so the image range is reused too.
-        let b = v.create_directory_with_capacity(2, 400).unwrap();
+        assert!(v.dirs.iter().all(Option::is_none));
+        assert_eq!(v.dir_count(), 0);
+        // The DirId comes back.
+        let b = v.create_directory_with_capacity(2, 400);
         assert_eq!(b, a);
-        assert_eq!(v.directory(b).unwrap().image_offset, offset_a);
         assert_eq!(v.live_entries(b).unwrap(), 2);
         // The new directory is synthetic, and every read answers from its
         // description, before and after its first mutation.
         assert!(materialized(&v).is_empty());
-        let mut fresh = Volume::new(v.geometry());
-        fresh.create_directory_with_capacity(2, 400).unwrap();
+        let mut fresh = Volume::default();
+        fresh.create_directory_with_capacity(2, 400);
         let entries = |v: &Volume| -> Vec<DirEntry> {
             (0..400).map(|i| v.read_entry(0, i).unwrap()).collect()
         };
@@ -1225,30 +1033,65 @@ mod tests {
         assert_eq!(v.create_entry(b, "NEW.TXT", 1), Ok(2));
         assert_eq!(fresh.create_entry(0, "NEW.TXT", 1), Ok(2));
         assert_eq!(entries(&v), entries(&fresh));
-        assert_eq!(logical_image(&v), logical_image(&fresh));
+        assert_eq!(all_bytes(&v), all_bytes(&fresh));
     }
 
     #[test]
-    fn reclaimed_ids_are_reused_lowest_first_and_ids_diverge_from_slots() {
-        let mut v = Volume::new(VolumeGeometry::default());
-        for _ in 0..4 {
-            v.create_directory(2).unwrap();
+    fn a_larger_directory_in_a_smaller_ones_place_gets_its_own_bytes() {
+        let mut v = Volume::default();
+        let a = v.create_directory_with_capacity(0, 64);
+        let b = v.create_directory_with_capacity(3, 64);
+        assert_eq!(v.create_entry(b, "KEEP.TXT", 7), Ok(3));
+        let bytes_of_b = |v: &Volume| -> Vec<DirEntry> {
+            (0..64).map(|i| v.read_entry(b, i).unwrap()).collect()
+        };
+        let before = bytes_of_b(&v);
+        v.remove_directory(a).unwrap();
+        let c = v.create_directory_with_capacity(0, 256);
+        assert_eq!(c, 0, "the lowest reclaimed id");
+        assert_eq!(v.directory(c).unwrap().byte_len, 8192);
+        for i in 0..256 {
+            assert_eq!(v.create_entry(c, &synthetic_name(1000 + i), i), Ok(i));
         }
-        drain(&mut v, 1, 2);
-        v.remove_directory(1).unwrap();
+        for i in 0..256 {
+            let e = v.read_entry(c, i).unwrap();
+            assert!(e.matches(&synthetic_name(1000 + i)), "slot {i}");
+            assert_eq!(e.size, i);
+        }
+        assert_eq!(bytes_of_b(&v), before);
+        let mut mem = SimMemory::new(4, 64);
+        v.map_into(&mut mem);
+        let range = |d: DirId| {
+            let h = v.directory(d).unwrap();
+            h.sim_addr..h.sim_addr + h.byte_len as u64
+        };
+        let (rc, rb) = (range(c), range(b));
+        assert!(
+            rc.end <= rb.start || rb.end <= rc.start,
+            "{rc:?} and {rb:?} overlap"
+        );
+    }
+
+    #[test]
+    fn reclaimed_ids_are_reused_lowest_first() {
+        let mut v = Volume::default();
+        for _ in 0..4 {
+            v.create_directory(2);
+        }
         drain(&mut v, 3, 2);
         v.remove_directory(3).unwrap();
+        drain(&mut v, 1, 2);
+        v.remove_directory(1).unwrap();
         assert_eq!(v.dir_count(), 2);
         assert_eq!(
             v.directories().map(|d| d.index).collect::<Vec<_>>(),
             vec![0, 2]
         );
-        // Lowest reclaimed id first: 1, then 3, then a fresh 4 — while
-        // storage slots come back LIFO, so id 1 lands in slot 3's storage
-        // and the id -> slot map is not the identity.
-        assert_eq!(v.create_directory(2).unwrap(), 1);
-        assert_eq!(v.create_directory(2).unwrap(), 3);
-        assert_eq!(v.create_directory(2).unwrap(), 4);
+        // Lowest reclaimed id first, whatever the removal order: 1, then
+        // 3, then a fresh 4.
+        assert_eq!(v.create_directory(2), 1);
+        assert_eq!(v.create_directory(2), 3);
+        assert_eq!(v.create_directory(2), 4);
         assert_eq!(
             v.directories().map(|d| d.index).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]

@@ -14,7 +14,7 @@
 //! simulating cache traffic.
 //!
 //! The crate carries one workload, [`NativeLookup`]: the paper's
-//! directory lookup over a real in-memory FAT image. It is measured end
+//! directory lookup over real in-memory FAT entries. It is measured end
 //! to end by the benchmark's `native_lookup` workload
 //! (`benchmark/run.sh --workload native_lookup`), which runs CoreTime
 //! and the thread scheduler on pinned workers beside a simulator twin of

@@ -1,8 +1,8 @@
 //! Native workloads: real memory, deterministic op streams.
 //!
 //! A native workload owns per-object shards of real application state
-//! (for the lookup workload, each directory's slice of a real in-memory
-//! FAT [`Volume`] image) behind per-object spin locks — exactly the
+//! (for the lookup workload, each directory's 32-byte FAT entries, copied
+//! out of an in-memory [`Volume`]) behind per-object spin locks — exactly the
 //! paper's "per-directory spin lock" — and exposes two things to the
 //! runtime:
 //!
@@ -220,19 +220,19 @@ impl NativeLookupSpec {
     }
 }
 
-/// One directory's shard: its slice of the real volume image plus the
-/// commutative bookkeeping.
+/// One directory's shard: its real entry bytes plus the commutative
+/// bookkeeping.
 struct DirShard {
     /// The directory's raw FAT entry bytes, copied out of the built
-    /// volume image (32 bytes per entry, 8.3 names at offset 0).
+    /// volume (32 bytes per entry, 8.3 names at offset 0).
     image: Vec<u8>,
     /// Ops executed against this directory (commutative increment).
     op_counter: u64,
 }
 
-/// The directory-lookup workload over a real in-memory FAT volume.
+/// The directory-lookup workload over real in-memory FAT entries.
 ///
-/// Built from [`Volume::build_benchmark`]; each directory's image bytes
+/// Built from [`Volume::build_benchmark`]; each directory's entry bytes
 /// become one spin-locked shard. A lookup scans the image linearly,
 /// comparing 11-byte 8.3 names exactly like the benchmark's inner loop;
 /// a write-kind lookup additionally XORs its token into the found
@@ -466,6 +466,22 @@ mod tests {
         let mut mutated = ops;
         mutated.truncate(499);
         assert_ne!(forward, digest_for(&mutated));
+    }
+
+    #[test]
+    fn state_digest_is_pinned() {
+        // Three-cluster directories and one write in five: every entry's
+        // bytes, its first-cluster field included, reach the digest.
+        let spec = NativeLookupSpec {
+            entries_per_dir: 300,
+            write_fraction: 0.2,
+            ..NativeLookupSpec::small(47)
+        };
+        let wl = NativeLookup::build(&spec);
+        for i in 0..4_000 {
+            wl.execute(&wl.op(i));
+        }
+        assert_eq!(wl.state_digest(), 0x530b_d418_b7b1_4fb7);
     }
 
     #[test]

@@ -124,8 +124,7 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the specification is invalid or the volume cannot be
-    /// built (e.g. an absurd directory count).
+    /// Panics if the specification is invalid.
     pub fn build(spec: WorkloadSpec, policy: Box<dyn SchedPolicy>) -> Self {
         Self::build_with(spec, policy, |spec, dirs, t| {
             let chooser = DirChooser::new(spec.n_dirs, spec.popularity);
@@ -150,8 +149,7 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics if the specification is invalid or the volume cannot be
-    /// built.
+    /// Panics if the specification is invalid.
     pub fn build_with<F>(spec: WorkloadSpec, policy: Box<dyn SchedPolicy>, mut make_gen: F) -> Self
     where
         F: FnMut(&WorkloadSpec, &Rc<DirectorySet>, u32) -> Box<dyn OpGenerator>,

@@ -26,9 +26,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use o2_fs::{
-    lookup_actions, synthetic_name, DirId, LookupCost, Volume, VolumeGeometry, DIRENT_SIZE,
-};
+use o2_fs::{lookup_actions, synthetic_name, DirId, LookupCost, Volume, DIRENT_SIZE};
 use o2_runtime::{
     Action, BehaviourCtx, Engine, LockId, ObjectDescriptor, OpBehaviour, OpBuilder, OpGenerator,
     RuntimeConfig, SchedPolicy,
@@ -295,8 +293,8 @@ impl OpGenerator for FsMetaGen {
             }
             _ => {
                 // Retire the whole directory: drain the remaining live
-                // entries, remove it (reclaiming the DirId and its FAT
-                // clusters) and recreate it empty in the same id slot.
+                // entries, remove it (freeing its bytes and reclaiming
+                // its DirId) and recreate it empty under the same id.
                 // The simulated region and lock of the directory are
                 // fixed at build time in `self.dirs`, so only the
                 // host-side bookkeeping is torn down and rebuilt.
@@ -312,10 +310,7 @@ impl OpGenerator for FsMetaGen {
                 st.volume
                     .remove_directory(dir)
                     .expect("drained directory is empty");
-                let recreated = st
-                    .volume
-                    .create_directory_with_capacity(0, self.capacity)
-                    .expect("recreate retired directory");
+                let recreated = st.volume.create_directory_with_capacity(0, self.capacity);
                 assert_eq!(recreated, dir, "the freed DirId slot is reused immediately");
                 st.stats.drained += drained.len() as u64;
                 st.stats.dirs_recycled += 1;
@@ -357,24 +352,14 @@ impl FsMetaExperiment {
     ///
     /// # Panics
     ///
-    /// Panics if the specification is invalid or the volume cannot be
-    /// built.
+    /// Panics if the specification is invalid.
     pub fn build(spec: FsMetaSpec, policy: Box<dyn SchedPolicy>) -> Self {
         spec.validate().expect("invalid fsmeta specification");
         let mut machine = Machine::new(spec.machine.clone());
 
-        let mut geometry = VolumeGeometry::default();
-        let bytes_per_dir = (spec.capacity_per_dir as usize * DIRENT_SIZE)
-            .div_ceil(geometry.bytes_per_cluster as usize)
-            * geometry.bytes_per_cluster as usize;
-        let needed =
-            (spec.n_dirs as usize * bytes_per_dir) / geometry.bytes_per_cluster as usize + 8;
-        geometry.data_clusters = geometry.data_clusters.max(needed as u32);
-        let mut volume = Volume::new(geometry);
+        let mut volume = Volume::default();
         for _ in 0..spec.n_dirs {
-            volume
-                .create_directory_with_capacity(spec.initial_live_per_dir, spec.capacity_per_dir)
-                .expect("fsmeta volume construction failed");
+            volume.create_directory_with_capacity(spec.initial_live_per_dir, spec.capacity_per_dir);
         }
         volume.map_into(machine.memory_mut());
 

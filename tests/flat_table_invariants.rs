@@ -1,13 +1,11 @@
 //! Randomised invariant checks for `o2_collections::FlatTable`, the one
-//! shared open-addressed table (Fibonacci hash, linear probe,
-//! backward-shift deletion) behind the object interner and the fs name
-//! index.
+//! shared open-addressed table (Fibonacci hash, linear probe) behind the
+//! object interner.
 //!
 //! A `std::collections::HashMap` is the oracle: after **any** interleaved
-//! sequence of insert / upsert / remove / lookup operations the table must
-//! agree with it on every key, on `len()`, and on the full iterated
-//! contents — including under sustained deletion churn at high load
-//! factor, where backward-shifting does the most work.
+//! sequence of insert / insert-if-absent / lookup operations the table
+//! must agree with it on every key, on `len()`, and on the full iterated
+//! contents, across every growth step.
 
 use std::collections::HashMap;
 
@@ -38,38 +36,22 @@ fn check_full_agreement(table: &FlatTable<u64, u64>, oracle: &HashMap<u64, u64>,
 fn random_op_sequences_agree_with_the_hashmap_oracle() {
     let mut rng = StdRng::seed_from_u64(0xF1A7_7AB1_E000_0001);
     for case in 0..CASES {
-        // Small starting capacity and a key space a few times the
-        // capacity, so the table repeatedly crosses its 7/8 growth
-        // threshold and probe clusters form, dissolve and shift.
+        // Small starting capacity and a key space many times the
+        // capacity, so the table crosses its 7/8 growth threshold again
+        // and again and probe clusters form.
         let key_space = 1u64 << rng.gen_range(4u32..9);
         let mut table: FlatTable<u64, u64> = FlatTable::with_capacity(8);
         let mut oracle: HashMap<u64, u64> = HashMap::new();
         for step in 0..OPS_PER_CASE {
             let key = rng.gen_range(0..key_space);
-            match rng.gen_range(0u8..8) {
-                // Removal at 3-in-8 keeps the table near its high-load
-                // regime without ever fully draining it.
-                0..=2 => {
-                    let a = table.remove(key);
-                    let b = oracle.remove(&key);
-                    assert_eq!(a, b, "case {case} step {step}: remove");
-                }
-                3..=4 => {
+            match rng.gen_range(0u8..4) {
+                0..=1 => {
                     let v = rng.gen::<u64>();
                     let a = table.insert(key, v);
                     let b = oracle.insert(key, v);
                     assert_eq!(a, b, "case {case} step {step}: insert");
                 }
-                5 => {
-                    // Upsert: add to the value, starting from zero.
-                    let add = rng.gen_range(1u64..100);
-                    match table.get_mut(key) {
-                        Some(v) => *v += add,
-                        None => assert_eq!(table.insert(key, add), None),
-                    }
-                    *oracle.entry(key).or_insert(0) += add;
-                }
-                6 => {
+                2 => {
                     assert_eq!(
                         table.get(key).copied(),
                         oracle.get(&key).copied(),
@@ -87,41 +69,6 @@ fn random_op_sequences_agree_with_the_hashmap_oracle() {
         }
         check_full_agreement(&table, &oracle, &format!("case {case}"));
     }
-}
-
-#[test]
-fn deletion_churn_at_high_load_factor_backward_shifts_correctly() {
-    // Fill a table to just under its growth threshold, then churn
-    // remove/insert pairs so it *stays* at maximum load: every removal
-    // lands in long probe clusters and must backward-shift them without
-    // losing or duplicating keys.
-    let mut rng = StdRng::seed_from_u64(0xF1A7_7AB1_E000_0002);
-    let mut table: FlatTable<u64, u64> = FlatTable::with_capacity(256);
-    let mut oracle: HashMap<u64, u64> = HashMap::new();
-    let cap = table.capacity();
-    let max_load = cap * 7 / 8 - 1; // stays below the growth trigger
-    let mut keys: Vec<u64> = Vec::new();
-    let mut next_key = 0u64;
-    while oracle.len() < max_load {
-        table.insert(next_key, next_key);
-        oracle.insert(next_key, next_key);
-        keys.push(next_key);
-        next_key += 1;
-    }
-    assert_eq!(table.capacity(), cap, "setup must not trigger growth");
-    for step in 0..20_000 {
-        // Remove a random existing key (picked from a deterministic side
-        // list, so failures reproduce), insert a fresh one.
-        let victim = keys.swap_remove(rng.gen_range(0..keys.len()));
-        assert_eq!(table.remove(victim), oracle.remove(&victim), "step {step}");
-        table.insert(next_key, next_key);
-        oracle.insert(next_key, next_key);
-        keys.push(next_key);
-        next_key += 1;
-        assert_eq!(table.len(), max_load, "step {step}: load drifted");
-    }
-    assert_eq!(table.capacity(), cap, "churn must not grow a full table");
-    check_full_agreement(&table, &oracle, "high-load churn");
 }
 
 #[test]

@@ -9,8 +9,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o2_suite::coretime::{place_balanced, AssignmentTable};
-use o2_suite::fs::{split_8_3, synthetic_name, DirEntry, Fat, Volume, DIRENT_SIZE};
-use o2_suite::sim::{AccessKind, Cache, CacheGeometry, ContentionModel, Machine, MachineConfig};
+use o2_suite::fs::{split_8_3, synthetic_name, DirEntry, DirId, Volume, DIRENT_SIZE};
+use o2_suite::sim::{
+    AccessKind, Cache, CacheGeometry, ContentionModel, Machine, MachineConfig, SimMemory,
+};
 
 const CASES: usize = 48;
 
@@ -88,23 +90,84 @@ fn cache_capacity_is_never_exceeded() {
     }
 }
 
-/// FAT chains produced by consecutive allocations never share clusters.
+/// Under seeded create / remove / recreate of directories of 1–300
+/// slots, each directory keeps its own bytes and its own simulated
+/// region: a `create_entry` in one directory leaves every other
+/// directory's entries as they were, and after `map_into` the
+/// `[sim_addr, sim_addr + byte_len)` ranges and lock words of the live
+/// directories are pairwise disjoint.
 #[test]
-fn fat_chains_are_disjoint() {
+fn directories_keep_their_own_bytes_and_regions() {
+    let entries = |v: &Volume, d: DirId| -> Vec<DirEntry> {
+        let slots = v.directory(d).unwrap().entry_count;
+        (0..slots).map(|i| v.read_entry(d, i).unwrap()).collect()
+    };
     let mut rng = rng_for(4);
     for _ in 0..CASES {
-        let counts: Vec<usize> = (0..rng.gen_range(1usize..20))
-            .map(|_| rng.gen_range(1usize..20))
-            .collect();
-        let total: usize = counts.iter().sum();
-        let mut fat = Fat::new(total + 8);
-        let mut seen = std::collections::HashSet::new();
-        for count in counts {
-            let first = fat.alloc_chain(count).unwrap();
-            let chain = fat.chain(first).unwrap();
-            assert_eq!(chain.len(), count);
-            for cluster in chain {
-                assert!(seen.insert(cluster), "cluster {cluster} allocated twice");
+        let mut volume = Volume::default();
+        // Live names per directory id.
+        let mut names: Vec<Vec<String>> = Vec::new();
+        let mut serial = 0u32;
+        for _ in 0..24 {
+            let live: Vec<DirId> = volume.directories().map(|d| d.index).collect();
+            let roll = if live.is_empty() {
+                0
+            } else {
+                rng.gen_range(0u8..4)
+            };
+            match roll {
+                0 => {
+                    let capacity = rng.gen_range(1u32..301);
+                    let filled = rng.gen_range(0..capacity + 1);
+                    let d = volume.create_directory_with_capacity(filled, capacity) as usize;
+                    names.resize(names.len().max(d + 1), Vec::new());
+                    names[d] = (0..filled).map(synthetic_name).collect();
+                }
+                1 => {
+                    let d = live[rng.gen_range(0..live.len())];
+                    for name in names[d as usize].drain(..) {
+                        volume.unlink(d, &name).unwrap();
+                    }
+                    volume.remove_directory(d).unwrap();
+                }
+                _ => {
+                    let d = live[rng.gen_range(0..live.len())];
+                    if volume.free_slots(d).unwrap() == 0 {
+                        continue;
+                    }
+                    let others: Vec<(DirId, Vec<DirEntry>)> = live
+                        .iter()
+                        .filter(|&&o| o != d)
+                        .map(|&o| (o, entries(&volume, o)))
+                        .collect();
+                    let name = synthetic_name(10_000 + serial);
+                    serial += 1;
+                    let slot = volume.create_entry(d, &name, serial).unwrap();
+                    assert!(volume.read_entry(d, slot).unwrap().matches(&name));
+                    names[d as usize].push(name);
+                    for (o, before) in &others {
+                        assert_eq!(
+                            &entries(&volume, *o),
+                            before,
+                            "dir {o} after a create in {d}"
+                        );
+                    }
+                }
+            }
+            let mut memory = SimMemory::new(4, 64);
+            volume.map_into(&mut memory);
+            let mut ranges: Vec<(u64, u64)> = volume
+                .directories()
+                .flat_map(|h| {
+                    [
+                        (h.sim_addr, h.sim_addr + h.byte_len as u64),
+                        (h.lock_addr, h.lock_addr + 8),
+                    ]
+                })
+                .collect();
+            ranges.sort_unstable();
+            for w in ranges.windows(2) {
+                assert!(w[0].1 <= w[1].0, "{:?} and {:?} overlap", w[0], w[1]);
             }
         }
     }
