@@ -255,10 +255,8 @@ mod tests {
             deltas: &deltas,
         });
         let mut per_core = [0u32; 16];
-        for c in &cmds {
-            if let PolicyCommand::RehomeThread { core, .. } = c {
-                per_core[*core as usize] += 1;
-            }
+        for PolicyCommand::RehomeThread { core, .. } in &cmds {
+            per_core[*core as usize] += 1;
         }
         assert_eq!(per_core, [1; 16], "threads per core: {per_core:?}");
     }

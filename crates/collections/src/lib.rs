@@ -16,8 +16,8 @@
 //! * **Inline slots.** A slot is the key plus the value, in one flat
 //!   allocation; a probe touches at most a cache line or two, and
 //!   nothing on the lookup path allocates.
-//! * **Insert-only.** There is no single-key removal, so no slot ever
-//!   holds a tombstone; [`FlatTable::clear`] empties the whole table.
+//! * **Insert-only.** There is no removal, so no slot ever holds a
+//!   tombstone.
 //! * **Probe counting.** Every slot inspection on the counting paths is
 //!   tallied so hot-path users can report pressure;
 //!   [`FlatTable::peek`] is the non-counting lookup for
@@ -128,8 +128,7 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
     }
 
     /// Cumulative slot inspections across all counting operations
-    /// (everything except [`FlatTable::peek`], [`FlatTable::iter`] and
-    /// [`FlatTable::clear`]).
+    /// (everything except [`FlatTable::peek`] and [`FlatTable::iter`]).
     pub fn probes(&self) -> u64 {
         self.probes
     }
@@ -236,15 +235,6 @@ impl<K: FlatKey, V: Copy + Default> FlatTable<K, V> {
         } else {
             Some(std::mem::replace(slot, value))
         }
-    }
-
-    /// Drops every entry (capacity is retained).
-    pub fn clear(&mut self) {
-        self.slots.fill(Slot {
-            key: K::EMPTY,
-            value: V::default(),
-        });
-        self.len = 0;
     }
 
     /// Iterates over every stored `(key, value)` pair in slot order.
@@ -539,19 +529,6 @@ mod tests {
         assert_eq!(t.probes(), after_insert, "peek must not count");
         t.get(9);
         assert!(t.probes() > after_insert);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_capacity() {
-        let mut t: FlatTable<u64, u64> = FlatTable::with_capacity(8);
-        for k in 0..100u64 {
-            t.insert(k, 0);
-        }
-        let cap = t.capacity();
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.capacity(), cap);
-        assert_eq!(t.get(5), None);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! | `ct_start`/`ct_end` lookup     | [`policy`] (`O2Policy::on_ct_start`) + [`table`] |
 //! | greedy first-fit cache packing | [`packing`] |
 //! | event-counter monitoring       | [`monitor`] + [`object`] |
-//! | §6.2 read-only replication     | [`replication`] (replica serving) |
 //! | slow-core detection (fault plane) | [`policy`] (`O2Policy::on_epoch`) |
 //!
 //! Section 4's two epoch movers — moving objects off cores that are rarely
@@ -23,9 +22,14 @@
 //! because neither moved a result (DESIGN.md, "Deleted: the §4 epoch
 //! movers").
 //!
-//! [`CoreTimeConfig`] switches replica serving and sets its heat floor;
-//! the Section 4 thresholds and cost estimates are constants in the module
-//! that reads each.
+//! Section 6.2's replication of hot read-mostly objects is not
+//! implemented either: replica sets, their epoch planner and idle-time
+//! fills were built, found to reach no placement decision, and deleted
+//! (DESIGN.md, "Deleted: replica sets and idle-time fills").
+//!
+//! [`CoreTimeConfig`] has one switch, `run_in_place`: operations on a
+//! healthy core run where their thread is. The Section 4 thresholds and
+//! cost estimates are constants in the module that reads each.
 //!
 //! The scheduler is expressed as an [`o2_runtime::SchedPolicy`], so it can
 //! be swapped against the baselines in `o2-baseline` without touching the
@@ -62,7 +66,6 @@ pub mod monitor;
 pub mod object;
 pub mod packing;
 pub mod policy;
-pub mod replication;
 pub mod table;
 
 pub use builder::CoreTime;

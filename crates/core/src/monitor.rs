@@ -71,7 +71,7 @@ mod tests {
     fn info_with(misses_per_op: u64, ops: u64) -> ObjectInfo {
         let mut reg = ObjectRegistry::new(64);
         for _ in 0..ops {
-            reg.record_op(1, 0x1000, misses_per_op, 1.0, o2_runtime::AccessKind::Write);
+            reg.record_op(1, 0x1000, misses_per_op, 1.0);
         }
         reg.get(1).unwrap().clone()
     }

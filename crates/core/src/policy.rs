@@ -8,11 +8,13 @@
 //!   assigns the object to a cache when it is expensive to fetch
 //!   (Section 4, "Runtime monitoring" + the greedy cache-packing
 //!   algorithm);
-//! * at every epoch the policy rolls the registry's per-epoch counts,
-//!   and — with replica serving on (Section 6.2) — replicates the hot
-//!   read-mostly head and asks the engine to warm its copies in idle
-//!   time; once the fault plane has signalled, it also re-runs the
-//!   counter detector that flags slow cores.
+//! * at every epoch boundary, once the fault plane has signalled, the
+//!   policy re-runs the counter detector that flags slow cores.
+//!
+//! With [`CoreTimeConfig::run_in_place`] set, an operation on a core the
+//! fault plane does not avoid runs where its thread is; the monitor and
+//! the packer still assign objects, and an avoided core's operations
+//! follow the migrate-to-home rule.
 //!
 //! As in the paper, an assigned object is never un-assigned for being
 //! idle, and no epoch pass moves it for load: only the fault plane moves
@@ -20,8 +22,8 @@
 
 use o2_metrics::{LatencyRecorder, LatencySummary};
 use o2_runtime::{
-    AccessKind, CoreId, DenseObjectId, EpochView, ObjectDescriptor, OpContext, Placement,
-    PolicyCommand, PolicyReplicationStats, SchedPolicy,
+    CoreId, DenseObjectId, EpochView, ObjectDescriptor, OpContext, Placement, PolicyCommand,
+    SchedPolicy,
 };
 use o2_sim::{CounterDelta, MachineConfig};
 
@@ -29,10 +31,9 @@ use crate::config::CoreTimeConfig;
 use crate::monitor::{verdict, MonitorVerdict};
 use crate::object::ObjectRegistry;
 use crate::packing;
-use crate::replication::{self, earns_replicas};
 use crate::table::AssignmentTable;
 
-/// EWMA smoothing factor for per-object miss rates and read fractions.
+/// EWMA smoothing factor for per-object miss rates.
 const EWMA_ALPHA: f64 = 0.3;
 /// Fraction of each core's cache budget (L2 + its share of the L3) that
 /// placement is allowed to fill.
@@ -64,33 +65,9 @@ pub struct O2Stats {
     /// Migrations skipped because the target core was degraded — the
     /// "flip from migration to data movement" path.
     pub degraded_avoids: u64,
-    /// Replica copies created under serving, by the epoch planner and by
-    /// demand fills at `ct_start`.
-    pub replica_promotions: u64,
-    /// Objects whose extra replicas were dropped at an epoch boundary
-    /// because their measured read fraction fell below the demote
-    /// threshold.
-    pub replica_demotions: u64,
-    /// Replica copies invalidated by a write at `ct_start`.
-    pub replica_invalidations: u64,
-    /// Operations served from a non-primary copy of a replicated object.
-    pub replica_served: u64,
     /// Percentiles of per-operation busy cycles seen at `ct_end`, from the
     /// policy's fixed-memory latency histogram.
     pub op_latency: LatencySummary,
-}
-
-/// Iterates the set bits of a core bitmask in ascending core order,
-/// without allocating — used on the `ct_start` hot path.
-fn mask_bits(mut mask: u64) -> impl Iterator<Item = CoreId> {
-    std::iter::from_fn(move || {
-        if mask == 0 {
-            return None;
-        }
-        let core = mask.trailing_zeros();
-        mask &= mask - 1;
-        Some(core)
-    })
 }
 
 /// The fault plane's counter detector: cores that were busy this epoch
@@ -126,9 +103,6 @@ pub struct O2Policy {
     cfg: CoreTimeConfig,
     registry: ObjectRegistry,
     table: AssignmentTable,
-    /// Most copies of one object, the primary included: one per core, so
-    /// the hottest object can earn a local copy everywhere.
-    max_copies: u32,
     stats: O2Stats,
     /// Cores the fault plane took permanently offline.
     offline_mask: u64,
@@ -145,11 +119,6 @@ pub struct O2Policy {
     /// Fixed-memory histogram of per-operation busy cycles, recorded at
     /// `ct_end`. Pure observation: it never feeds a placement decision.
     op_latency: LatencyRecorder,
-    /// Rotation counter for replica selection under `serve_from_replicas`:
-    /// advanced once per multi-copy selection so equal-distance copies
-    /// take turns deterministically instead of funnelling onto the lowest
-    /// core id.
-    replica_rotor: u64,
 }
 
 impl O2Policy {
@@ -157,30 +126,28 @@ impl O2Policy {
     /// L2-plus-L3-share budget scaled by [`CAPACITY_FRACTION`] as its
     /// packing capacity.
     pub fn new(machine: &MachineConfig, cfg: CoreTimeConfig) -> Self {
-        cfg.validate().expect("invalid CoreTime configuration");
         let per_core = (machine.per_core_budget_bytes() as f64 * CAPACITY_FRACTION) as u64;
         let cores = machine.total_cores();
         Self {
             cfg,
             registry: ObjectRegistry::new(machine.line_size),
             table: AssignmentTable::new(vec![per_core; cores as usize]),
-            max_copies: cores,
             stats: O2Stats::default(),
             offline_mask: 0,
             degraded_mask: 0,
             detected_mask: 0,
             fault_plane_armed: false,
             op_latency: LatencyRecorder::default(),
-            replica_rotor: 0,
         }
     }
 
-    /// Cores `ct_start` refuses to migrate to: offline cores, cores with
-    /// an announced slowdown past the threshold, and cores the counter
-    /// detector flagged this epoch.
+    /// Whether the fault plane rules `core` out: offline, announced slower
+    /// than the threshold, or flagged by the counter detector this epoch.
+    /// `ct_start` neither migrates to such a core nor runs in place on it.
     #[inline]
-    fn avoid_mask(&self) -> u64 {
-        self.offline_mask | self.degraded_mask | self.detected_mask
+    fn avoids(&self, core: CoreId) -> bool {
+        let mask = self.offline_mask | self.degraded_mask | self.detected_mask;
+        core < 64 && (mask >> core) & 1 != 0
     }
 
     /// Creates a CoreTime policy with the default configuration.
@@ -254,123 +221,44 @@ impl SchedPolicy for O2Policy {
     }
 
     fn on_ct_start(&mut self, ctx: &OpContext<'_>) -> Placement {
-        let serving = self.cfg.serve_from_replicas;
-        if serving && ctx.kind == AccessKind::Write {
-            // First write to a replicated object: every non-primary copy
-            // is invalidated *before* the operation runs, so no stale
-            // replica can be read afterwards; the copies' budget comes
-            // back immediately. The write itself runs in place — the
-            // hardware invalidates the other caches' lines line-by-line
-            // as the store stream touches them, and measurement showed
-            // routing writes to the primary only adds a migration round
-            // trip on top of that coherence traffic (closed loop: −9%
-            // throughput; open loop: +62% arrival p99).
-            let dropped = self.table.drop_replicas(ctx.object);
-            self.stats.replica_invalidations += u64::from(dropped);
-            self.stats.local_operations += 1;
-            return Placement::Local;
-        }
-        let replicas = self.table.replicas(ctx.object);
-        if replicas.is_empty() {
-            self.stats.local_operations += 1;
-            return Placement::Local;
-        }
-        // Drop copies on cores the fault plane ruled out. With no faults
-        // `avoid_mask()` is zero and this is the full replica set.
-        let usable = replicas.mask() & !self.avoid_mask();
-        if usable == 0 {
-            // Every copy lives on a degraded or dead core: run in place
-            // and let the object's lines move — the flip from thread
-            // migration to data movement.
-            if replication::nearest_replica(replicas.iter(), ctx.core, |a, b| {
-                ctx.machine.hops_between_cores(a, b)
-            }) != Some(ctx.core)
-            {
-                self.stats.degraded_avoids += 1;
-            }
-            self.stats.local_operations += 1;
-            return Placement::Local;
-        }
-        // Serving-mode reads at a core with no local copy but with cap
-        // headroom: demand-fill. A qualifying read leaves a replica on
-        // this core and runs in place — the read-sharing refill of a
-        // write-invalidate protocol. The simulator charges the refill
-        // honestly (this core's first fetch of the object's lines is
-        // remote), and the next write drops the copies again. The heat
-        // gate decides the serving tier: an object re-read on every core
-        // within its cache lifetime (`ops ≥ replication_hot_ops` per
-        // epoch) is worth a copy per core, and because the op counters
-        // survive a write, the head re-fills immediately after each
-        // invalidation instead of convoying on its primary until the next
-        // epoch's promotion pass. Reads that do not qualify (or find the
-        // budget full) still run in place: measurement showed every
-        // migration variant — reads to the primary, reads to mid-tier
-        // copies — loses to letting the hardware fetch the lines, because
-        // a migration round trip costs more than the remote fetch it
-        // avoids unless the target's L2 is provably warm.
-        if serving
-            && ctx.kind == AccessKind::Read
-            && usable & (1u64 << ctx.core) == 0
-            && self.avoid_mask() & (1u64 << ctx.core) == 0
-            && replicas.mask().count_ones() < self.max_copies
-        {
-            let qualifies = self.registry.get(ctx.object).is_some_and(|info| {
-                let ops = info.ops_this_epoch.max(info.ops_last_epoch);
-                earns_replicas(info, ops, self.cfg.replication_hot_ops)
-            });
-            if qualifies && self.table.add_replica(ctx.object, ctx.core) {
-                self.stats.replica_promotions += 1;
-                self.stats.replica_served += 1;
-            }
-            self.stats.local_operations += 1;
-            return Placement::Local;
-        }
-        // What reaches the selector: serving-mode reads at a core that
-        // already holds a copy (the local copy wins), reads at a
-        // fault-avoided core (migrate off the degraded core), reads of a
-        // cap-saturated object (rotate across its k copies), and — with
-        // serving off — every operation on an assigned object (migrate to
-        // its one home).
-        // Invariant: `usable != 0` was checked above, so the bit iterator
-        // yields at least one core and both selectors return `Some`.
-        debug_assert!(usable != 0);
-        let target = if serving && usable.count_ones() > 1 {
-            // Serving spreads distance ties across copies with a rotation
-            // counter; a lowest-core-id tie-break would re-serialize a
-            // fully replicated object onto one core.
-            let rotor = self.replica_rotor;
-            self.replica_rotor = self.replica_rotor.wrapping_add(1);
-            replication::select_replica_rotated(
-                usable,
-                ctx.core,
-                |a, b| ctx.machine.hops_between_cores(a, b),
-                rotor,
-            )
-            .expect("non-empty replica list")
+        let target = if self.cfg.run_in_place && !self.avoids(ctx.core) {
+            // In place: the operation runs where its thread is, and the
+            // hardware fetches the object's lines.
+            None
         } else {
-            replication::nearest_replica(mask_bits(usable), ctx.core, |a, b| {
-                ctx.machine.hops_between_cores(a, b)
-            })
-            .expect("non-empty replica list")
+            match self.table.primary(ctx.object) {
+                // The hardware manages an unassigned object.
+                None => None,
+                // The home is offline, slowed or flagged by the counter
+                // detector: run in place and let the object's lines move —
+                // the flip from thread migration to data movement.
+                Some(home) if self.avoids(home) => {
+                    if home != ctx.core {
+                        self.stats.degraded_avoids += 1;
+                    }
+                    None
+                }
+                Some(home) => Some(home),
+            }
         };
-        if serving && Some(target) != self.table.primary(ctx.object) {
-            self.stats.replica_served += 1;
-        }
-        if target == ctx.core {
-            self.stats.local_operations += 1;
-            Placement::Local
-        } else {
-            self.stats.migrations_requested += 1;
-            Placement::On(target)
+        match target {
+            Some(home) if home != ctx.core => {
+                self.stats.migrations_requested += 1;
+                Placement::On(home)
+            }
+            _ => {
+                self.stats.local_operations += 1;
+                Placement::Local
+            }
         }
     }
 
     fn on_ct_end(&mut self, ctx: &OpContext<'_>, delta: &CounterDelta) {
         self.op_latency.record(delta.busy_cycles);
         let misses = delta.object_fetch_misses();
-        let info =
-            self.registry
-                .record_op(ctx.object, ctx.object_key, misses, EWMA_ALPHA, ctx.kind);
+        let info = self
+            .registry
+            .record_op(ctx.object, ctx.object_key, misses, EWMA_ALPHA);
         let assigned = self.table.is_assigned(ctx.object);
         let decision = verdict(info, assigned);
         if decision == MonitorVerdict::Assign {
@@ -380,53 +268,6 @@ impl SchedPolicy for O2Policy {
 
     fn on_epoch(&mut self, view: &EpochView<'_>) -> Vec<PolicyCommand> {
         self.stats.epochs += 1;
-        self.registry.roll_epoch();
-
-        let mut commands = Vec::new();
-        if self.cfg.serve_from_replicas {
-            // Demote first (a cooled-off object's copies come back to the
-            // budget this epoch), then promote the hot read-heavy head
-            // proportionally to its heat. Avoided cores never receive new
-            // copies, so replica sets stay on live cores under the fault
-            // plane.
-            for object in replication::plan_demotions(&self.table, &self.registry) {
-                if self.table.drop_replicas(object) > 0 {
-                    self.stats.replica_demotions += 1;
-                }
-            }
-            let hot_ops = self.cfg.replication_hot_ops;
-            let avoid = self.avoid_mask();
-            for r in replication::plan_promotions(
-                hot_ops,
-                self.max_copies,
-                &self.table,
-                &self.registry,
-                avoid,
-            ) {
-                if self.table.add_replica(r.object, r.core) {
-                    self.stats.replica_promotions += 1;
-                    // Promotion's data-movement half: a copy created at an
-                    // epoch boundary is *cold* — the core has not touched
-                    // the object since its last invalidation — so it is
-                    // the most profitable fill and goes to the front of
-                    // the engine's idle-time queue.
-                    commands.push(PolicyCommand::FillReplica {
-                        object: r.object,
-                        core: r.core,
-                    });
-                }
-            }
-            // Behind the cold copies, refresh every copy of the serving
-            // head: lines decayed by capacity evictions or partial
-            // invalidations re-stream cheaply, and a saturated run never
-            // finds a gap so the commands cost nothing there.
-            commands.extend(
-                replication::plan_fills(hot_ops, &self.table, &self.registry, avoid)
-                    .into_iter()
-                    .map(|(object, core)| PolicyCommand::FillReplica { object, core }),
-            );
-        }
-
         // A core completing operations at a fraction of its peers' rate
         // per busy cycle is treated exactly like a core with an announced
         // slowdown — `ct_start` stops migrating there until the counters
@@ -442,8 +283,7 @@ impl SchedPolicy for O2Policy {
                 }
             }
         }
-
-        commands
+        Vec::new()
     }
 
     fn core_down(&mut self, core: CoreId) {
@@ -500,15 +340,6 @@ impl SchedPolicy for O2Policy {
             degraded_avoids: self.stats.degraded_avoids,
         }
     }
-
-    fn replication_stats(&self) -> PolicyReplicationStats {
-        PolicyReplicationStats {
-            promotions: self.stats.replica_promotions,
-            demotions: self.stats.replica_demotions,
-            invalidations: self.stats.replica_invalidations,
-            replica_served: self.stats.replica_served,
-        }
-    }
 }
 
 impl std::fmt::Debug for O2Policy {
@@ -525,8 +356,8 @@ impl std::fmt::Debug for O2Policy {
 mod tests {
     use super::*;
     use o2_runtime::{
-        Action, BehaviourCtx, Engine, ObjectDescriptor, OpBehaviour, OpBuilder, OpGenerator,
-        RuntimeConfig,
+        AccessKind, Action, BehaviourCtx, Engine, ObjectDescriptor, OpBehaviour, OpBuilder,
+        OpGenerator, RuntimeConfig,
     };
     use o2_sim::{ContentionModel, Machine};
 
@@ -888,229 +719,43 @@ mod tests {
         assert!(dbg.contains("O2Policy"));
     }
 
-    /// The scale scenarios' serving configuration for one object: two ops
-    /// per epoch make an object hot, and on the quad test machine every
-    /// one of the four cores may hold a copy.
-    fn serving_config() -> CoreTimeConfig {
-        CoreTimeConfig::default().with_serving(1)
-    }
-
-    /// Runs one expensive operation on object 0 from `core` with the
-    /// given access kind, through both halves of the ct interface.
-    fn serving_op(
-        policy: &mut O2Policy,
-        machine: &Machine,
-        core: u32,
-        kind: AccessKind,
-    ) -> Placement {
-        let ctx = OpContext {
-            thread: core as usize,
-            core,
-            home_core: core,
-            object: 0,
-            object_key: 0x1000,
-            kind,
-            now: 0,
-            machine,
+    #[test]
+    fn in_place_runs_healthy_cores_locally_and_avoided_ones_by_the_home_rule() {
+        let machine = quad_machine();
+        let mut policy = O2Policy::new(machine.config(), CoreTimeConfig::in_place());
+        // Three equal objects placed in order land on cores 0, 1 and 2.
+        for dense in 0..3u32 {
+            let key = 0x1000 * (u64::from(dense) + 1);
+            policy.register_object(dense, &ObjectDescriptor::new(key, key, 32 * 1024));
+            expensive_op(&mut policy, &machine, dense, key);
+        }
+        assert_eq!(policy.table().primary(2), Some(2));
+        let from_core_0 = |policy: &mut O2Policy, kind| {
+            policy.on_ct_start(&OpContext {
+                thread: 0,
+                core: 0,
+                home_core: 0,
+                object: 2,
+                object_key: 0x3000,
+                kind,
+                now: 0,
+                machine: &machine,
+            })
         };
-        let placement = policy.on_ct_start(&ctx);
-        let delta = CounterDelta {
-            l2_misses: 5_000,
-            busy_cycles: 500_000,
-            ..Default::default()
-        };
-        policy.on_ct_end(&ctx, &delta);
-        placement
-    }
-
-    /// Assigns object 0 and spreads a copy onto every core via the
-    /// demand-fill path; returns the primary core.
-    fn replicate_everywhere(policy: &mut O2Policy, machine: &Machine) -> u32 {
-        policy.register_object(0, &ObjectDescriptor::new(0x1000, 0x1000, 32 * 1024));
-        for _ in 0..5 {
-            serving_op(policy, machine, 0, AccessKind::Read);
+        // A healthy core runs reads and writes where they are.
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            assert_eq!(from_core_0(&mut policy, kind), Placement::Local);
         }
-        assert!(policy.table().is_assigned(0), "reads never assigned");
-        let primary = policy.table().primary(0).expect("assigned");
-        for core in 0..4 {
-            serving_op(policy, machine, core, AccessKind::Read);
-        }
-        assert_eq!(policy.table().replicas(0).len(), 4);
-        primary
-    }
-
-    #[test]
-    fn first_write_invalidates_every_replica_and_frees_the_budget() {
-        let machine = quad_machine();
-        let mut policy = O2Policy::new(machine.config(), serving_config());
-        let primary = replicate_everywhere(&mut policy, &machine);
-        for core in 0..4u32 {
-            assert_eq!(
-                policy.table().used_bytes(core),
-                32 * 1024,
-                "core {core} does not charge its copy"
-            );
-        }
-        // The first write runs in place, and by the time it does, every
-        // non-primary copy is already gone — no stale replica can serve a
-        // read afterwards.
-        let placement = serving_op(&mut policy, &machine, (primary + 2) % 4, AccessKind::Write);
-        assert_eq!(placement, Placement::Local);
-        assert_eq!(policy.stats().replica_invalidations, 3);
-        assert_eq!(policy.table().replicas(0).len(), 1);
-        assert_eq!(policy.table().primary(0), Some(primary));
-        // The dropped copies' bytes return to the packing budget at once.
-        for core in 0..4u32 {
-            let expected = if core == primary { 32 * 1024 } else { 0 };
-            assert_eq!(policy.table().used_bytes(core), expected);
-        }
-    }
-
-    #[test]
-    fn alternating_reads_and_writes_hold_the_hysteresis_band() {
-        let machine = quad_machine();
-        let mut policy = O2Policy::new(machine.config(), serving_config());
-        replicate_everywhere(&mut policy, &machine);
-        // Alternating read/write accounting traffic settles the EWMA into
-        // the (0.40, 0.60) band — strictly between the thresholds — so
-        // twenty epochs of it must neither demote the copies nor flap
-        // them down and up.
-        let idle = vec![CounterDelta::default(); 4];
-        let promotions_before = policy.stats().replica_promotions;
-        for epoch in 0..20u64 {
-            for i in 0..10 {
-                let kind = if i % 2 == 0 {
-                    AccessKind::Read
-                } else {
-                    AccessKind::Write
-                };
-                let ctx = OpContext {
-                    thread: 0,
-                    core: 0,
-                    home_core: 0,
-                    object: 0,
-                    object_key: 0x1000,
-                    kind,
-                    now: epoch * 100_000,
-                    machine: &machine,
-                };
-                let delta = CounterDelta {
-                    l2_misses: 100,
-                    busy_cycles: 10_000,
-                    ..Default::default()
-                };
-                policy.on_ct_end(&ctx, &delta);
-            }
-            policy.on_epoch(&EpochView {
-                now: (epoch + 1) * 100_000,
-                machine: &machine,
-                deltas: &idle,
-            });
-        }
-        assert_eq!(policy.stats().replica_demotions, 0, "band traffic demoted");
-        assert_eq!(
-            policy.stats().replica_promotions,
-            promotions_before,
-            "band traffic re-promoted"
-        );
-        assert_eq!(policy.table().replicas(0).len(), 4);
-        // A sustained write-only phase leaves the band: exactly one
-        // demotion tears the copies down to the primary.
-        for epoch in 20..24u64 {
-            for _ in 0..10 {
-                let ctx = OpContext {
-                    thread: 0,
-                    core: 0,
-                    home_core: 0,
-                    object: 0,
-                    object_key: 0x1000,
-                    kind: AccessKind::Write,
-                    now: epoch * 100_000,
-                    machine: &machine,
-                };
-                policy.on_ct_end(
-                    &ctx,
-                    &CounterDelta {
-                        l2_misses: 100,
-                        busy_cycles: 10_000,
-                        ..Default::default()
-                    },
-                );
-            }
-            policy.on_epoch(&EpochView {
-                now: (epoch + 1) * 100_000,
-                machine: &machine,
-                deltas: &idle,
-            });
-        }
-        assert_eq!(policy.stats().replica_demotions, 1);
-        assert_eq!(policy.table().replicas(0).len(), 1);
-    }
-
-    #[test]
-    fn replica_sets_stay_on_live_cores_under_the_fault_plane() {
-        let machine = quad_machine();
-        let mut policy = O2Policy::new(machine.config(), serving_config());
-        let primary = replicate_everywhere(&mut policy, &machine);
-        let dead = (primary + 1) % 4;
-        policy.core_down(dead);
-        assert_eq!(
-            policy.table().replicas(0).mask() & (1 << dead),
-            0,
-            "dead core still holds a copy"
-        );
-        // A demand read arriving on the dead core must not re-create a
-        // copy there (the thread is being drained; placement still works).
-        serving_op(&mut policy, &machine, dead, AccessKind::Read);
-        assert_eq!(policy.table().replicas(0).mask() & (1 << dead), 0);
-        // Hot read traffic on the survivors re-spreads the object, but
-        // only across live cores — both the demand path and the epoch
-        // promotion planner respect the avoid mask.
-        let idle = vec![CounterDelta::default(); 4];
-        for epoch in 0..3u64 {
-            for core in 0..4u32 {
-                if core != dead {
-                    serving_op(&mut policy, &machine, core, AccessKind::Read);
-                }
-            }
-            policy.on_epoch(&EpochView {
-                now: (epoch + 1) * 100_000,
-                machine: &machine,
-                deltas: &idle,
-            });
-        }
-        let mask = policy.table().replicas(0).mask();
-        assert_eq!(mask & (1 << dead), 0, "promotion targeted a dead core");
-        assert_eq!(mask.count_ones(), 3, "survivors did not all regain copies");
-    }
-
-    #[test]
-    fn cap_saturated_reads_rotate_across_every_copy() {
-        let machine = quad_machine();
-        let mut policy = O2Policy::new(machine.config(), serving_config());
-        // Every core holds a copy: the cap of one copy per core is reached.
-        let primary = replicate_everywhere(&mut policy, &machine);
-        let slow = (primary + 1) % 4;
-        // Reads from a core that holds a copy run on it.
-        assert_eq!(
-            serving_op(&mut policy, &machine, slow, AccessKind::Read),
-            Placement::Local
-        );
-        // Once that core is degraded its own copy is off limits and no
-        // new copy can be made: its reads must rotate across the three
-        // usable copies instead of funnelling onto one core.
-        policy.core_degraded(slow, 400);
-        let mut per_copy = [0u64; 4];
-        for _ in 0..99 {
-            match serving_op(&mut policy, &machine, slow, AccessKind::Read) {
-                Placement::On(core) => per_copy[core as usize] += 1,
-                Placement::Local => panic!("a degraded core ran a read locally"),
-            }
-        }
-        assert_eq!(per_copy[slow as usize], 0, "{per_copy:?}");
-        for core in (0..4).filter(|&c| c != slow) {
-            assert_eq!(per_copy[core as usize], 33, "{per_copy:?}");
-        }
-        assert!(policy.stats().replica_served > 0);
+        // An avoided core's operations migrate to the object's home.
+        policy.core_degraded(0, 400);
+        assert_eq!(from_core_0(&mut policy, AccessKind::Read), Placement::On(2));
+        // With the home avoided as well, they run locally, and the skipped
+        // migration counts as a degraded avoid.
+        policy.core_degraded(2, 400);
+        assert_eq!(from_core_0(&mut policy, AccessKind::Read), Placement::Local);
+        let s = policy.stats();
+        assert_eq!(s.migrations_requested, 1);
+        assert_eq!(s.local_operations, 3);
+        assert_eq!(s.degraded_avoids, 1);
     }
 }

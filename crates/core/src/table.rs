@@ -6,19 +6,18 @@
 //! the greedy cache-packing algorithm consumes.
 //!
 //! The table is a flat slab indexed by dense object id: one
-//! [`AssignmentSlot`] per object holding the primary core and an inline
-//! bitmask of every core with a copy. The `ct_start` lookup is two array
-//! reads and the whole decision path allocates nothing — the previous
-//! implementation kept a `HashMap<ObjectId, Vec<CoreId>>` and paid a hash
-//! plus a heap-allocated core list per object.
+//! [`AssignmentSlot`] per object holding its home core and the bytes it
+//! was charged at. The `ct_start` lookup is one array read and the whole
+//! decision path allocates nothing — the previous implementation kept a
+//! `HashMap<ObjectId, Vec<CoreId>>` and paid a hash plus a heap-allocated
+//! core list per object.
 
 use o2_runtime::{CoreId, DenseObjectId};
 
 /// Sentinel primary core for "not assigned".
 const NO_CORE: CoreId = CoreId::MAX;
 
-/// Per-object assignment state: the primary core, a bitmask of every
-/// core holding a copy (primary included), and the bytes each copy was
+/// Per-object assignment state: the home core and the bytes it was
 /// charged at. Kept inline in the table's slab.
 ///
 /// Recording the charged size in the slot makes release exact: an
@@ -29,14 +28,12 @@ const NO_CORE: CoreId = CoreId::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentSlot {
     primary: CoreId,
-    cores: u64,
     bytes: u64,
 }
 
 impl AssignmentSlot {
     const VACANT: AssignmentSlot = AssignmentSlot {
         primary: NO_CORE,
-        cores: 0,
         bytes: 0,
     };
 
@@ -45,48 +42,7 @@ impl AssignmentSlot {
     }
 }
 
-/// The set of cores holding an object, as an inline bitmask. Iteration is
-/// in ascending core order; all set operations are branch-free bit tricks,
-/// so `ct_start` never touches the heap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreSet(u64);
-
-impl CoreSet {
-    /// Whether no core holds the object.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of cores holding the object.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// Whether `core` holds a copy.
-    pub fn contains(self, core: CoreId) -> bool {
-        core < 64 && self.0 & (1u64 << core) != 0
-    }
-
-    /// The cores in the set, ascending.
-    pub fn iter(self) -> impl Iterator<Item = CoreId> {
-        let mut bits = self.0;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                return None;
-            }
-            let core = bits.trailing_zeros();
-            bits &= bits - 1;
-            Some(core)
-        })
-    }
-
-    /// The raw bitmask.
-    pub fn mask(self) -> u64 {
-        self.0
-    }
-}
-
-/// The assignment table: object → one primary core plus optional replicas.
+/// The assignment table: object → one home core.
 #[derive(Debug, Clone)]
 pub struct AssignmentTable {
     /// Assignment slot per dense object id.
@@ -95,10 +51,10 @@ pub struct AssignmentTable {
     used_bytes: Vec<u64>,
     /// Per-core capacity budgets in bytes.
     capacities: Vec<u64>,
-    /// Objects assigned to each core (primary or replica), in assignment
-    /// order. Its one production reader is `O2Policy::core_down`, which
-    /// re-homes a dead core's objects in this order; the per-operation
-    /// path never reads it.
+    /// Objects assigned to each core, in assignment order. Its one
+    /// production reader is `O2Policy::core_down`, which re-homes a dead
+    /// core's objects in this order; the per-operation path never reads
+    /// it.
     per_core: Vec<Vec<DenseObjectId>>,
     /// Number of currently assigned objects.
     assigned: usize,
@@ -169,12 +125,6 @@ impl AssignmentTable {
         s.is_assigned().then_some(s.primary)
     }
 
-    /// Every core holding the object (primary included), as a bitmask set.
-    #[inline]
-    pub fn replicas(&self, object: DenseObjectId) -> CoreSet {
-        CoreSet(self.slot(object).cores)
-    }
-
     /// Whether the object is assigned anywhere.
     #[inline]
     pub fn is_assigned(&self, object: DenseObjectId) -> bool {
@@ -216,19 +166,19 @@ impl AssignmentTable {
         self.capacities[core as usize] = bytes;
     }
 
-    /// Objects assigned (primary or replica) to a core, in assignment
+    /// Objects assigned to a core, in assignment
     /// order — the order in which `O2Policy::core_down` re-homes them, so
     /// changing it moves the placements of runs that take a core offline.
     pub fn objects_on(&self, core: CoreId) -> &[DenseObjectId] {
         &self.per_core[core as usize]
     }
 
-    /// Assigns an object of `size` bytes to `core` as its primary location.
-    /// Any previous assignment (including replicas) is removed first.
+    /// Assigns an object of `size` bytes to `core` as its home. Any
+    /// previous assignment is removed first.
     /// Returns `false` (leaving the table unchanged) if the core lacks
     /// space.
     pub fn assign(&mut self, object: DenseObjectId, size: u64, core: CoreId) -> bool {
-        if self.free_bytes(core) < size && !self.replicas(object).contains(core) {
+        if self.free_bytes(core) < size && self.primary(object) != Some(core) {
             return false;
         }
         self.unassign(object);
@@ -248,77 +198,34 @@ impl AssignmentTable {
         self.per_core[core as usize].push(object);
         *self.slot_mut(object) = AssignmentSlot {
             primary: core,
-            cores: 1u64 << core,
             bytes: size,
         };
         self.assigned += 1;
     }
 
-    /// The bytes an object was charged at when it was assigned (the size
-    /// of each of its copies in the budget accounting), if assigned.
+    /// The bytes an object was charged at when it was assigned, if
+    /// assigned.
     pub fn charged_bytes(&self, object: DenseObjectId) -> Option<u64> {
         let s = self.slot(object);
         s.is_assigned().then_some(s.bytes)
     }
 
-    /// Adds a replica of an already-assigned object on another core,
-    /// charged at the same size as the primary copy. Returns `false` if
-    /// the object is unassigned, the core lacks space, or the core
-    /// already holds a copy.
-    pub fn add_replica(&mut self, object: DenseObjectId, core: CoreId) -> bool {
-        let s = self.slot(object);
-        if !s.is_assigned() || CoreSet(s.cores).contains(core) || self.free_bytes(core) < s.bytes {
-            return false;
-        }
-        self.slot_mut(object).cores |= 1u64 << core;
-        self.used_bytes[core as usize] += s.bytes;
-        self.per_core[core as usize].push(object);
-        true
-    }
-
-    /// Drops every non-primary copy of an object, releasing exactly the
-    /// bytes each copy was charged at while leaving the primary assignment
-    /// untouched. This is the first-write invalidation path: a write to a
-    /// replicated object must retire the stale copies before it runs.
-    /// Returns the number of copies dropped (zero if the object is
-    /// unassigned or unreplicated).
-    pub fn drop_replicas(&mut self, object: DenseObjectId) -> u32 {
-        let s = self.slot(object);
-        if !s.is_assigned() {
-            return 0;
-        }
-        let extras = s.cores & !(1u64 << s.primary);
-        if extras == 0 {
-            return 0;
-        }
-        for core in CoreSet(extras).iter() {
-            let c = core as usize;
-            self.used_bytes[c] = self.used_bytes[c].saturating_sub(s.bytes);
-            self.per_core[c].retain(|&o| o != object);
-        }
-        self.slot_mut(object).cores = 1u64 << s.primary;
-        extras.count_ones()
-    }
-
-    /// Removes an object (and all its replicas) from the table, releasing
-    /// exactly the bytes each copy was charged at. Returns whether it was
-    /// assigned.
+    /// Removes an object from the table, releasing exactly the bytes it
+    /// was charged at. Returns whether it was assigned.
     pub fn unassign(&mut self, object: DenseObjectId) -> bool {
         let s = self.slot(object);
         if !s.is_assigned() {
             return false;
         }
-        for core in CoreSet(s.cores).iter() {
-            let c = core as usize;
-            self.used_bytes[c] = self.used_bytes[c].saturating_sub(s.bytes);
-            self.per_core[c].retain(|&o| o != object);
-        }
+        let c = s.primary as usize;
+        self.used_bytes[c] = self.used_bytes[c].saturating_sub(s.bytes);
+        self.per_core[c].retain(|&o| o != object);
         *self.slot_mut(object) = AssignmentSlot::VACANT;
         self.assigned -= 1;
         true
     }
 
-    /// Total bytes assigned across all cores (replicas counted).
+    /// Total bytes assigned across all cores.
     pub fn total_assigned_bytes(&self) -> u64 {
         self.used_bytes.iter().sum()
     }
@@ -369,52 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn replicas_occupy_space_on_each_core() {
-        let mut t = table();
-        t.assign(1, 300, 0);
-        assert!(t.add_replica(1, 1));
-        assert!(t.add_replica(1, 2));
-        // Already replicated there.
-        assert!(!t.add_replica(1, 1));
-        assert_eq!(t.replicas(1).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(t.replicas(1).len(), 3);
-        assert!(t.replicas(1).contains(2));
-        assert!(!t.replicas(1).contains(3));
-        assert_eq!(t.total_assigned_bytes(), 900);
-        // Unassign removes every copy.
-        t.unassign(1);
-        assert_eq!(t.total_assigned_bytes(), 0);
-        assert!(t.objects_on(1).is_empty());
-        assert!(t.replicas(1).is_empty());
-    }
-
-    #[test]
-    fn replica_of_unassigned_object_fails() {
-        let mut t = table();
-        assert!(!t.add_replica(5, 0));
-    }
-
-    #[test]
-    fn drop_replicas_keeps_the_primary_and_frees_each_copys_budget() {
-        let mut t = table();
-        t.assign(1, 300, 0);
-        assert!(t.add_replica(1, 1));
-        assert!(t.add_replica(1, 3));
-        assert_eq!(t.total_assigned_bytes(), 900);
-        assert_eq!(t.drop_replicas(1), 2);
-        assert_eq!(t.primary(1), Some(0));
-        assert_eq!(t.replicas(1).iter().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(t.used_bytes(0), 300, "the primary copy stays charged");
-        assert_eq!(t.used_bytes(1), 0);
-        assert_eq!(t.used_bytes(3), 0);
-        assert!(t.objects_on(1).is_empty());
-        assert!(t.objects_on(3).is_empty());
-        // Unreplicated and unassigned objects drop nothing.
-        assert_eq!(t.drop_replicas(1), 0);
-        assert_eq!(t.drop_replicas(9), 0);
-    }
-
-    #[test]
     fn assign_unchecked_can_overflow() {
         let mut t = table();
         t.assign_unchecked(1, 5000, 0);
@@ -452,29 +313,12 @@ mod tests {
         assert!(t.unassign(1));
         assert_eq!(t.used_bytes(2), 300, "object 2's bytes must survive");
         assert_eq!(t.charged_bytes(1), None);
-        // Replicas are charged at the primary's assign-time size too.
-        t.assign(3, 250, 0);
-        assert!(t.add_replica(3, 1));
-        assert_eq!(t.used_bytes(1), 250);
-        t.unassign(3);
-        assert_eq!(t.used_bytes(0) + t.used_bytes(1), 0);
-        assert_eq!(t.used_bytes(2), 300);
     }
 
     #[test]
     fn lookups_past_the_slab_end_are_unassigned() {
         let t = table();
         assert_eq!(t.primary(1_000_000), None);
-        assert!(t.replicas(1_000_000).is_empty());
         assert!(!t.is_assigned(1_000_000));
-    }
-
-    #[test]
-    fn core_set_iteration_is_ascending() {
-        let s = CoreSet(0b1010_0001);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 7]);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
-        assert!(CoreSet::default().is_empty());
     }
 }

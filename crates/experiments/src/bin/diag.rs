@@ -93,13 +93,4 @@ fn main() {
     println!("objects re-homed  : {}", f.objects_rehomed);
     println!("objects stranded  : {}", f.objects_stranded);
     println!("degraded avoids   : {}", f.degraded_avoids);
-
-    let r = engine.policy().replication_stats();
-    println!("-- replica serving --");
-    println!("promotions        : {}", r.promotions);
-    println!("demotions         : {}", r.demotions);
-    println!("invalidations     : {}", r.invalidations);
-    println!("replica-served ops: {}", r.replica_served);
-    println!("background fills  : {}", s.replica_fills);
-    println!("fill cycles       : {}", s.replica_fill_cycles);
 }

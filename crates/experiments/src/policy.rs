@@ -50,8 +50,8 @@ impl PolicyKind {
         }
     }
 
-    /// Builds a CoreTime policy with an explicit configuration (replica
-    /// serving); other kinds ignore the configuration.
+    /// Builds a CoreTime policy with an explicit configuration (running in
+    /// place); other kinds ignore the configuration.
     pub fn build_with_coretime_config(
         &self,
         machine: &MachineConfig,

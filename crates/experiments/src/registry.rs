@@ -981,20 +981,20 @@ pub fn scale_spec_for(n_objects: u64, seed: u64) -> ScaleSpec {
     spec.warmup_ops = 2_000;
     spec.measure_cycles = 2_000_000;
     // The scale tier models a read-mostly store (caches, key-value front
-    // ends): 95% of operations on an object are reads, so the Zipf head
-    // is exactly the shape replica serving exists for. A read_fraction of
+    // ends): 95% of operations on an object are reads. A read_fraction of
     // 0 reproduces the pre-mix all-write stream bit-for-bit.
     spec.read_fraction = 0.95;
     spec.seed = seed;
     spec
 }
 
-/// The CoreTime configuration of the replica-serving scenarios
-/// (`fig_scale`, `fig_web` and `benchmark/`'s `scale_zipf`):
-/// [`CoreTimeConfig::with_serving`] for `n_objects` objects. Non-CoreTime
-/// kinds ignore the configuration.
-pub fn serving_coretime_config(_kind: PolicyKind, n_objects: u64) -> CoreTimeConfig {
-    CoreTimeConfig::default().with_serving(n_objects)
+/// The CoreTime configuration of `fig_scale`, `fig_web` and
+/// `benchmark/`'s `scale_zipf`: [`CoreTimeConfig::in_place`], whatever
+/// the object count. Non-CoreTime kinds ignore the configuration. The
+/// arguments are a shim for the benchmark harness, which still passes
+/// them.
+pub fn serving_coretime_config(_kind: PolicyKind, _n_objects: u64) -> CoreTimeConfig {
+    CoreTimeConfig::in_place()
 }
 
 /// A recorded quantile `q` of `count` samples, printed only when at least
@@ -1014,18 +1014,16 @@ fn fig_scale_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult 
     let spec = scale_spec_for(n, seed);
     let machine = spec.machine.clone();
     let kind = policy_of(sc, se);
-    let policy = kind.build_with_coretime_config(&machine, serving_coretime_config(kind, n));
+    let policy = kind.build_with_coretime_config(&machine, CoreTimeConfig::in_place());
     let m = run_scale(spec, policy);
     let lat = m.service_latency;
-    let r = m.replication;
     CellResult {
         x: n as f64,
         y: m.kops_per_sec(),
         lines: vec![format!(
             "{} / {}: {:.0} kops/s, service latency p50 {} p99 {} p999 {} max {} cyc \
              over {} ops, footprint {:.2} MB over {} touched objects = {:.1} B/touched \
-             object, {} migrations | \
-             replicas: promoted {} demoted {} invalidated {} served {}",
+             object, {} migrations",
             sc.series[se].label,
             sc.points[pt].label,
             m.kops_per_sec(),
@@ -1038,10 +1036,6 @@ fn fig_scale_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult 
             m.touched_objects,
             m.bytes_per_touched_object(),
             m.migrations,
-            r.promotions,
-            r.demotions,
-            r.invalidations,
-            r.replica_served,
         )],
         migrations: Some(m.migrations),
     }
@@ -1070,10 +1064,8 @@ fn fig_scale(quick: bool) -> Scenario {
             ),
             ("threads".into(), "1 per core (16), closed loop".into()),
             (
-                "replication".into(),
-                "CoreTime serves reads from replicas (measured read fraction, \
-                 write-invalidate, rotated selection)"
-                    .into(),
+                "coretime".into(),
+                "every operation on a healthy core runs in place".into(),
             ),
             (
                 "latency".into(),
@@ -1131,7 +1123,7 @@ fn fig_scale_summary(sc: &Scenario, table: &SeriesTable, cells: &[CellResult]) -
         notes.push(format!(
             "CoreTime vs the thread scheduler across the sweep: {line} objects"
         ));
-        // The million-object cell is where the pre-replication policy
+        // The million-object cell is where the migrate-to-home policy
         // collapsed to ~0.4x; the verdict keys off it (or the largest cell
         // the sweep reaches in quick mode), and off what that cell
         // measured, not what CoreTime is expected to do.
@@ -1141,16 +1133,13 @@ fn fig_scale_summary(sc: &Scenario, table: &SeriesTable, cells: &[CellResult]) -
             .find(|&(x, _, _)| x >= 1e6)
             .unwrap_or(last);
         let verdict = match cell.migrations.expect("fig_scale cells count migrations") {
-            0 => "it migrated no operation there: replica serving ran every read in place, \
-                  so this compares the thread scheduler with and without replicas"
+            0 => "it migrated no operation there: every operation ran in place, so this \
+                  compares the thread scheduler with and without CoreTime's bookkeeping"
                 .to_string(),
-            n if ratio >= 1.0 => format!(
-                "{n} migrations, and serving the read-mostly head from replicas keeps the \
-                 hot objects parallel, so migration pays even at this scale"
-            ),
+            n if ratio >= 1.0 => format!("{n} migrations, and migration pays even at this scale"),
             n => format!(
-                "{n} migrations serialise the hot objects' home cores — the very limit \
-                 Sections 6.1/6.2 name, which replica serving is meant to lift"
+                "{n} migrations serialise the hot objects' home cores — the limit Sections \
+                 6.1/6.2 name"
             ),
         };
         notes.push(format!(
@@ -1185,10 +1174,7 @@ fn fig_web_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {
     let kind = policy_of(sc, se);
     let mut spec = WorkloadSpec::for_total_kb(sc.points[pt].value);
     spec.seed = seed;
-    let boxed = kind.build_with_coretime_config(
-        &spec.machine,
-        serving_coretime_config(kind, u64::from(spec.n_dirs)),
-    );
+    let boxed = kind.build_with_coretime_config(&spec.machine, CoreTimeConfig::in_place());
     let mix = fig_web_mix();
     let mut exp = Experiment::build_with(spec, boxed, move |spec, dirs, t| {
         Box::new(PathLookupGen::new_mixed(
@@ -1202,22 +1188,16 @@ fn fig_web_cell(sc: &Scenario, se: usize, pt: usize, seed: u64) -> CellResult {
         ))
     });
     let m = exp.run();
-    let r = exp.engine().policy().replication_stats();
     CellResult {
         x: m.total_kb(),
         y: m.kres_per_sec(),
         lines: vec![format!(
-            "{} / {}: {:.0} kres/s, {} migrations, lock contention {} | \
-             replicas: promoted {} demoted {} invalidated {} served {}",
+            "{} / {}: {:.0} kres/s, {} migrations, lock contention {}",
             sc.series[se].label,
             sc.points[pt].label,
             m.kres_per_sec(),
             m.migrations,
             m.lock_contention,
-            r.promotions,
-            r.demotions,
-            r.invalidations,
-            r.replica_served,
         )],
         migrations: None,
     }
@@ -1247,8 +1227,8 @@ fn fig_web(quick: bool) -> Scenario {
                 "3-component paths over 8 hot roots; 10% CGI with a 4 000-cycle script".into(),
             ),
             (
-                "replication".into(),
-                "CoreTime serves static lookups from replicas of the hot roots".into(),
+                "coretime".into(),
+                "every lookup on a healthy core runs in place".into(),
             ),
         ],
         series: PolicyKind::ALL
@@ -1428,58 +1408,6 @@ mod tests {
         let full: usize = registry(false).iter().map(Scenario::cell_count).sum();
         let quick: usize = registry(true).iter().map(Scenario::cell_count).sum();
         assert!(quick < full);
-    }
-
-    /// A shrunken `fig_scale` point for tests: same machine and mix, a
-    /// smaller object count and window.
-    fn small_scale_spec(open_gap: Option<f64>) -> ScaleSpec {
-        let mut spec = scale_spec_for(20_000, 7);
-        spec.warmup_ops = 500;
-        spec.measure_cycles = 1_000_000;
-        spec.open_loop_mean_gap = open_gap;
-        spec
-    }
-
-    fn serving_scale_run(open_gap: Option<f64>) -> (o2_workloads::ScaleMeasurement, u64) {
-        let spec = small_scale_spec(open_gap);
-        let policy = PolicyKind::CoreTime.build_with_coretime_config(
-            &spec.machine,
-            serving_coretime_config(PolicyKind::CoreTime, spec.n_objects),
-        );
-        let mut exp = o2_workloads::ScaleExperiment::build(spec, policy);
-        let m = exp.run();
-        let fills = exp.engine().sched_stats().replica_fills;
-        (m, fills)
-    }
-
-    #[test]
-    fn closed_loop_serving_replicates_the_head_but_never_fills() {
-        let (m, fills) = serving_scale_run(None);
-        assert!(m.window.ops > 0);
-        let r = m.replication;
-        assert!(r.promotions > 0, "serving tier never replicated the head");
-        assert!(r.replica_served > 0, "no operation used a replica");
-        assert!(r.invalidations > 0, "writes never invalidated a copy");
-        // Saturated cores have no idle gaps: background fills must not
-        // steal cycles from runnable work, ever.
-        assert_eq!(fills, 0, "a background fill ran in a closed loop");
-        // Same seed, same run — replica serving stays deterministic.
-        let (m2, fills2) = serving_scale_run(None);
-        assert_eq!((m.window.ops, m.service_latency, r), {
-            (m2.window.ops, m2.service_latency, m2.replication)
-        });
-        assert_eq!(fills2, 0);
-    }
-
-    #[test]
-    fn open_loop_serving_hides_fills_in_arrival_gaps() {
-        let (m, fills) = serving_scale_run(Some(8_000.0));
-        assert!(m.sleeps > 0, "open loop never slept");
-        assert!(
-            fills > 0,
-            "an idle open loop never drained a background fill"
-        );
-        assert!(m.replication.promotions > 0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 /// Size of one directory entry in bytes.
 pub const DIRENT_SIZE: usize = 32;
 
-/// Attribute flag: entry is a subdirectory.
-pub const ATTR_DIRECTORY: u8 = 0x10;
 /// Attribute flag: plain file (archive bit).
 pub const ATTR_ARCHIVE: u8 = 0x20;
 
@@ -54,23 +52,6 @@ impl DirEntry {
             first_cluster,
             size,
         }
-    }
-
-    /// Creates a subdirectory entry.
-    pub fn directory(name: &str, first_cluster: u16) -> Self {
-        let (n, e) = split_8_3(name);
-        Self {
-            name: n,
-            ext: e,
-            attr: ATTR_DIRECTORY,
-            first_cluster,
-            size: 0,
-        }
-    }
-
-    /// Whether the entry is a subdirectory.
-    pub fn is_directory(&self) -> bool {
-        self.attr & ATTR_DIRECTORY != 0
     }
 
     /// The entry's name in `NAME.EXT` form (trailing spaces stripped).
@@ -221,16 +202,6 @@ mod tests {
         let d = DirEntry::decode(&e.encode()).unwrap();
         assert_eq!(e, d);
         assert_eq!(d.display_name(), "README.MD");
-        assert!(!d.is_directory());
-    }
-
-    #[test]
-    fn directory_entries_have_the_attribute() {
-        let e = DirEntry::directory("SUBDIR", 3);
-        assert!(e.is_directory());
-        assert_eq!(e.display_name(), "SUBDIR");
-        let d = DirEntry::decode(&e.encode()).unwrap();
-        assert!(d.is_directory());
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod lookup;
 pub mod volume;
 
 pub use dirent::{
-    split_8_3, synthetic_name, DirEntry, NameKey, ATTR_ARCHIVE, ATTR_DIRECTORY, DIRENT_SIZE,
-    SYNTHETIC_SERIALS,
+    split_8_3, synthetic_name, DirEntry, NameKey, ATTR_ARCHIVE, DIRENT_SIZE, SYNTHETIC_SERIALS,
 };
 pub use lookup::{
     directory_descriptor, lookup_actions, lookup_actions_kind, lookup_actions_unannotated, resolve,

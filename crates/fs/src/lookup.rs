@@ -63,11 +63,9 @@ pub fn lookup_actions(
 
 /// Like [`lookup_actions`] but with an explicit access kind.
 ///
-/// A read-kind lookup tells the policy the operation will not mutate the
-/// directory, so it may be served from any replica; a write-kind lookup
-/// must run against the primary copy. `lookup_actions` defaults to
-/// [`AccessKind::Write`], the conservative choice that reproduces the
-/// original single-copy behaviour.
+/// The kind reaches the policy at `ct_start`: a read-kind lookup declares
+/// that the operation will not mutate the directory. `lookup_actions`
+/// defaults to [`AccessKind::Write`], the conservative choice.
 pub fn lookup_actions_kind(
     dir: &DirectoryHandle,
     lock: LockId,

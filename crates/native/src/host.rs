@@ -14,7 +14,7 @@
 
 use o2_runtime::{
     CounterDelta, EpochView, Machine, ObjectDescriptor, OpContext, Placement, PolicyCommand,
-    PolicyReplicationStats, SchedPolicy,
+    SchedPolicy,
 };
 use o2_sim::{AccessKind, MachineConfig};
 
@@ -94,11 +94,6 @@ impl PolicyHost {
             machine: &self.machine,
             deltas,
         })
-    }
-
-    /// The policy's replica-serving counters.
-    pub fn replication_stats(&self) -> PolicyReplicationStats {
-        self.policy.replication_stats()
     }
 }
 

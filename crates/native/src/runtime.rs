@@ -120,8 +120,6 @@ pub struct NativeMeasurement {
     /// `RehomeThread` commands received (recorded only: workers stay
     /// pinned, the native analogue of rehoming is the migration itself).
     pub rehomes_recorded: u64,
-    /// `FillReplica` commands executed by touching the object's bytes.
-    pub fills_completed: u64,
     /// Order-independent digest of the final workload state.
     pub state_digest: u64,
     /// Spin-lock acquisitions that found a shard lock held.
@@ -180,8 +178,6 @@ struct Shared<'a> {
     rings: Vec<Vec<SpscRing<Msg>>>,
     /// Per-worker counter-delta accumulators for the epoch view.
     deltas: Vec<Mutex<CounterDelta>>,
-    /// Per-worker queues of `FillReplica` objects, drained when idle.
-    fill_queues: Vec<Mutex<Vec<u32>>>,
     /// Measured start/end of each worker, as offsets from `origin`.
     spans: Vec<Mutex<(Duration, Duration)>>,
     origin: Instant,
@@ -194,7 +190,6 @@ struct Shared<'a> {
     per_worker_ops: Vec<AtomicU64>,
     epochs: AtomicU64,
     rehomes: AtomicU64,
-    fills: AtomicU64,
 }
 
 impl<'a> Shared<'a> {
@@ -264,18 +259,6 @@ impl<'a> Shared<'a> {
         pending.retain(|&dst| self.rings[me][dst].push(Msg::Done).is_err());
     }
 
-    /// Runs any queued replica fills for `me`.
-    fn drain_fills(&self, me: usize) {
-        let queued = {
-            let mut q = self.fill_queues[me].lock().expect("fill queue");
-            std::mem::take(&mut *q)
-        };
-        for object in queued {
-            self.wl.fill(object);
-            self.fills.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Epoch boundary at completed-count `at`: snapshot-and-reset the
     /// per-worker deltas, let the policy speak, apply its commands.
     fn run_epoch(&self, phase: &Phase, at: u64) {
@@ -293,13 +276,6 @@ impl<'a> Shared<'a> {
                     // Workers are pinned; rehoming is what the migration
                     // rings already do per-op. Recorded, not acted on.
                     self.rehomes.fetch_add(1, Ordering::Relaxed);
-                }
-                PolicyCommand::FillReplica { object, core } => {
-                    let target = (core as usize).min(self.cfg.workers - 1);
-                    self.fill_queues[target]
-                        .lock()
-                        .expect("fill queue")
-                        .push(object);
                 }
             }
         }
@@ -376,7 +352,6 @@ impl<'a> Shared<'a> {
     /// exhausted, then keep serving the mesh until every op completed.
     fn run_phase(&self, phase: &Phase, me: usize, pending: &mut Vec<usize>) {
         loop {
-            self.drain_fills(me);
             let got_done = self.drain_incoming(phase, me, pending);
             debug_assert!(!got_done, "Done with no outstanding op");
             self.flush_pending(me, pending);
@@ -447,7 +422,6 @@ pub fn run_native(
         deltas: (0..w)
             .map(|_| Mutex::new(CounterDelta::default()))
             .collect(),
-        fill_queues: (0..w).map(|_| Mutex::new(Vec::new())).collect(),
         spans: (0..w)
             .map(|_| Mutex::new((Duration::ZERO, Duration::ZERO)))
             .collect(),
@@ -461,7 +435,6 @@ pub fn run_native(
         per_worker_ops: (0..w).map(|_| AtomicU64::new(0)).collect(),
         epochs: AtomicU64::new(0),
         rehomes: AtomicU64::new(0),
-        fills: AtomicU64::new(0),
     };
     let warmup = Phase::new(0, cfg.warmup_ops, false);
     let measured = Phase::new(cfg.warmup_ops, cfg.measure_ops, true);
@@ -508,7 +481,6 @@ pub fn run_native(
         ring_depth_hwm,
         epochs: shared.epochs.load(Ordering::Relaxed),
         rehomes_recorded: shared.rehomes.load(Ordering::Relaxed),
-        fills_completed: shared.fills.load(Ordering::Relaxed),
         state_digest: workload.state_digest(),
         lock_contention: workload.lock_contention(),
     }

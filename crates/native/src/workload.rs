@@ -72,10 +72,6 @@ pub trait NativeWorkload: Sync {
     fn op(&self, index: u64) -> NativeOp;
     /// Executes the op against real shard state (under the shard lock).
     fn execute(&self, op: &NativeOp) -> ExecutedOp;
-    /// Touches the object's bytes (the native analogue of a background
-    /// replica fill streaming an object into a cache); returns the bytes
-    /// read.
-    fn fill(&self, object: u32) -> u64;
     /// Order-independent digest of the final shard state.
     fn state_digest(&self) -> u64;
     /// Spin-lock acquisitions that found the lock held.
@@ -375,18 +371,6 @@ impl NativeWorkload for NativeLookup {
         }
     }
 
-    fn fill(&self, object: u32) -> u64 {
-        self.dirs[object as usize].with(|dir| {
-            let mut acc = 0u64;
-            for &b in &dir.image {
-                acc = acc.wrapping_add(u64::from(b));
-            }
-            // Keep the scan observable so it cannot be optimized out.
-            std::hint::black_box(acc);
-            dir.image.len() as u64
-        })
-    }
-
     fn state_digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for dir in &self.dirs {
@@ -495,12 +479,6 @@ mod tests {
             hist[wl.op(i).object as usize] += 1;
         }
         assert!(hist[0] > hist[5] && hist[5] > hist[20]);
-    }
-
-    #[test]
-    fn fill_reads_the_whole_directory() {
-        let wl = NativeLookup::build(&NativeLookupSpec::small(1));
-        assert_eq!(wl.fill(0), 64 * 32);
     }
 
     #[test]

@@ -117,8 +117,8 @@ fn every_policy(workers: usize) -> Vec<(&'static str, Box<dyn SchedPolicy + Send
     vec![
         ("coretime", CoreTime::policy(&m)),
         (
-            "coretime-serving",
-            CoreTime::policy_with(&m, CoreTimeConfig::default().with_serving(64)),
+            "coretime-in-place",
+            CoreTime::policy_with(&m, CoreTimeConfig::in_place()),
         ),
         ("thread-scheduler", Box::new(ThreadScheduler::new())),
         (
@@ -157,12 +157,7 @@ fn every_policy_leaves_the_same_state_and_only_coretime_migrates_lookups() {
             digests.push((policy, m.state_digest));
             match policy {
                 "coretime" => assert!(m.migrations > 0, "CoreTime never migrated"),
-                "thread-scheduler" => assert_eq!(m.migrations, 0),
-                // Read-mostly traffic earns replicas, and their fills run
-                // on the workers before the digest is taken.
-                "coretime-serving" if write_fraction < 0.5 => {
-                    assert!(m.fills_completed > 0, "serving never filled a replica")
-                }
+                "thread-scheduler" | "coretime-in-place" => assert_eq!(m.migrations, 0),
                 _ => {}
             }
         }

@@ -36,7 +36,7 @@ pub enum Action {
     /// `ct_start(object)`: begin an operation on an object, declaring
     /// whether the operation reads or mutates it. The scheduling policy may
     /// migrate the thread to the core caching the object; the access kind
-    /// lets it serve reads from replicas and invalidate them on writes.
+    /// reaches the policy with the operation.
     CtStart(ObjectId, AccessKind),
     /// `ct_end()`: finish the current operation. If the thread migrated,
     /// it becomes ready to run on its home core again.
@@ -78,8 +78,7 @@ pub struct ObjectDescriptor {
     pub addr: Addr,
     /// Size of the object's data in bytes.
     pub size: u64,
-    /// Hint: the object is read-mostly. No scheduling policy reads it;
-    /// replica serving measures each object's read fraction instead.
+    /// Hint: the object is read-mostly. No scheduling policy reads it.
     pub read_mostly: bool,
     /// The spin lock guarding the object, if any.
     pub lock: Option<LockId>,

@@ -177,16 +177,14 @@ impl OpBuilder {
 
     /// Starts an operation annotated with `ct_start(object)`.
     ///
-    /// The operation is declared as a *write* (the conservative default):
-    /// a policy serving reads from replicas will route it to the primary
-    /// copy and invalidate replicas. Use [`OpBuilder::annotated_read`] or
-    /// [`OpBuilder::annotated_kind`] for read-only operations.
+    /// The operation is declared as a *write* (the conservative default).
+    /// Use [`OpBuilder::annotated_read`] or [`OpBuilder::annotated_kind`]
+    /// for read-only operations.
     pub fn annotated(object: u64) -> Self {
         Self::annotated_kind(object, AccessKind::Write)
     }
 
-    /// Starts a read-only operation annotated with `ct_start(object)`:
-    /// the policy may serve it from any replica of the object.
+    /// Starts a read-only operation annotated with `ct_start(object)`.
     pub fn annotated_read(object: u64) -> Self {
         Self::annotated_kind(object, AccessKind::Read)
     }

@@ -153,10 +153,10 @@ impl Engine {
                 }
                 if let Some((frontier, _)) = head {
                     if frontier >= self.next_epoch {
-                        // Epoch commands can wake a parked core *at* the
-                        // boundary (a background replica fill), which may
-                        // precede the pre-epoch head — re-peek so the
-                        // minimum is what gets dispatched.
+                        // Epoch commands can wake a parked core (a thread
+                        // rehomed onto it), which may precede the
+                        // pre-epoch head — re-peek so the minimum is what
+                        // gets dispatched.
                         self.catch_up_epochs(frontier, limit);
                         head = self.next_valid_event();
                     }

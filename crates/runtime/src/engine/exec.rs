@@ -60,14 +60,6 @@ impl Engine {
                     if let Some(next) = core.run_queue.pop_front() {
                         core.current = Some(next);
                         core.quantum_used = 0;
-                    } else if self.fill_ready(core_idx) {
-                        // Nothing runnable and a background fill fits in
-                        // the gap before the next arrival: stream one
-                        // replica into this core's caches and look again —
-                        // runnable work that lands meanwhile takes
-                        // priority over the remaining fills.
-                        let at = self.run_one_fill(core_idx);
-                        return Ok(Some(at));
                     } else {
                         // Nothing runnable: wait for the inbox or park.
                         return Ok(self.core_next_wake(core_idx));
@@ -186,12 +178,11 @@ impl Engine {
     }
 
     /// The next cycle at which `core` has something to do: immediately if
-    /// it has runnable threads (or a background fill that fits the gap
-    /// before its next arrival), at the earliest inbox arrival or sleeper
+    /// it has runnable threads, at the earliest inbox arrival or sleeper
     /// wake if it is only waiting, `None` (park) otherwise.
     pub(super) fn core_next_wake(&self, core: usize) -> Option<Cycles> {
         let c = &self.cores[core];
-        if c.current.is_some() || !c.run_queue.is_empty() || self.fill_ready(core) {
+        if c.current.is_some() || !c.run_queue.is_empty() {
             Some(c.clock)
         } else {
             c.inbox

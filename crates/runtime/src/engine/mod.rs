@@ -24,8 +24,8 @@
 //! a core runs — the queue, stale-entry discard and the run loop live
 //! there and nowhere else; `exec` decides *what* a core does when it runs
 //! (thread pick, actions, locks, `ct_start`/`ct_end`, migration); `epoch`
-//! fires policy epochs, applies their commands and runs background
-//! replica fills; `fault` is the fault plane. This file holds the state
+//! fires policy epochs and applies their commands; `fault` is the fault
+//! plane. This file holds the state
 //! they share and the public surface.
 
 mod epoch;
@@ -77,12 +77,6 @@ struct CoreState {
     /// Threads sleeping on `IdleUntil` until the clock reaches their wake
     /// cycle; like the inbox, a wake-up source for a parked core.
     sleepers: Vec<Sleeper>,
-    /// Background replica fills queued by
-    /// [`PolicyCommand::FillReplica`](crate::PolicyCommand::FillReplica),
-    /// drained one object per step whenever the core has nothing
-    /// runnable. Cleared at every epoch boundary: a fill the core never
-    /// found an idle gap for is superseded by the next epoch's plan.
-    fill_queue: VecDeque<DenseObjectId>,
     quantum_used: Cycles,
 }
 
@@ -284,8 +278,8 @@ impl Engine {
     }
 
     /// Scheduler statistics: events processed, stale entries discarded,
-    /// parked-core wake-ups, fault and fill counters, and the
-    /// service-latency summary.
+    /// parked-core wake-ups, fault counters, and the service-latency
+    /// summary.
     pub fn sched_stats(&self) -> SchedStats {
         SchedStats {
             op_latency: self.op_latency.summary(),

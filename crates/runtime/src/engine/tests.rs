@@ -399,93 +399,3 @@ fn determinism_same_seeded_run_twice() {
     };
     assert_eq!(run(), run());
 }
-
-/// Queues a background fill of object 0 into each listed core at
-/// every epoch boundary.
-struct FillEveryEpoch(Vec<CoreId>);
-
-impl SchedPolicy for FillEveryEpoch {
-    fn name(&self) -> &'static str {
-        "fill-every-epoch"
-    }
-    fn on_epoch(&mut self, _view: &EpochView<'_>) -> Vec<PolicyCommand> {
-        self.0
-            .iter()
-            .map(|&core| PolicyCommand::FillReplica { object: 0, core })
-            .collect()
-    }
-}
-
-#[test]
-fn background_fills_run_on_idle_cores_and_never_on_busy_ones() {
-    let mut e = Engine::new(
-        machine(),
-        Box::new(FillEveryEpoch(vec![0, 1])),
-        RuntimeConfig::default(),
-    );
-    let region = e.machine_mut().memory_mut().alloc(4096, 0);
-    e.register_object(ObjectDescriptor::new(0x1000, region.addr, region.size));
-    // Core 0 never has a gap: an endless compute loop. Core 1 has no
-    // thread at all, so only it can drain its fill queue.
-    e.spawn(
-        0,
-        Box::new(RepeatBehaviour::new(vec![Action::Compute(1_000)], None)),
-    );
-    e.run_until_cycles(1_000_000);
-    let ss = e.sched_stats();
-    assert!(ss.replica_fills > 0, "idle core 1 never ran its fills");
-    assert!(ss.replica_fill_cycles > 0);
-    // The fill streamed the object through core 1's memory system and
-    // was charged to core 1's clock.
-    let c1 = e.machine().counters(1);
-    assert!(c1.dram_loads + c1.l1_hits + c1.l2_hits > 0);
-    // The saturated core never loaded a line: its queued fills were
-    // discarded at each boundary, not squeezed in.
-    let c0 = e.machine().counters(0);
-    assert_eq!(c0.dram_loads, 0);
-    assert_eq!(c0.l1_hits + c0.l2_hits + c0.l3_hits, 0);
-}
-
-/// A thread that sleeps `gap` cycles between tiny compute bursts —
-/// an open-loop stand-in with a controllable arrival gap.
-struct GapSleeper {
-    gap: Cycles,
-    rounds: u64,
-}
-
-impl crate::behaviour::OpGenerator for GapSleeper {
-    fn next_op(&mut self, ctx: &crate::behaviour::BehaviourCtx) -> Vec<Action> {
-        if self.rounds == 0 {
-            return vec![];
-        }
-        self.rounds -= 1;
-        vec![Action::IdleUntil(ctx.now + self.gap), Action::Compute(100)]
-    }
-}
-
-#[test]
-fn fills_respect_the_gap_to_the_next_arrival() {
-    // The fill estimate for a 4 KB object is size * 2 = 8192 cycles.
-    // A thread waking every 3000 cycles never leaves room, so the
-    // fill must stay queued; 50_000-cycle gaps fit it comfortably.
-    let run = |gap: Cycles| {
-        let mut e = Engine::new(
-            machine(),
-            Box::new(FillEveryEpoch(vec![0])),
-            RuntimeConfig::default(),
-        );
-        let region = e.machine_mut().memory_mut().alloc(4096, 0);
-        e.register_object(ObjectDescriptor::new(0x1000, region.addr, region.size));
-        e.spawn(
-            0,
-            Box::new(crate::behaviour::OpBehaviour::new(GapSleeper {
-                gap,
-                rounds: 1_000,
-            })),
-        );
-        e.run_until_cycles(600_000);
-        e.sched_stats().replica_fills
-    };
-    assert_eq!(run(3_000), 0, "a fill ran in front of an imminent wake");
-    assert!(run(50_000) > 0, "wide gaps never fit a fill");
-}

@@ -4,7 +4,7 @@
 //! [`SchedPolicy`] where the operation should run, at every `ct_end` it
 //! reports the event-counter delta observed during the operation, and at
 //! every epoch boundary it hands the policy a machine-wide counter view and
-//! applies the commands it returns (replica fills, thread rehomings). CoreTime (`o2-core`) and the baselines
+//! applies the commands it returns (thread rehomings). CoreTime (`o2-core`) and the baselines
 //! (`o2-baseline`) are both implementations of this trait, so any measured
 //! difference between them is purely the scheduling policy — exactly the
 //! comparison the paper makes.
@@ -42,9 +42,7 @@ pub struct OpContext<'a> {
     /// The acting core's local clock.
     pub now: Cycles,
     /// Whether the operation reads the object or mutates it, as declared
-    /// by `ct_start`. Policies serving reads from replicas use this to
-    /// route reads to any copy and writes to the primary (invalidating
-    /// replicas first).
+    /// by `ct_start`. No shipped policy places by it.
     pub kind: AccessKind,
     /// Read-only view of the machine (configuration, counters, occupancy).
     pub machine: &'a Machine,
@@ -71,18 +69,6 @@ pub enum PolicyCommand {
         /// Its new home core.
         core: CoreId,
     },
-    /// Stream an object's bytes into a core's caches the next time that
-    /// core has nothing runnable (replica serving's idle-time data
-    /// movement). The engine queues the fill per core and drains it only
-    /// in idle gaps, so a saturated run never pays for it; pending fills
-    /// are dropped at the next epoch boundary in favour of the fresh
-    /// plan.
-    FillReplica {
-        /// The object whose copy should be warmed.
-        object: DenseObjectId,
-        /// The core holding (or about to hold) the copy.
-        core: CoreId,
-    },
 }
 
 /// Fault-handling counters a policy exposes through
@@ -103,19 +89,12 @@ pub struct PolicyFaultStats {
     pub degraded_avoids: u64,
 }
 
-/// Replica-serving counters a policy exposes through
-/// [`SchedPolicy::replication_stats`]. The defaults are all zero; policies
-/// without a replication plane report zeros.
+/// What [`SchedPolicy::replication_stats`] returns: a shim kept for the
+/// benchmark harness, which still reads `replica_served`. No policy keeps
+/// replicas, so every policy reports zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyReplicationStats {
-    /// Replica copies created by epoch-driven promotion.
-    pub promotions: u64,
-    /// Replica copies dropped because the object's read fraction fell.
-    pub demotions: u64,
-    /// First-write invalidation events (a write to a replicated object
-    /// dropping every non-primary copy at `ct_start`).
-    pub invalidations: u64,
-    /// Read operations served from a non-primary replica copy.
+    /// Operations served from a non-primary copy: always zero.
     pub replica_served: u64,
 }
 
@@ -182,7 +161,9 @@ pub trait SchedPolicy {
         PolicyFaultStats::default()
     }
 
-    /// Replica-serving counters, for diagnostics and experiments.
+    /// Replica-serving counters: all zero, because no policy keeps
+    /// replicas. A shim kept for the benchmark harness, which wraps and
+    /// reads it.
     fn replication_stats(&self) -> PolicyReplicationStats {
         PolicyReplicationStats::default()
     }

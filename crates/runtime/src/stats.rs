@@ -40,13 +40,6 @@ pub struct SchedStats {
     /// Threads put to sleep by an [`Action::IdleUntil`](crate::Action)
     /// with a future target (open-loop arrival waits).
     pub sleeps: u64,
-    /// Background replica fills completed: objects streamed into a core's
-    /// caches while that core had nothing runnable (replica serving's
-    /// idle-time data movement). Zero in any saturated run.
-    pub replica_fills: u64,
-    /// Cycles spent on background replica fills, charged to otherwise
-    /// idle cores.
-    pub replica_fill_cycles: u64,
     /// Percentiles of per-operation service latency (`ct_start` →
     /// `ct_end`, in cycles on the executing core), from the engine's
     /// fixed-memory latency histogram.

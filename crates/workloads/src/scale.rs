@@ -66,10 +66,10 @@ pub struct ScaleSpec {
     /// workload to open-loop arrivals, `None` keeps the closed loop.
     pub open_loop_mean_gap: Option<f64>,
     /// Fraction of operations that declare themselves reads at `ct_start`
-    /// (the rest are writes). A read-heavy mix is what lets a
-    /// replica-serving policy spread the Zipf head across cores; writes
-    /// force invalidation. `0.0` reproduces the old all-write stream
-    /// without consuming any extra randomness.
+    /// (the rest are writes). The kind only labels the operation for the
+    /// policy: either way the operation reads the object. `0.0`
+    /// reproduces the old all-write stream without consuming any extra
+    /// randomness.
     pub read_fraction: f64,
 }
 
@@ -309,8 +309,8 @@ pub struct ScaleMeasurement {
     pub sleeps: u64,
     /// Operation migrations performed over the whole run.
     pub migrations: u64,
-    /// Replica promotion/demotion/invalidation/serving counters from the
-    /// policy (all zero for policies without replica serving).
+    /// The policy's [`SchedPolicy::replication_stats`]: always zero. A
+    /// shim kept for the benchmark harness, which prints it.
     pub replication: PolicyReplicationStats,
 }
 
@@ -662,8 +662,8 @@ mod tests {
         type Build = fn(&MachineConfig) -> Box<dyn SchedPolicy>;
         let policies: [(&str, Build); 4] = [
             ("coretime", |m| CoreTime::policy(m)),
-            ("coretime serving", |m| {
-                CoreTime::policy_with(m, CoreTimeConfig::default().with_serving(N_OBJECTS))
+            ("coretime in place", |m| {
+                CoreTime::policy_with(m, CoreTimeConfig::in_place())
             }),
             ("thread scheduler", |_| Box::new(ThreadScheduler::new())),
             ("thread clustering", |m| {

@@ -7,7 +7,7 @@
 //! each "request" resolves a path of several components, walking from a
 //! small set of hot top-level directories into a large set of leaf
 //! directories. Every request reads one of the few hot roots, which makes
-//! them the read-mostly head that replica serving (Section 6.2) copies.
+//! them the read-mostly head Section 6.2 proposes to replicate.
 
 use std::rc::Rc;
 
@@ -22,10 +22,9 @@ use crate::behaviour::DirectorySet;
 /// Traffic mix for a web server serving static files and CGI requests.
 ///
 /// Static requests are pure path resolutions: every component lookup is
-/// read-kind, so a replica-serving policy may run them against any copy of
-/// the hot root directories. A CGI request resolves the same way but its
-/// final component is a write-kind lookup (the script updates state under
-/// the leaf directory's lock) followed by the script's compute burst.
+/// read-kind. A CGI request resolves the same way but its final component
+/// is a write-kind lookup (the script updates state under the leaf
+/// directory's lock) followed by the script's compute burst.
 #[derive(Debug, Clone, Copy)]
 pub struct WebMix {
     /// Fraction of requests that are CGI (`0.0..=1.0`).

@@ -66,14 +66,14 @@ fn main() {
     let machine_cfg = MachineConfig::amd16();
     let without = serve("Without CoreTime:", Box::new(ThreadScheduler::new()));
     let with = serve("With CoreTime:", CoreTime::policy(&machine_cfg));
-    let serving = serve(
-        "CoreTime + serving:",
-        CoreTime::policy_with(&machine_cfg, CoreTimeConfig::default().with_serving(256)),
+    let in_place = serve(
+        "CoreTime in place:",
+        CoreTime::policy_with(&machine_cfg, CoreTimeConfig::in_place()),
     );
     println!(
-        "\nSpeedup over the thread scheduler: {:.2}x (CoreTime), {:.2}x (serving reads of the \
-         hot roots from replicas, §6.2)",
+        "\nSpeedup over the thread scheduler: {:.2}x (CoreTime), {:.2}x (CoreTime running \
+         every lookup where its thread is)",
         with / without.max(1e-9),
-        serving / without.max(1e-9)
+        in_place / without.max(1e-9)
     );
 }

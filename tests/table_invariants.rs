@@ -1,15 +1,12 @@
 //! Randomised invariant checks for the flat `AssignmentTable`.
 //!
-//! After **any** sequence of assign / release / move / replicate
-//! operations the table must satisfy, on every core:
+//! After **any** sequence of assign / release / move operations the table
+//! must satisfy, on every core:
 //!
 //! * `used_bytes(core)` equals the sum of the sizes of the objects listed
 //!   by `objects_on(core)`;
-//! * `objects_on(core)` lists an object exactly once, and exactly when the
-//!   object's replica set contains the core;
-//! * an object's replica set never double-counts a core (primary and
-//!   replicas never overlap): the primary appears in the set exactly once,
-//!   and the set size equals the number of per-core listings;
+//! * `objects_on(core)` lists an object exactly once iff the object's
+//!   primary is `core`, so every assigned object is listed exactly once;
 //! * `free_bytes` is what the budget has left (`capacity - used_bytes`,
 //!   zero on a core placed past its budget) and the global `len()` matches
 //!   the number of objects with a primary.
@@ -53,43 +50,24 @@ fn check_invariants(table: &AssignmentTable, sizes: &[u64]) {
         listings_total += on.len();
     }
     for object in 0..OBJECTS {
-        let replicas = table.replicas(object);
-        match table.primary(object) {
-            Some(primary) => {
-                assigned_objects += 1;
-                // The primary is in the replica set (a bitmask cannot hold
-                // it twice — that is the "primary and replicas never
-                // overlap" invariant).
-                assert!(
-                    replicas.contains(primary),
-                    "object {object}: primary {primary} missing from replica set"
-                );
-                // Set membership and the per-core listings agree exactly.
-                for core in 0..cores {
-                    let listed = table
-                        .objects_on(core)
-                        .iter()
-                        .filter(|&&o| o == object)
-                        .count();
-                    let expected = usize::from(replicas.contains(core));
-                    assert_eq!(
-                        listed, expected,
-                        "object {object} vs core {core}: replica set and per-core list disagree"
-                    );
-                }
-            }
-            None => {
-                assert!(
-                    replicas.is_empty(),
-                    "object {object}: replicas without a primary"
-                );
-            }
+        let primary = table.primary(object);
+        assigned_objects += usize::from(primary.is_some());
+        for core in 0..cores {
+            let listed = table
+                .objects_on(core)
+                .iter()
+                .filter(|&&o| o == object)
+                .count();
+            assert_eq!(
+                listed,
+                usize::from(primary == Some(core)),
+                "object {object} vs core {core}: primary and per-core list disagree"
+            );
         }
     }
     assert_eq!(table.len(), assigned_objects, "len() out of sync");
-    // Every per-core listing is accounted for by some replica set.
-    let replica_total: usize = (0..OBJECTS).map(|o| table.replicas(o).len()).sum();
-    assert_eq!(listings_total, replica_total);
+    // Every per-core listing is some object's primary.
+    assert_eq!(listings_total, assigned_objects);
 }
 
 #[test]
@@ -106,15 +84,12 @@ fn random_op_sequences_preserve_all_invariants() {
             let object = rng.gen_range(0u32..OBJECTS);
             let size = sizes[object as usize];
             let core = rng.gen_range(0u32..cores as u32);
-            match rng.gen_range(0u8..4) {
+            match rng.gen_range(0u8..3) {
                 0 => {
                     let _ = table.assign(object, size, core);
                 }
                 1 => {
                     let _ = table.unassign(object);
-                }
-                2 => {
-                    let _ = table.add_replica(object, core);
                 }
                 _ => {
                     // assign_unchecked is what over-budget placement
@@ -129,24 +104,20 @@ fn random_op_sequences_preserve_all_invariants() {
 }
 
 #[test]
-fn replicate_then_move_then_release_never_leaks_bytes() {
+fn move_then_release_never_leaks_bytes() {
     // A directed sequence covering the exact interleaving the policy
-    // performs: assign → replicate widely → re-home (what `core_down`
-    // does: release every copy, place the primary elsewhere) → unassign
-    // (releases everything).
+    // performs: assign → re-home (what `core_down` does: release the
+    // object, place it elsewhere) → unassign.
     let mut table = AssignmentTable::new(vec![10_000; 4]);
     let sizes: Vec<u64> = (0..OBJECTS).map(|_| 1_000).collect();
     assert!(table.assign(1, 1_000, 0));
-    assert!(table.add_replica(1, 1));
-    assert!(table.add_replica(1, 2));
     check_invariants(&table, &sizes);
-    assert_eq!(table.total_assigned_bytes(), 3_000);
-    // Re-homing the primary drops every replica.
+    assert_eq!(table.total_assigned_bytes(), 1_000);
     assert!(table.unassign(1));
     assert!(table.assign(1, 1_000, 3));
     check_invariants(&table, &sizes);
     assert_eq!(table.total_assigned_bytes(), 1_000);
-    assert_eq!(table.replicas(1).len(), 1);
+    assert_eq!(table.objects_on(3), &[1]);
     assert!(table.unassign(1));
     check_invariants(&table, &sizes);
     assert_eq!(table.total_assigned_bytes(), 0);
